@@ -4,9 +4,13 @@ The discrete surface
 
     A[ell, k] = sum_j r[j] s*[j - ell] e^{-2 pi i k j / (N M)}
 
-is computed lag-by-lag with one frame-length FFT per lag (shifted replica
-indices outside the frame contribute zero).  A positive true Doppler lands
-in a low positive bin; bins above N M / 2 are read as negative frequencies.
+is computed for the whole lag window at once: the shifted replica rows are
+one strided view into a zero-padded conjugate replica (shifted indices
+outside the frame read zero), multiplied by the echo into a single
+(n_lags, N M) array, transformed by one batched FFT in place, and, when a
+normalization constant is given, divided by it in place.  A positive true
+Doppler lands in a low positive bin; bins above N M / 2 are read as
+negative frequencies.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import CodeMatrix
 from .config import RadarParams
@@ -65,8 +70,7 @@ class AmbiguitySurface:
 
     def normalized(self, a0: float) -> "AmbiguitySurface":
         """Scale by the auto-ambiguity peak A_ss[0,0] = signal energy."""
-        if a0 <= 0:
-            raise ValueError(f"normalization constant must be positive, got {a0}")
+        _check_norm(a0)
         return AmbiguitySurface(self.values / a0, self.ell_min, self.params, norm=a0)
 
     def signed_bin(self, col: int) -> int:
@@ -74,15 +78,25 @@ class AmbiguitySurface:
         return col - self.n_bins if col > self.n_bins // 2 else col
 
 
+def _check_norm(a0: float) -> None:
+    if a0 <= 0:
+        raise ValueError(f"normalization constant must be positive, got {a0}")
+
+
 def _lagged_products(
-    r: np.ndarray, s: np.ndarray, ells: np.ndarray
+    r: np.ndarray, s: np.ndarray, ell_min: int, ell_max: int
 ) -> np.ndarray:
-    """Rows p_ell[j] = r[j] s*[j - ell], out-of-range shifts treated as zero."""
+    """Rows p_ell[j] = r[j] s*[j - ell], out-of-range shifts treated as zero.
+
+    Row ell of the shifted replica is pad[n-1-ell : 2n-1-ell], so the whole
+    window is a reversed slice of the sliding-window view, taken without a
+    copy; the only allocation is the product itself.
+    """
     n = r.shape[0]
     pad = np.zeros(3 * n - 2, dtype=np.complex128)
     pad[n - 1 : 2 * n - 1] = np.conj(s)
-    idx = np.arange(n)[None, :] - ells[:, None] + (n - 1)
-    return r[None, :] * pad[idx]
+    shifted = sliding_window_view(pad, n)[n - 1 - ell_max : n - ell_min][::-1]
+    return r * shifted
 
 
 def discrete_ambiguity(
@@ -90,8 +104,14 @@ def discrete_ambiguity(
     s: ComplexSignal,
     lag_window: tuple[int, int],
     params: RadarParams,
+    norm: float | None = None,
 ) -> AmbiguitySurface:
-    """FFT-based cross-ambiguity over an inclusive window of integer lags."""
+    """FFT-based cross-ambiguity over an inclusive window of integer lags.
+
+    With ``norm`` (the A_ss[0,0] that :meth:`AmbiguitySurface.normalized`
+    takes) the surface is divided by it in place; the values are identical
+    to ``discrete_ambiguity(...).normalized(norm)``.
+    """
     n = params.frame_len
     if len(r) != n or len(s) != n:
         raise ValueError(
@@ -102,9 +122,13 @@ def discrete_ambiguity(
         raise ValueError(f"empty lag window {lag_window}")
     if ell_min < -(n - 1) or ell_max > n - 1:
         raise ValueError(f"lag window {lag_window} outside [-(NM-1), NM-1]")
-    ells = np.arange(ell_min, ell_max + 1)
-    products = _lagged_products(r.samples, s.samples, ells)
-    return AmbiguitySurface(np.fft.fft(products, axis=1), ell_min, params)
+    if norm is not None:
+        _check_norm(norm)
+    products = _lagged_products(r.samples, s.samples, ell_min, ell_max)
+    values = np.fft.fft(products, axis=1, out=products)
+    if norm is not None:
+        values /= norm
+    return AmbiguitySurface(values, ell_min, params, norm=norm)
 
 
 def extend_surface(
@@ -121,12 +145,12 @@ def extend_surface(
         return surface
     blocks = []
     if lo < surface.ell_min:
-        head = discrete_ambiguity(r, s, (lo, surface.ell_min - 1), surface.params)
-        blocks.append(head.values * (1.0 if surface.norm is None else 1.0 / surface.norm))
+        window = (lo, surface.ell_min - 1)
+        blocks.append(discrete_ambiguity(r, s, window, surface.params, norm=surface.norm).values)
     blocks.append(surface.values)
     if hi > surface.ell_max:
-        tail = discrete_ambiguity(r, s, (surface.ell_max + 1, hi), surface.params)
-        blocks.append(tail.values * (1.0 if surface.norm is None else 1.0 / surface.norm))
+        window = (surface.ell_max + 1, hi)
+        blocks.append(discrete_ambiguity(r, s, window, surface.params, norm=surface.norm).values)
     return AmbiguitySurface(
         np.concatenate(blocks, axis=0), lo, surface.params, norm=surface.norm
     )

@@ -31,6 +31,7 @@ from .codes import CodeMatrix
 from .config import RadarParams
 from .estimator import (
     DEFAULT_THRESHOLD,
+    SOLVER,
     Detection,
     coarse_detect,
     refine_quadratic,
@@ -116,7 +117,7 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     r = apply_receive_gating(r, p)
 
     t0 = time.perf_counter_ns()
-    surface = discrete_ambiguity(r, s, p.lag_window, p).normalized(s.energy)
+    surface = discrete_ambiguity(r, s, p.lag_window, p, norm=s.energy)
     detections = coarse_detect(surface, cfg.theta, p)
     coarse_ms = (time.perf_counter_ns() - t0) / 1e6
 
@@ -294,7 +295,7 @@ def sidecar_metadata(cfg: BenchConfig, conformance_score: float | None = None) -
         "snr_db_list": list(cfg.snr_db_list),
         "methods": list(cfg.methods),
         "workers": cfg.workers,
-        "optimizer": {"kind": "nelder-mead-box", "f_rel_tol": 1e-8, "max_iter": 200},
+        "optimizer": dict(SOLVER),
     }
     if conformance_score is not None:
         meta["conformance_score"] = conformance_score

@@ -36,7 +36,7 @@ from .bench import (
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import random_code, read_code, reference_good_code, write_code
 from .config import ParameterError, load_params, make_params, parse_config_text
-from .estimator import DEFAULT_THRESHOLD, estimate
+from .estimator import DEFAULT_THRESHOLD, SOLVER, estimate
 from .waveform import read_signal, synthesize_discrete, write_signal
 
 DEFAULT_GEOMETRY = {"N": 64, "M": 16, "N_t": 8, "N_f": 8, "T_c": 1.0}
@@ -55,7 +55,7 @@ def _config_hash() -> str:
         "theta": DEFAULT_THRESHOLD,
         "delta": DEFAULT_CONFORMANCE_DELTA,
         "oversample": DEFAULT_OVERSAMPLE,
-        "optimizer": {"kind": "l-bfgs-b", "ftol": 1e-14, "gtol": 1e-12, "maxiter": 200},
+        "optimizer": SOLVER,
     }
     return hashlib.sha256(json.dumps(frozen, sort_keys=True).encode()).hexdigest()[:12]
 

@@ -38,6 +38,9 @@ from .waveform import ComplexSignal
 DEFAULT_THRESHOLD = 0.5
 METHODS = ("sinc2d", "quadratic")
 _FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
+# The sinc2d solver's settings; sweep sidecars and the --version config hash
+# read them from here.
+SOLVER = {"kind": "l-bfgs-b", "ftol": 1e-14, "gtol": 1e-12, "maxiter": 200}
 _INIT_GRAD_TOL = 1e-3
 _FD_STEP = 1e-6
 
@@ -233,7 +236,7 @@ def refine_sinc2d(
             x0,
             method="L-BFGS-B",
             bounds=_FIT_BOUNDS,
-            options={"ftol": 1e-14, "gtol": 1e-12, "maxiter": 200},
+            options={k: SOLVER[k] for k in ("ftol", "gtol", "maxiter")},
         )
         best = np.asarray(result.x)
         converged = bool(result.success)
@@ -284,7 +287,7 @@ def estimate(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     window = params.lag_window if lag_window is None else lag_window
-    surface = discrete_ambiguity(r, s, window, params).normalized(s.energy)
+    surface = discrete_ambiguity(r, s, window, params, norm=s.energy)
     detections = coarse_detect(surface, theta, params)
     if not detections:
         return []

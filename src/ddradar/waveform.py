@@ -17,6 +17,7 @@ the channel model.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,12 +121,31 @@ def write_signal(path: str | Path, signal: ComplexSignal) -> None:
 
 
 def read_signal(path: str | Path, sample_period: float) -> ComplexSignal:
-    """Read a ``index,re,im`` CSV written by :func:`write_signal`."""
+    """Read a ``index,re,im`` CSV written by :func:`write_signal`.
+
+    The n data rows must carry each index 0..n-1 exactly once, in any order,
+    with finite values; anything else raises a one-line ``ValueError``.
+    """
     rows = Path(path).read_text().splitlines()
     if not rows or rows[0].strip() != "index,re,im":
         raise ValueError(f"{path}: expected header 'index,re,im'")
-    samples = np.zeros(len(rows) - 1, dtype=np.complex128)
-    for line in rows[1:]:
-        idx, re, im = line.split(",")
-        samples[int(idx)] = float(re) + 1j * float(im)
+    n = len(rows) - 1
+    samples = np.zeros(n, dtype=np.complex128)
+    seen = np.zeros(n, dtype=bool)
+    for lineno, line in enumerate(rows[1:], start=2):
+        try:
+            idx_text, re, im = line.split(",")
+            idx, value = int(idx_text), complex(float(re), float(im))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'index,re,im', got {line!r}") from None
+        if not 0 <= idx < n:
+            raise ValueError(
+                f"{path}:{lineno}: index {idx} out of range; {n} rows need indices 0..{n - 1}"
+            )
+        if seen[idx]:
+            raise ValueError(f"{path}:{lineno}: duplicate index {idx}")
+        if not cmath.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite sample {line!r}")
+        seen[idx] = True
+        samples[idx] = value
     return ComplexSignal(samples, sample_period)

@@ -63,6 +63,46 @@ def test_fft_path_matches_direct_sum():
     assert np.max(np.abs(surf.values - oracle)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(-15, 15), (-15, -15), (15, 15), (-15, -1), (-9, -3)],
+    ids=["full", "first-lag", "last-lag", "negative-to-edge", "negative-interior"],
+)
+def test_edge_windows_match_direct_sum(window):
+    # the strided view's slice bounds at and near both ends of the lag range
+    p = make_params(4, 4, 1, 2, 1.0)
+    n = p.frame_len
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    surf = discrete_ambiguity(
+        ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), window, p
+    )
+    oracle = direct_ambiguity(r, s, np.arange(window[0], window[1] + 1), n)
+    assert surf.values.shape == oracle.shape
+    assert np.max(np.abs(surf.values - oracle)) <= 1e-9
+
+
+def test_norm_argument_matches_normalized(p_default, good_code, s_paper):
+    truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
+    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    window = p_default.lag_window
+    direct = discrete_ambiguity(r, s_paper, window, p_default, norm=s_paper.energy)
+    staged = discrete_ambiguity(r, s_paper, window, p_default).normalized(s_paper.energy)
+    assert np.array_equal(direct.values, staged.values)
+    assert direct.norm == staged.norm == s_paper.energy
+    assert discrete_ambiguity(r, s_paper, window, p_default).norm is None
+
+
+@pytest.mark.parametrize("norm", [0.0, -1.0])
+def test_norm_argument_must_be_positive(p_default, s_paper, norm):
+    with pytest.raises(ValueError, match="must be positive"):
+        discrete_ambiguity(s_paper, s_paper, (0, 1), p_default, norm=norm)
+    surf = discrete_ambiguity(s_paper, s_paper, (0, 1), p_default)
+    with pytest.raises(ValueError, match="must be positive"):
+        surf.normalized(norm)
+
+
 def test_surface_validation(p_default, s_paper):
     with pytest.raises(ValueError, match="empty lag window"):
         discrete_ambiguity(s_paper, s_paper, (5, 4), p_default)
@@ -178,7 +218,7 @@ def test_extend_surface_matches_direct(p_default, good_code, s_paper):
     assert np.array_equal(grown.values, direct.values)
     normalized = base.normalized(s_paper.energy)
     grown_norm = extend_surface(normalized, r, s_paper, 290, 312)
-    assert np.allclose(grown_norm.values, direct.values / s_paper.energy, atol=1e-15)
+    assert np.array_equal(grown_norm.values, direct.normalized(s_paper.energy).values)
 
 
 def test_surface_csv_format(tmp_path, p_default, s_paper):

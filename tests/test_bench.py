@@ -18,6 +18,7 @@ from ddradar.bench import (
     write_timings_csv,
     write_sidecar,
 )
+from ddradar.estimator import SOLVER
 
 SMALL = make_params(16, 8, 2, 4, 1.0)
 
@@ -130,7 +131,8 @@ def test_sidecar_metadata(tmp_path):
     assert meta["params"]["N"] == SMALL.N
     assert meta["code_sha256"] == code_digest(cfg.code)
     assert meta["conformance_score"] == 0.02
-    assert meta["optimizer"]["max_iter"] == 200
+    assert meta["optimizer"] == SOLVER
+    assert meta["optimizer"]["maxiter"] == 200
     assert sidecar_metadata(cfg)["trials"] == cfg.trials
 
 

@@ -69,6 +69,22 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert "show-code" in err
 
 
+@pytest.mark.parametrize("bad_row", ["1024,0.0,0.0", "0,0.0,0.0", "5,nan,0.0"])
+def test_bad_signal_file_exits_two(tmp_path, capsys, bad_row):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    s_path = tmp_path / "s.csv"
+    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
+    r_path = tmp_path / "r.csv"
+    lines = s_path.read_text().splitlines()
+    lines[6] = bad_row  # replaces the row with index 5
+    r_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "estimate", "--r", str(r_path), "--s", str(s_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ddradar estimate: ") and err.count("\n") == 1
+
+
 def test_pipeline_round_trip(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     write_code(code_path, reference_good_code())

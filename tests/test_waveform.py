@@ -159,6 +159,33 @@ def test_signal_csv_rejects_bad_header(tmp_path):
         read_signal(path, 1.0)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1.0,0.0\n-1,2.0,0.0\n", "index -1 out of range"),
+        ("0,1.0,0.0\n2,2.0,0.0\n", "index 2 out of range"),
+        ("0,1.0,0.0\n1,2.0,0.0\n3,3.0,0.0\n", "3 rows need indices 0..2"),
+        ("1,1.0,0.0\n1,2.0,0.0\n", "duplicate index 1"),
+        ("0,nan,0.0\n1,2.0,0.0\n", "non-finite"),
+        ("0,1.0,0.0\n1,2.0,-inf\n", "non-finite"),
+        ("0,1.0,0.0\n1;2.0;0.0\n", "expected 'index,re,im'"),
+    ],
+    ids=["negative", "out-of-range", "missing", "duplicate", "nan", "inf", "malformed"],
+)
+def test_signal_csv_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "x.csv"
+    path.write_text("index,re,im\n" + rows)
+    with pytest.raises(ValueError, match=message) as exc:
+        read_signal(path, 1.0)
+    assert "\n" not in str(exc.value)
+
+
+def test_signal_csv_accepts_any_row_order(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("index,re,im\n1,2.0,0.5\n0,1.0,-0.5\n")
+    assert np.array_equal(read_signal(path, 1.0).samples, [1.0 - 0.5j, 2.0 + 0.5j])
+
+
 def test_dimension_mismatch_rejected(p_default):
     small = CodeMatrix(np.array([[1, 1]]))
     with pytest.raises(ValueError, match="params expect"):
