@@ -202,22 +202,50 @@ def sinc_model(ell: float, k: float, params: RadarParams) -> float:
     units.  Normalized so the origin evaluates to 1; intended validity is
     |ell| <= M/N_f, |k| <= N/N_t.
     """
-    return float(
-        np.abs(np.sinc(params.N_f * ell / params.M))
-        * np.abs(np.sinc(params.N_t * k / params.N))
+    return float(SincLobeModel(params)(ell, k))
+
+
+def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """|sinc(num z / den)| and its derivative in z.
+
+    On the grid w = num z / den in Z the derivative is taken as 0: at w = 0
+    the lobe is smooth and flat, and at a null sign(0) = 0 gives the
+    subgradient a central difference sees at that symmetric kink.
+    """
+    z = np.asarray(z, dtype=float)
+    w = num * z / den
+    s = np.sinc(w)
+    on_grid = w == np.rint(w)
+    slope = np.where(
+        on_grid, 0.0, np.sign(s) * (np.cos(np.pi * w) - s) / np.where(on_grid, 1.0, z)
     )
+    return np.abs(s), slope
 
 
 @dataclass(frozen=True)
 class SincLobeModel:
-    """Callable form of :func:`sinc_model` bound to a geometry."""
+    """The separable main-lobe model bound to a geometry.
+
+    :func:`sinc_model` is its scalar form; the sinc fit reads the per-axis
+    factors and their derivatives from :meth:`axis_factors`.
+    """
 
     params: RadarParams
 
     def __call__(self, ell, k):
-        return np.abs(np.sinc(self.params.N_f * np.asarray(ell) / self.params.M)) * np.abs(
-            np.sinc(self.params.N_t * np.asarray(k) / self.params.N)
-        )
+        a, _, b, _ = self.axis_factors(ell, k)
+        return a * b
+
+    def axis_factors(self, ell, k) -> tuple[np.ndarray, ...]:
+        """Per-axis factors of the model and their derivatives.
+
+        Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
+        b = |sinc(N_t k / N)|, db = db/dk; the model is ``a * b`` (with
+        ``ell`` and ``k`` broadcast against each other).
+        """
+        a, da = _abs_sinc(ell, self.params.N_f, self.params.M)
+        b, db = _abs_sinc(k, self.params.N_t, self.params.N)
+        return a, da, b, db
 
     @property
     def lobe_half_extents(self) -> tuple[int, int]:

@@ -25,7 +25,6 @@ from .ambiguity import (
     write_surface,
 )
 from .bench import (
-    DEFAULT_METHODS,
     BenchConfig,
     sweep,
     time_stages,
@@ -35,11 +34,9 @@ from .bench import (
 )
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import random_code, read_code, reference_good_code, write_code
-from .config import ParameterError, load_params, make_params, parse_config_text
+from .config import DEFAULT_GEOMETRY, ParameterError, load_params, load_sweep, make_params
 from .estimator import DEFAULT_THRESHOLD, SOLVER, estimate
 from .waveform import read_signal, synthesize_discrete, write_signal
-
-DEFAULT_GEOMETRY = {"N": 64, "M": 16, "N_t": 8, "N_f": 8, "T_c": 1.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,40 +253,8 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _bench_config_from_file(path: str, workers: int | None, seed: int | None) -> BenchConfig:
-    raw = parse_config_text(open(path).read())
-    geometry = {k: raw[k] for k in ("N", "M", "N_t", "N_f", "T_c") if k in raw}
-    merged = dict(DEFAULT_GEOMETRY)
-    merged.update(geometry)
-    params = make_params(
-        int(merged["N"]), int(merged["M"]), int(merged["N_t"]), int(merged["N_f"]),
-        float(merged["T_c"]),
-    )
-    if "code_file" in raw:
-        code = read_code(raw["code_file"], params)
-    elif "code_seed" in raw:
-        code = random_code(params, int(raw["code_seed"]))
-    else:
-        code = reference_good_code()
-        code.require_match(params)
-    snr = raw.get("snr_db", [30.0])
-    snr_list = tuple(float(v) for v in (snr if isinstance(snr, list) else [snr]))
-    if seed is None:
-        seed = int(raw.get("seed", 0))
-    return BenchConfig(
-        params=params,
-        code=code,
-        snr_db_list=snr_list,
-        trials=int(raw.get("trials", 1000)),
-        theta=float(raw.get("theta", DEFAULT_THRESHOLD)),
-        seed=seed,
-        workers=workers if workers is not None else int(raw.get("workers", 1)),
-        methods=DEFAULT_METHODS,
-    )
-
-
 def _cmd_sweep(args) -> int:
-    cfg = _bench_config_from_file(args.config, args.workers, args.seed)
+    cfg = load_sweep(args.config, args.workers, args.seed)
     score, _ = sinc_conformance(cfg.code, cfg.params)
     reports = sweep(cfg)
     write_reports_csv(args.out, reports)

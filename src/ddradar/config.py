@@ -87,14 +87,23 @@ def make_params(N: int, M: int, N_t: int, N_f: int, T_c: float = 1.0) -> RadarPa
     return RadarParams(N=N, M=M, N_t=N_t, N_f=N_f, T_c=T_c)
 
 
+DEFAULT_GEOMETRY = {"N": 64, "M": 16, "N_t": 8, "N_f": 8, "T_c": 1.0}
+
 _PARAM_KEYS = {"N": int, "M": int, "N_t": int, "N_f": int, "T_c": float}
+_SWEEP_KEYS = {"trials": int, "theta": float, "seed": int, "workers": int}
+# One key set for both readers, so a single file can serve as the params
+# config and the sweep config; any other key is a typo and is rejected.
+CONFIG_KEYS = frozenset(
+    [*_PARAM_KEYS, *_SWEEP_KEYS, "snr_db", "code_file", "code_seed"]
+)
 
 
-def parse_config_text(text: str) -> dict:
+def parse_config_text(text: str, allowed: frozenset[str] | None = None) -> dict:
     """Parse a flat ``key = value`` config file (a TOML subset).
 
     Supports integers, floats, quoted strings, and flat lists of numbers.
-    Lines starting with ``#`` and blank lines are ignored.
+    Lines starting with ``#`` and blank lines are ignored.  With ``allowed``,
+    a key outside it raises ParameterError naming the key and its line.
     """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -108,6 +117,10 @@ def parse_config_text(text: str) -> dict:
         value = value.split("#", 1)[0].strip()
         if not key or not value:
             raise ParameterError(f"config line {lineno}: empty key or value in {raw!r}")
+        if allowed is not None and key not in allowed:
+            raise ParameterError(
+                f"config line {lineno}: unknown key {key!r}; expected one of {sorted(allowed)}"
+            )
         out[key] = _parse_value(value, lineno)
     return out
 
@@ -140,8 +153,9 @@ def load_params(path: str | Path, overrides: dict | None = None) -> RadarParams:
     """Read geometry keys (N, M, N_t, N_f, T_c) from a config file.
 
     ``overrides`` entries with non-None values take precedence over the file.
+    Sweep keys are accepted and ignored; any other key raises ParameterError.
     """
-    raw = parse_config_text(Path(path).read_text())
+    raw = parse_config_text(Path(path).read_text(), CONFIG_KEYS)
     kwargs = {}
     for key, typ in _PARAM_KEYS.items():
         if key in raw:
@@ -154,3 +168,39 @@ def load_params(path: str | Path, overrides: dict | None = None) -> RadarParams:
     if missing:
         raise ParameterError(f"config {path}: missing required keys {missing}")
     return make_params(**kwargs)
+
+
+def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None):
+    """Read a Monte Carlo sweep config into a ``bench.BenchConfig``.
+
+    Geometry keys default to DEFAULT_GEOMETRY.  ``code_file`` reads a code,
+    ``code_seed`` draws a random one, and neither means the reference good
+    code.  ``snr_db`` is a number or a list; ``trials``, ``theta``, ``seed``
+    and ``workers`` default to BenchConfig's.  Non-None ``workers`` and
+    ``seed`` take precedence over the file.  Any other key raises
+    ParameterError.
+    """
+    # bench and codes import this module, so they are imported here
+    from .bench import BenchConfig
+    from .codes import random_code, read_code, reference_good_code
+
+    raw = parse_config_text(Path(path).read_text(), CONFIG_KEYS)
+    geometry = dict(DEFAULT_GEOMETRY)
+    geometry.update({k: typ(raw[k]) for k, typ in _PARAM_KEYS.items() if k in raw})
+    params = make_params(**geometry)
+    if "code_file" in raw:
+        code = read_code(raw["code_file"], params)
+    elif "code_seed" in raw:
+        code = random_code(params, int(raw["code_seed"]))
+    else:
+        code = reference_good_code()
+        code.require_match(params)
+    kwargs = {k: typ(raw[k]) for k, typ in _SWEEP_KEYS.items() if k in raw}
+    if "snr_db" in raw:
+        snr = raw["snr_db"]
+        kwargs["snr_db_list"] = tuple(float(v) for v in (snr if isinstance(snr, list) else [snr]))
+    if workers is not None:
+        kwargs["workers"] = workers
+    if seed is not None:
+        kwargs["seed"] = seed
+    return BenchConfig(params=params, code=code, **kwargs)

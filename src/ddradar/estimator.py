@@ -10,7 +10,10 @@ the two 3-point stencils through the peak (``quadratic``).
 The sinc fit eliminates the amplitude in closed form: for fixed offsets the
 optimal gain is alpha = max(0, sum(y m) / sum(m^2)), leaving a 2-variable
 bounded quasi-Newton descent over [-1/2, 1/2]^2 seeded with the quadratic
-estimate.  When the seed is already first-order stationary the descent is
+estimate.  It runs on the exact gradient via the envelope theorem: the gain
+is optimal at every offset, so only the model's own derivative enters, and
+the separable model gives that from per-axis sinc factors and their
+derivatives.  When the seed is already first-order stationary the descent is
 skipped: on a target sitting exactly on the grid the magnitude patch is
 centro-symmetric, the origin is a stationary point of the fit, and walking
 downhill from it would only chase the small code-dependent mismatch between
@@ -40,9 +43,14 @@ METHODS = ("sinc2d", "quadratic")
 _FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
 # read them from here.
-SOLVER = {"kind": "l-bfgs-b", "ftol": 1e-14, "gtol": 1e-12, "maxiter": 200}
+SOLVER = {
+    "kind": "l-bfgs-b",
+    "jac": "analytic",
+    "ftol": 1e-14,
+    "gtol": 1e-12,
+    "maxiter": 200,
+}
 _INIT_GRAD_TOL = 1e-3
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -196,13 +204,25 @@ def _fit_patch(
     return patch, ell_off, k_off
 
 
-def _fd_gradient(fun, x: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
-    return g
+def _sinc_fit(
+    x: np.ndarray,
+    y: np.ndarray,
+    ell_off: np.ndarray,
+    k_off: np.ndarray,
+    model: SincLobeModel,
+) -> tuple[float, np.ndarray, float]:
+    """Residual of the lobe fit at offsets x, its exact gradient, and the gain.
+
+    The gain g = max(0, <y, m> / <m, m>) is optimal for every x, so by the
+    envelope theorem the gradient is -2 g <y - g m, dm/dx>, with
+    dm/dx_0 = -da b^T and dm/dx_1 = -a db^T from the separable factors.
+    """
+    a, da, b, db = model.axis_factors(ell_off - x[0], k_off - x[1])
+    m = a[:, None] * b[None, :]
+    gain = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
+    res = y - gain * m
+    grad = 2.0 * gain * np.array([da @ res @ b, a @ res @ db])
+    return float(np.sum(res**2)), grad, gain
 
 
 def refine_sinc2d(
@@ -214,12 +234,8 @@ def refine_sinc2d(
     y = patch / peak
     model = SincLobeModel(params)
 
-    def projected_gain(m):
-        return max(0.0, float(np.sum(y * m) / np.sum(m * m)))
-
-    def objective(x):
-        m = model(ell_off[:, None] - x[0], k_off[None, :] - x[1])
-        return float(np.sum((y - projected_gain(m) * m) ** 2))
+    def fit(x):
+        return _sinc_fit(x, y, ell_off, k_off, model)
 
     try:
         quad = refine_quadratic(surface, det)
@@ -227,28 +243,29 @@ def refine_sinc2d(
     except ValueError:  # stencil clipped at the surface edge
         x0 = np.zeros(2)
 
+    seed_fit = fit(x0)
     converged = True
-    if np.max(np.abs(_fd_gradient(objective, x0))) <= _INIT_GRAD_TOL:
+    if np.max(np.abs(seed_fit[1])) <= _INIT_GRAD_TOL:
         best = x0  # seed already stationary
     else:
         result = minimize(
-            objective,
+            lambda x: fit(x)[:2],
             x0,
             method="L-BFGS-B",
+            jac=True,
             bounds=_FIT_BOUNDS,
             options={k: SOLVER[k] for k in ("ftol", "gtol", "maxiter")},
         )
         best = np.asarray(result.x)
         converged = bool(result.success)
     # never worse than the seed or than leaving the offsets at zero
-    candidates = [np.zeros(2), x0, best]
-    eps = min(candidates, key=objective)
-    m = model(ell_off[:, None] - eps[0], k_off[None, :] - eps[1])
+    candidates = [(np.zeros(2), fit(np.zeros(2))), (x0, seed_fit), (best, fit(best))]
+    eps, (_, _, gain) = min(candidates, key=lambda c: c[1][0])
     return _make_estimate(
         det,
         eps[0],
         eps[1],
-        projected_gain(m) * peak,
+        gain * peak,
         "sinc2d",
         params,
         converged=converged,

@@ -1,6 +1,22 @@
-import pytest
+import os
+import sys
 
-from ddradar import make_params, reference_bad_code, reference_good_code, synthesize_discrete
+# One BLAS/OpenMP thread, as perfbench/run.py pins it: scipy's L-BFGS-B runs
+# about 10x slower in some periods on a shared 2-core machine when OpenBLAS
+# starts its own thread pool, which breaks the stage-cost ratios the tests
+# assert.  The pin only takes effect if numpy is not yet imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+assert "numpy" not in sys.modules, "numpy imported before the thread pin"
+
+import pytest  # noqa: E402
+
+from ddradar import (  # noqa: E402
+    make_params,
+    reference_bad_code,
+    reference_good_code,
+    synthesize_discrete,
+)
 
 
 @pytest.fixture(scope="session")

@@ -177,6 +177,23 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 3  # two SNRs x three methods
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--config", "{cfg}", "--out", "{out}"),
+        ("time-stages", "--params-config", "{cfg}", "--reps", "1", "--seed", "1"),
+    ],
+)
+def test_unknown_config_key_exits_two(tmp_path, capsys, argv):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_seed = 3\ntrails = 5\n")
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, *(a.format(cfg=cfg, out=out) for a in argv))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "line 6: unknown key 'trails'" in err
+
+
 def test_time_stages_stdout(capsys):
     code, out, _ = run(
         capsys, "time-stages", "--N", "16", "--M", "8", "--N_t", "2", "--N_f", "4",

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddradar import ParameterError, load_params, make_params
-from ddradar.config import parse_config_text
+from ddradar import ParameterError, load_params, make_params, reference_good_code
+from ddradar.config import load_sweep, parse_config_text
 
 
 def test_paper_geometry_derived_units():
@@ -87,3 +88,40 @@ def test_parse_config_text_values():
         parse_config_text("broken line\n")
     with pytest.raises(ParameterError):
         parse_config_text("a = 1..2\n")
+
+
+SHARED_CONFIG = (
+    "N = 16\nM = 8\nN_t = 2\nN_f = 4\n"
+    "code_seed = 3\ntrials = 10\nsnr_db = [20, 30]\ntheta = 0.4\nseed = 77\nworkers = 2\n"
+)
+
+
+def test_one_config_file_serves_both_readers(tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(SHARED_CONFIG)
+    p = load_params(cfg)
+    assert (p.N, p.M, p.N_t, p.N_f) == (16, 8, 2, 4)
+    bench = load_sweep(cfg)
+    assert bench.params == p
+    assert bench.snr_db_list == (20.0, 30.0)
+    assert (bench.trials, bench.theta, bench.seed, bench.workers) == (10, 0.4, 77, 2)
+    over = load_sweep(cfg, workers=1, seed=5)
+    assert (over.workers, over.seed) == (1, 5)
+
+
+def test_load_sweep_defaults(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("snr_db = 25\n")
+    bench = load_sweep(cfg)
+    assert (bench.params.N, bench.params.M, bench.params.N_t, bench.params.N_f) == (64, 16, 8, 8)
+    assert np.array_equal(bench.code.entries, reference_good_code().entries)
+    assert bench.snr_db_list == (25.0,)
+    assert (bench.trials, bench.seed, bench.workers) == (1000, 0, 1)
+
+
+@pytest.mark.parametrize("reader", [load_params, load_sweep])
+def test_readers_reject_unknown_keys(tmp_path, reader):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(SHARED_CONFIG + "# trials misspelled\ntrails = 5\n")
+    with pytest.raises(ParameterError, match=r"line 12: unknown key 'trails'"):
+        reader(cfg)

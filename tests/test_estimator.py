@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from ddradar import (
     ChannelTruth,
@@ -17,7 +18,7 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar.ambiguity import AmbiguitySurface, SincLobeModel
-from ddradar.estimator import _fit_patch
+from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
 
 
 def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):
@@ -49,6 +50,11 @@ def fit_residual(surface, det, params, eps_t, eps_f):
     m = SincLobeModel(params)(ell_off[:, None] - eps_t, k_off[None, :] - eps_f)
     alpha = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
     return float(np.sum((y - alpha * m) ** 2))
+
+
+def central_difference(fun, x, h=1e-6):
+    """Gradient oracle: symmetric differences along each coordinate."""
+    return np.array([(fun(x + e) - fun(x - e)) / (2.0 * h) for e in h * np.eye(x.size)])
 
 
 def test_coarse_detect_single_target(p_default, good_code):
@@ -277,3 +283,80 @@ def test_end_to_end_window_edge_detection(p_default, good_code, s_paper):
 def test_estimate_rejects_unknown_method(p_default, s_paper):
     with pytest.raises(ValueError, match="unknown method"):
         estimate(s_paper, s_paper, 0.5, "cubic", p_default)
+
+
+def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
+    model = SincLobeModel(params)
+    f, grad, gain = _sinc_fit(x, y, ell_off, k_off, model)
+    oracle = central_difference(lambda z: _sinc_fit(z, y, ell_off, k_off, model)[0], x)
+    assert grad == pytest.approx(oracle, abs=tol)
+    return f, grad, gain
+
+
+@pytest.mark.parametrize(
+    "window,ell_off",
+    [((296, 304), [-2, -1, 0, 1, 2]), ((299, 304), [-1, 0, 1, 2])],  # full, edge-clipped
+)
+def test_sinc_fit_gradient_matches_central_difference(p_default, good_code, window, ell_off):
+    rng = np.random.default_rng(5)
+    truth = ChannelTruth.from_grid(300, 0.31, 2, -0.27, 1.0 + 0j, p_default)
+    surf, _, _ = make_channel_surface(
+        good_code, p_default, truth, snr_db=15.0, seed=2, window=window
+    )
+    y, offsets, k_off = _fit_patch(surf, Detection(300, 2, 1.0))
+    assert list(offsets) == ell_off
+    y = y / y.max()
+    for x in rng.uniform(-0.5, 0.5, size=(50, 2)):
+        _, _, gain = _check_gradient(y, offsets, k_off, p_default, x)
+        assert gain > 0.0
+
+
+def test_sinc_fit_gradient_at_origin_with_nulls_on_patch_edge(p_default):
+    # at the paper geometry the patch edges ell = +-2, k = +-8 are lobe nulls;
+    # at x = 0 the gradient takes sign(0) = 0 there, as a central difference
+    # does; the lobe's asymmetry about the kink costs the quotient O(h)
+    rng = np.random.default_rng(9)
+    model = SincLobeModel(p_default)
+    r_ell, r_k = model.lobe_half_extents
+    ell_off, k_off = np.arange(-r_ell, r_ell + 1), np.arange(-r_k, r_k + 1)
+    for _ in range(20):
+        y = rng.random((ell_off.size, k_off.size))
+        _, grad, _ = _check_gradient(y, ell_off, k_off, p_default, np.zeros(2), tol=1e-5)
+        assert np.any(np.abs(grad) > 1e-3)
+
+
+def test_sinc_fit_gradient_zero_when_gain_clips(p_default):
+    model = SincLobeModel(p_default)
+    ell_off, k_off = np.arange(-2, 3), np.arange(-8, 9)
+    y = -model(ell_off[:, None] - 0.1, k_off[None, :] + 0.2)  # <y, m> < 0
+    f, grad, gain = _check_gradient(y, ell_off, k_off, p_default, np.array([0.2, -0.3]))
+    assert gain == 0.0
+    assert np.array_equal(grad, np.zeros(2))
+    assert f == pytest.approx(float(np.sum(y**2)), rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sinc_fit_matches_finite_difference_solver(p_default, good_code, seed):
+    """The analytic-gradient fit reaches the optimum scipy finds with its own
+    finite differences on the same objective, bounds and tolerances."""
+    rng = np.random.default_rng(100 + seed)
+    l_d, k_d = 300 + 7 * seed, int(rng.integers(-20, 21))
+    eps_t, eps_f = rng.uniform(-0.45, 0.45, size=2)
+    truth = ChannelTruth.from_grid(l_d, eps_t, k_d, eps_f, 1.0 + 0j, p_default)
+    surf, _, _ = make_channel_surface(
+        good_code, p_default, truth, snr_db=float(rng.uniform(10, 30)), seed=seed,
+        window=(l_d - 4, l_d + 4),
+    )
+    det = Detection(l_d, k_d, 1.0)
+    est = refine_sinc2d(surf, det, p_default)
+    quad = refine_quadratic(surf, det)
+    oracle = minimize(
+        lambda x: fit_residual(surf, det, p_default, x[0], x[1]),
+        np.array([quad.eps_t, quad.eps_f]),
+        method="L-BFGS-B",
+        bounds=_FIT_BOUNDS,
+        options={k: SOLVER[k] for k in ("ftol", "gtol", "maxiter")},
+    )
+    assert est.converged and oracle.success
+    assert est.eps_t == pytest.approx(oracle.x[0], abs=1e-7)
+    assert est.eps_f == pytest.approx(oracle.x[1], abs=1e-7)
