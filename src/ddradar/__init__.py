@@ -15,16 +15,13 @@ from .channel import (
     add_noise,
     apply_channel,
     apply_receive_gating,
-    h_matrix_entry,
 )
 from .codes import (
     CodeMatrix,
-    DDMatrix,
     random_code,
     read_code,
     reference_bad_code,
     reference_good_code,
-    to_delay_doppler,
     write_code,
 )
 from .config import ParameterError, RadarParams, load_params, make_params
@@ -52,7 +49,6 @@ __all__ = [
     "ChannelTruth",
     "CodeMatrix",
     "ComplexSignal",
-    "DDMatrix",
     "Detection",
     "Estimate",
     "ParameterError",
@@ -70,7 +66,6 @@ __all__ = [
     "evaluate_continuous",
     "evaluate_transmitted",
     "gaussian_pulse",
-    "h_matrix_entry",
     "load_params",
     "make_params",
     "random_code",
@@ -85,6 +80,5 @@ __all__ = [
     "sweep",
     "synthesize_discrete",
     "time_stages",
-    "to_delay_doppler",
     "write_code",
 ]

@@ -65,9 +65,6 @@ class AmbiguitySurface:
             raise IndexError(f"lag {ell} outside [{self.ell_min}, {self.ell_max}]")
         return complex(self.values[ell - self.ell_min, k % self.n_bins])
 
-    def magnitude(self, ell: int, k: int) -> float:
-        return abs(self.value(ell, k))
-
     def normalized(self, a0: float) -> "AmbiguitySurface":
         """Scale by the auto-ambiguity peak A_ss[0,0] = signal energy."""
         _check_norm(a0)
@@ -246,11 +243,6 @@ class SincLobeModel:
         a, da = _abs_sinc(ell, self.params.N_f, self.params.M)
         b, db = _abs_sinc(k, self.params.N_t, self.params.N)
         return a, da, b, db
-
-    @property
-    def lobe_half_extents(self) -> tuple[int, int]:
-        """Fitting-grid half extents (floor(M/N_f), floor(N/N_t))."""
-        return (self.params.M // self.params.N_f, self.params.N // self.params.N_t)
 
 
 def sinc_conformance(

@@ -25,22 +25,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import discrete_ambiguity, extend_surface
+from .ambiguity import discrete_ambiguity
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import CodeMatrix
 from .config import RadarParams
 from .estimator import (
     DEFAULT_THRESHOLD,
+    REFINERS,
     SOLVER,
     Detection,
     coarse_detect,
-    refine_quadratic,
-    refine_sinc2d,
+    extend_around,
+    refiner,
 )
 from .waveform import synthesize_discrete
 
 BASELINE = "baseline"  # coarse cell only, fractional offsets left at zero
-DEFAULT_METHODS = ("sinc2d", "quadratic", BASELINE)
+DEFAULT_METHODS = tuple(REFINERS)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,7 @@ def draw_truth(cfg: BenchConfig, rng: np.random.Generator) -> ChannelTruth:
 def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     """One Monte Carlo trial; pure function of (cfg, snr_db, trial_seed)."""
     p = cfg.params
+    refiners = [(method, refiner(method)) for method in cfg.methods]
     truth_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([trial_seed, 0])))
     noise_seed = int(np.random.SeedSequence([trial_seed, 1]).generate_state(1)[0])
 
@@ -133,38 +135,25 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
         )
         undetected = True
 
-    ext = p.M // p.N_f
-    max_lag = p.frame_len - 1
-    surface = extend_surface(
-        surface, r, s, max(det.l_hat - ext, -max_lag), min(det.l_hat + ext, max_lag)
-    )
+    surface = extend_around(surface, r, s, [det])
 
     true_delay = truth.l_d + truth.eps_t
     true_doppler = truth.k_D + truth.eps_f
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
 
     outcomes = {}
-    for method in cfg.methods:
+    for method, refine in refiners:
         t0 = time.perf_counter_ns()
-        if method == "sinc2d":
-            est = refine_sinc2d(surface, det, p)
-            eps_t, eps_f = est.eps_t, est.eps_f
-        elif method == "quadratic":
-            est = refine_quadratic(surface, det)
-            eps_t, eps_f = est.eps_t, est.eps_f
-        elif method == BASELINE:
-            eps_t, eps_f = 0.0, 0.0
-        else:
-            raise ValueError(f"unknown bench method {method!r}")
+        est = refine(surface, det, p)
         refine_ms = (time.perf_counter_ns() - t0) / 1e6
         outcomes[method] = MethodOutcome(
             method=method,
             l_hat=det.l_hat,
             k_hat=det.k_hat,
-            eps_t=eps_t,
-            eps_f=eps_f,
-            err_delay=(det.l_hat + eps_t) - true_delay,
-            err_doppler=(det.k_hat + eps_f) - true_doppler,
+            eps_t=est.eps_t,
+            eps_f=est.eps_f,
+            err_delay=est.delay_cells - true_delay,
+            err_doppler=est.doppler_cells - true_doppler,
             miss=miss,
             refine_ms=refine_ms,
         )

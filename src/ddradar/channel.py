@@ -122,11 +122,6 @@ def h_matrix(
     return params.T_s * a * phase * lobe
 
 
-def h_matrix_entry(i: int, j: int, truth: ChannelTruth, params: RadarParams) -> complex:
-    """Single entry of the ideal-sinc channel matrix."""
-    return complex(h_matrix(truth, params, i + 1, j + 1)[i, j])
-
-
 def h_matrix_received(
     signal: ComplexSignal, truth: ChannelTruth, params: RadarParams
 ) -> ComplexSignal:

@@ -35,7 +35,7 @@ from .bench import (
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import random_code, read_code, reference_good_code, write_code
 from .config import DEFAULT_GEOMETRY, ParameterError, load_params, load_sweep, make_params
-from .estimator import DEFAULT_THRESHOLD, SOLVER, estimate
+from .estimator import DEFAULT_THRESHOLD, REFINERS, SOLVER, estimate
 from .waveform import read_signal, synthesize_discrete, write_signal
 
 
@@ -140,7 +140,7 @@ def build_parser() -> _Parser:
     _add_params_args(sub)
     sub.add_argument("--r", dest="r_file", required=True)
     sub.add_argument("--s", dest="s_file", required=True)
-    sub.add_argument("--method", choices=("sinc2d", "quadratic"), default="sinc2d")
+    sub.add_argument("--method", choices=tuple(REFINERS), default="sinc2d")
     sub.add_argument("--theta", type=float, default=DEFAULT_THRESHOLD)
     sub.add_argument("--json", action="store_true", help="one JSON object per detection")
     sub.add_argument("--tc", type=float, help="physical T_c in seconds for unit conversion")

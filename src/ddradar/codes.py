@@ -1,4 +1,4 @@
-"""Binary time-frequency spreading codes and their delay-Doppler transform.
+"""Binary time-frequency spreading codes.
 
 A code is an N_t x N_f grid of +/-1 chips.  Row n indexes the time slot,
 column c = m + N_f/2 indexes the subcarrier m in [-N_f/2, N_f/2).  Codes are
@@ -59,25 +59,6 @@ class CodeMatrix:
             )
 
 
-@dataclass(frozen=True)
-class DDMatrix:
-    """Complex N x M grid in the delay-Doppler domain, periodic in both axes."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError(f"DD matrix must be 2-D, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    def value(self, k: int, ell: int) -> complex:
-        """Entry at Doppler index k, delay index ell, indices taken modulo."""
-        n, m = self.entries.shape
-        return complex(self.entries[k % n, ell % m])
-
-
 def random_code(params: RadarParams, seed: int) -> CodeMatrix:
     """Draw each chip +1 or -1 with probability 1/2 (Philox stream ``seed``)."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -119,26 +100,6 @@ def reference_good_code() -> CodeMatrix:
 def reference_bad_code() -> CodeMatrix:
     """The 8x8 reference code rejected by sinc conformance."""
     return CodeMatrix(np.array(_BAD_8X8))
-
-
-def to_delay_doppler(code: CodeMatrix, params: RadarParams) -> DDMatrix:
-    """Transform a time-frequency code to the delay-Doppler domain.
-
-    X[k, ell] = (1/M) * sum_n sum_m X_tf[n, m] e^{+2 pi i n k / N} e^{-2 pi i m ell / M}
-    with X_tf zero outside the occupied N_t x N_f block.  Diagnostic utility;
-    no estimator path depends on it.
-    """
-    code.require_match(params)
-    full = np.zeros((params.N, params.M), dtype=np.complex128)
-    cols = np.mod(code.m_values, params.M)
-    full[np.arange(params.N_t)[:, None], cols[None, :]] = code.entries
-    dd = (params.N / params.M) * np.fft.fft(np.fft.ifft(full, axis=0), axis=1)
-    return DDMatrix(dd)
-
-
-def from_delay_doppler(dd: DDMatrix, params: RadarParams) -> np.ndarray:
-    """Inverse of :func:`to_delay_doppler`; returns the full N x M grid."""
-    return (params.M / params.N) * np.fft.fft(np.fft.ifft(dd.entries, axis=1), axis=0)
 
 
 def write_code(path: str | Path, code: CodeMatrix) -> None:

@@ -81,6 +81,15 @@ class RadarParams:
         """Detectability window for the integer delay lag, inclusive."""
         return (self.N_t * self.M, (self.N - self.N_t) * self.M)
 
+    @property
+    def lobe_half_extents(self) -> tuple[int, int]:
+        """Main-lobe half extents (floor(M/N_f) lags, floor(N/N_t) bins).
+
+        Suppression, the sinc fit patch and the surface extension around a
+        detection all read this one neighborhood.
+        """
+        return (self.M // self.N_f, self.N // self.N_t)
+
 
 def make_params(N: int, M: int, N_t: int, N_f: int, T_c: float = 1.0) -> RadarParams:
     """Validate and build a RadarParams. Raises ParameterError on violations."""

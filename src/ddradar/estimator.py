@@ -2,10 +2,13 @@
 
 Detection lists every surface cell above the threshold, thinned by
 non-maximum suppression over one main-lobe extent so each target yields a
-single hit.  Refinement then recovers the sub-cell offsets, either by
-least-squares fitting the separable sinc lobe model to the magnitude patch
-around the peak (``sinc2d``) or by closed-form parabolic interpolation of
-the two 3-point stencils through the peak (``quadratic``).
+single hit.  The surface is then grown to cover that same lobe half-extent
+of lags around every detection, ``params.lobe_half_extents[0]``, whichever
+method refines.  Refinement recovers the sub-cell offsets by one of the
+rows of ``REFINERS``: least-squares fitting the separable sinc lobe model
+to the magnitude patch around the peak (``sinc2d``), closed-form parabolic
+interpolation of the two 3-point stencils through the peak (``quadratic``),
+or leaving the offsets at zero (``baseline``).
 
 The sinc fit eliminates the amplitude in closed form: for fixed offsets the
 optimal gain is alpha = max(0, sum(y m) / sum(m^2)), leaving a 2-variable
@@ -39,7 +42,6 @@ from .config import RadarParams
 from .waveform import ComplexSignal
 
 DEFAULT_THRESHOLD = 0.5
-METHODS = ("sinc2d", "quadratic")
 _FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
 # read them from here.
@@ -127,7 +129,7 @@ def coarse_detect(
         return []
     order = np.argsort(mag[rows, cols])[::-1]
     rows, cols = rows[order], cols[order]
-    r_ell, r_k = params.M // params.N_f, params.N // params.N_t
+    r_ell, r_k = params.lobe_half_extents
     nbins = surface.n_bins
     kept: list[tuple[int, int, float]] = []
     for row, col in zip(rows, cols):
@@ -188,8 +190,7 @@ def _fit_patch(
     surface: AmbiguitySurface, det: Detection
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude patch and its (lag, bin) offsets around a detection."""
-    params = surface.params
-    r_ell, r_k = params.M // params.N_f, params.N // params.N_t
+    r_ell, r_k = surface.params.lobe_half_extents
     ell_off = np.array(
         [
             d
@@ -244,7 +245,6 @@ def refine_sinc2d(
         x0 = np.zeros(2)
 
     seed_fit = fit(x0)
-    converged = True
     if np.max(np.abs(seed_fit[1])) <= _INIT_GRAD_TOL:
         best = x0  # seed already stationary
     else:
@@ -257,10 +257,9 @@ def refine_sinc2d(
             options={k: SOLVER[k] for k in ("ftol", "gtol", "maxiter")},
         )
         best = np.asarray(result.x)
-        converged = bool(result.success)
     # never worse than the seed or than leaving the offsets at zero
     candidates = [(np.zeros(2), fit(np.zeros(2))), (x0, seed_fit), (best, fit(best))]
-    eps, (_, _, gain) = min(candidates, key=lambda c: c[1][0])
+    eps, (_, grad, gain) = min(candidates, key=lambda c: c[1][0])
     return _make_estimate(
         det,
         eps[0],
@@ -268,22 +267,54 @@ def refine_sinc2d(
         gain * peak,
         "sinc2d",
         params,
-        converged=converged,
+        converged=_stationary(eps, grad),
     )
 
 
-def _refine(
-    method: str, surface: AmbiguitySurface, det: Detection, params: RadarParams
-) -> Estimate:
-    if method == "sinc2d":
-        return refine_sinc2d(surface, det, params)
-    if method == "quadratic":
-        return refine_quadratic(surface, det)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
+    """First-order stationary in the fit box: the gradient within
+    ``_INIT_GRAD_TOL``, components pinned at a bound they push against
+    zeroed.  Not the solver's exit code, which calls a line search stalled
+    at the objective's round-off floor "ABNORMAL"."""
+    lo, hi = np.array(_FIT_BOUNDS).T
+    pinned = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
+    return bool(np.max(np.abs(np.where(pinned, 0.0, grad))) <= _INIT_GRAD_TOL)
 
 
-def _refinement_extent(method: str, params: RadarParams) -> int:
-    return params.M // params.N_f if method == "sinc2d" else 1
+# Every refinement method by name, each called as (surface, det, params);
+# baseline keeps the coarse cell, with the peak magnitude as amplitude.
+REFINERS = {
+    "sinc2d": refine_sinc2d,
+    "quadratic": lambda surface, det, params: refine_quadratic(surface, det),
+    "baseline": lambda surface, det, params: _make_estimate(
+        det, 0.0, 0.0, det.peak_mag, "baseline", params
+    ),
+}
+
+
+def refiner(method: str):
+    """The ``REFINERS`` row for ``method``; ValueError for an unknown name."""
+    try:
+        return REFINERS[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {tuple(REFINERS)}"
+        ) from None
+
+
+def extend_around(
+    surface: AmbiguitySurface,
+    r: ComplexSignal,
+    s: ComplexSignal,
+    detections: list[Detection],
+) -> AmbiguitySurface:
+    """Grow the surface to the lobe half-extent of lags around every
+    detection, the most any refinement reads, clipped to +-(NM-1)."""
+    params = surface.params
+    ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
+    lo = max(min(d.l_hat for d in detections) - ext, -max_lag)
+    hi = min(max(d.l_hat for d in detections) + ext, max_lag)
+    return extend_surface(surface, r, s, lo, hi)
 
 
 def estimate(
@@ -298,19 +329,14 @@ def estimate(
 
     The surface is normalized by the replica energy so ``theta`` is read
     against a unit-peak auto-ambiguity.  The lag window defaults to the
-    detectability window and is extended on demand when a refinement patch
-    would cross its edge.
+    detectability window; it is then grown to the lobe half-extent around
+    the detections, so no refinement reads past its edge.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    refine = refiner(method)
     window = params.lag_window if lag_window is None else lag_window
     surface = discrete_ambiguity(r, s, window, params, norm=s.energy)
     detections = coarse_detect(surface, theta, params)
     if not detections:
         return []
-    ext = _refinement_extent(method, params)
-    lo = min(d.l_hat for d in detections) - ext
-    hi = max(d.l_hat for d in detections) + ext
-    max_lag = params.frame_len - 1
-    surface = extend_surface(surface, r, s, max(lo, -max_lag), min(hi, max_lag))
-    return [_refine(method, surface, det, params) for det in detections]
+    surface = extend_around(surface, r, s, detections)
+    return [refine(surface, det, params) for det in detections]

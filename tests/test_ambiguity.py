@@ -17,7 +17,7 @@ from ddradar import (
     sinc_model,
     synthesize_discrete,
 )
-from ddradar.ambiguity import AmbiguitySurface, SincLobeModel, extend_surface, write_surface
+from ddradar.ambiguity import AmbiguitySurface, extend_surface, write_surface
 from ddradar.waveform import ComplexSignal
 
 
@@ -173,8 +173,7 @@ def test_sinc_model_symmetry_separability(ell, k):
 
 
 def test_sinc_model_nulls(p_default):
-    model = SincLobeModel(p_default)
-    assert model.lobe_half_extents == (2, 8)
+    assert p_default.lobe_half_extents == (2, 8)
     for mult in (1, 2, 3):
         assert sinc_model(mult * p_default.M / p_default.N_f, 0.3, p_default) == pytest.approx(0.0, abs=1e-12)
         assert sinc_model(0.7, mult * p_default.N / p_default.N_t, p_default) == pytest.approx(0.0, abs=1e-12)

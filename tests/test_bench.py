@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ddradar import BenchConfig, make_params, random_code, reference_good_code
+from ddradar import BenchConfig, estimate, make_params, random_code, reference_good_code
+from ddradar import bench
 from ddradar.bench import (
     code_digest,
     draw_truth,
@@ -18,7 +19,7 @@ from ddradar.bench import (
     write_timings_csv,
     write_sidecar,
 )
-from ddradar.estimator import SOLVER
+from ddradar.estimator import REFINERS, SOLVER
 
 SMALL = make_params(16, 8, 2, 4, 1.0)
 
@@ -160,3 +161,23 @@ def test_miss_counting():
     rec = run_trial(cfg, -40.0, 9)
     assert all(out.miss for out in rec.outcomes.values())
     assert np.isfinite(rec.outcomes["baseline"].err_delay)
+
+
+@pytest.mark.parametrize("method", list(REFINERS))
+def test_run_trial_agrees_with_estimate(p_default, good_code, method, monkeypatch):
+    """run_trial refines the strongest detection exactly as estimate does."""
+    frames, extend_around = [], bench.extend_around
+
+    def spy(surface, r, s, detections):
+        frames.append((r, s))
+        return extend_around(surface, r, s, detections)
+
+    monkeypatch.setattr(bench, "extend_around", spy)
+    cfg = BenchConfig(params=p_default, code=good_code, methods=(method,))
+    for trial_seed in range(40, 45):
+        out = run_trial(cfg, 30.0, trial_seed).outcomes[method]
+        r, s = frames[-1]
+        est = estimate(r, s, cfg.theta, method, p_default)[0]
+        assert (out.l_hat, out.k_hat, out.eps_t, out.eps_f) == (
+            est.detection.l_hat, est.detection.k_hat, est.eps_t, est.eps_f
+        )

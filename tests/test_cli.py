@@ -25,6 +25,13 @@ def test_unknown_flag_exits_one(capsys):
     assert exc.value.code == 1
 
 
+def test_estimate_unknown_method_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--r", "r.csv", "--s", "s.csv", "--method", "cubic"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'cubic'" in capsys.readouterr().err
+
+
 def test_version_reports_config_hash(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

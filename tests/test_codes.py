@@ -1,33 +1,14 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from ddradar import (
     CodeMatrix,
-    make_params,
     random_code,
     read_code,
     reference_bad_code,
     reference_good_code,
-    to_delay_doppler,
     write_code,
 )
-from ddradar.codes import from_delay_doppler
-
-
-def dd_sum(code, params, k, ell):
-    """Defining double sum for the delay-Doppler transform (oracle)."""
-    acc = 0j
-    for n in range(params.N_t):
-        for col in range(params.N_f):
-            m = col - params.N_f // 2
-            acc += (
-                code.entries[n, col]
-                * cmath.exp(2j * cmath.pi * n * k / params.N)
-                * cmath.exp(-2j * cmath.pi * m * ell / params.M)
-            )
-    return acc / params.M
 
 
 def test_random_code_deterministic(p_default):
@@ -64,62 +45,6 @@ def test_reference_matrices():
 def test_code_matrix_rejects_bad_entries():
     with pytest.raises(ValueError, match="must all be"):
         CodeMatrix(np.array([[1, 0], [1, -1]]))
-
-
-def test_single_slot_code_flat_doppler_magnitude():
-    p = make_params(4, 2, 1, 2, 1.0)
-    code = CodeMatrix(np.array([[1, 1]]))
-    dd = to_delay_doppler(code, p)
-    mags = np.abs(dd.entries)
-    for ell in range(p.M):
-        assert np.allclose(mags[:, ell], mags[0, ell], atol=1e-12)
-
-
-def test_round_trip_recovers_code(p_default, good_code):
-    dd = to_delay_doppler(good_code, p_default)
-    full = from_delay_doppler(dd, p_default)
-    cols = np.mod(good_code.m_values, p_default.M)
-    occupied = full[np.arange(p_default.N_t)[:, None], cols[None, :]]
-    assert np.max(np.abs(occupied - good_code.entries)) <= 1e-10
-    rest = full.copy()
-    rest[np.arange(p_default.N_t)[:, None], cols[None, :]] = 0.0
-    assert np.max(np.abs(rest)) <= 1e-10
-
-
-def test_parseval_against_brute_force():
-    # brute-force the defining sum on a 2x2 code before trusting the FFT path
-    p = make_params(4, 2, 2, 2, 1.0)
-    code = CodeMatrix(np.array([[1, -1], [-1, -1]]))
-    dd = to_delay_doppler(code, p)
-    for k in range(p.N):
-        for ell in range(p.M):
-            assert dd.entries[k, ell] == pytest.approx(dd_sum(code, p, k, ell), abs=1e-12)
-    total = np.sum(np.abs(dd.entries) ** 2)
-    expected = (p.N / p.M) * np.sum(np.abs(code.entries) ** 2)
-    assert total == pytest.approx(expected, rel=1e-12)
-
-
-def test_transform_linearity():
-    # a*T(X) + b*T(Y) must equal the defining sum applied to a*X + b*Y
-    a, b = 2.0, -0.5
-    p = make_params(8, 4, 2, 2, 1.0)
-    x = random_code(p, seed=11)
-    y = random_code(p, seed=22)
-    combo = a * to_delay_doppler(x, p).entries + b * to_delay_doppler(y, p).entries
-    for k in range(p.N):
-        for ell in range(p.M):
-            direct = a * dd_sum(x, p, k, ell) + b * dd_sum(y, p, k, ell)
-            assert combo[k, ell] == pytest.approx(direct, abs=1e-12)
-
-
-def test_periodicity_via_defining_sum():
-    p = make_params(8, 4, 2, 2, 1.0)
-    code = random_code(p, seed=5)
-    dd = to_delay_doppler(code, p)
-    for k, ell in [(1, 2), (3, 0), (7, 3)]:
-        assert dd_sum(code, p, k + p.N, ell) == pytest.approx(dd.entries[k, ell], abs=1e-12)
-        assert dd_sum(code, p, k, ell + p.M) == pytest.approx(dd.entries[k, ell], abs=1e-12)
-        assert dd.value(k + p.N, ell - p.M) == pytest.approx(dd.entries[k, ell], abs=1e-12)
 
 
 def test_code_file_round_trip(tmp_path, p_default):

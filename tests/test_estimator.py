@@ -17,7 +17,9 @@ from ddradar import (
     refine_sinc2d,
     synthesize_discrete,
 )
+from ddradar import bench, estimator
 from ddradar.ambiguity import AmbiguitySurface, SincLobeModel
+from ddradar.bench import BenchConfig, run_trial
 from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
 
 
@@ -34,7 +36,7 @@ def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):
 def synthetic_model_surface(params, l0, k0, eps_t, eps_f, alpha):
     """Surface whose magnitudes follow the lobe model exactly (fit oracle)."""
     model = SincLobeModel(params)
-    r_ell, r_k = model.lobe_half_extents
+    r_ell, r_k = params.lobe_half_extents
     n = params.frame_len
     values = np.zeros((2 * r_ell + 1, n), dtype=complex)
     for i, dl in enumerate(range(-r_ell, r_ell + 1)):
@@ -280,9 +282,27 @@ def test_end_to_end_window_edge_detection(p_default, good_code, s_paper):
         assert ests and ests[0].detection.l_hat == l_edge
 
 
-def test_estimate_rejects_unknown_method(p_default, s_paper):
-    with pytest.raises(ValueError, match="unknown method"):
+def test_estimate_rejects_unknown_method(p_default, good_code, s_paper, monkeypatch):
+    def no_surface(*args, **kwargs):
+        raise AssertionError("surface computed before the method was looked up")
+
+    for module in (estimator, bench):
+        monkeypatch.setattr(module, "discrete_ambiguity", no_surface)
+    with pytest.raises(ValueError, match="unknown method 'cubic'"):
         estimate(s_paper, s_paper, 0.5, "cubic", p_default)
+    cfg = BenchConfig(params=p_default, code=good_code, methods=("cubic",))
+    with pytest.raises(ValueError, match="unknown method 'cubic'"):
+        run_trial(cfg, 30.0, 1)
+
+
+def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper):
+    truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
+    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    (est,) = estimate(r, s_paper, 0.5, "baseline", p_default)
+    assert (est.detection.l_hat, est.detection.k_hat) == (300, 2)
+    assert (est.eps_t, est.eps_f) == (0.0, 0.0)
+    assert est.alpha == est.detection.peak_mag
+    assert est.method == "baseline"
 
 
 def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
@@ -316,8 +336,7 @@ def test_sinc_fit_gradient_at_origin_with_nulls_on_patch_edge(p_default):
     # at x = 0 the gradient takes sign(0) = 0 there, as a central difference
     # does; the lobe's asymmetry about the kink costs the quotient O(h)
     rng = np.random.default_rng(9)
-    model = SincLobeModel(p_default)
-    r_ell, r_k = model.lobe_half_extents
+    r_ell, r_k = p_default.lobe_half_extents
     ell_off, k_off = np.arange(-r_ell, r_ell + 1), np.arange(-r_k, r_k + 1)
     for _ in range(20):
         y = rng.random((ell_off.size, k_off.size))
@@ -360,3 +379,49 @@ def test_sinc_fit_matches_finite_difference_solver(p_default, good_code, seed):
     assert est.converged and oracle.success
     assert est.eps_t == pytest.approx(oracle.x[0], abs=1e-7)
     assert est.eps_f == pytest.approx(oracle.x[1], abs=1e-7)
+
+
+def _spy_minimize(monkeypatch):
+    """Record every solver result refine_sinc2d gets back."""
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(estimator, "minimize", spy)
+    return results
+
+
+def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
+    p_default, good_code, monkeypatch
+):
+    # the line search stalls at the objective's round-off floor: scipy flags
+    # the exit, yet the returned point is first-order stationary
+    truth = ChannelTruth.from_grid(
+        303, 0.21987556259072877, -3, 0.07391214301071419, 1.0 + 0j, p_default
+    )
+    surf, _, _ = make_channel_surface(
+        good_code, p_default, truth, snr_db=20.0, seed=103, window=(299, 307)
+    )
+    results = _spy_minimize(monkeypatch)
+    est = refine_sinc2d(surf, Detection(303, -3, 1.0), p_default)
+    (result,) = results
+    assert not result.success and "ABNORMAL" in result.message
+    assert np.max(np.abs(result.jac)) < 1e-6
+    assert est.converged
+
+
+def test_sinc_fit_stopped_by_maxiter_is_not_converged(p_default, good_code, monkeypatch):
+    truth = ChannelTruth.from_grid(300, 0.31, 2, -0.27, 1.0 + 0j, p_default)
+    surf, _, _ = make_channel_surface(
+        good_code, p_default, truth, snr_db=15.0, seed=2, window=(296, 304)
+    )
+    det = Detection(300, 2, 1.0)
+    assert refine_sinc2d(surf, det, p_default).converged
+    monkeypatch.setitem(SOLVER, "maxiter", 1)
+    results = _spy_minimize(monkeypatch)
+    est = refine_sinc2d(surf, det, p_default)
+    (result,) = results
+    assert "ITERATIONS REACHED LIMIT" in result.message
+    assert not est.converged
