@@ -9,7 +9,7 @@ from .ambiguity import (
     sinc_conformance,
     sinc_model,
 )
-from .bench import BenchConfig, RmseReport, TrialRecord, run_trial, sweep, time_stages
+from .bench import BenchConfig, RmseReport, TrialRecord, run_trial, sweep
 from .channel import (
     ChannelTruth,
     add_noise,
@@ -79,6 +79,5 @@ __all__ = [
     "sinc_model",
     "sweep",
     "synthesize_discrete",
-    "time_stages",
     "write_code",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .ambiguity import discrete_ambiguity
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
-from .codes import CodeMatrix
+from .codes import CodeMatrix, code_text
 from .config import RadarParams
 from .estimator import (
     DEFAULT_THRESHOLD,
@@ -205,6 +205,8 @@ def sweep(cfg: BenchConfig) -> list[RmseReport]:
     """One report per (snr_db, method), ordered by (snr_db, method)."""
     if not cfg.snr_db_list:
         raise ValueError("snr_db_list must be nonempty")
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     reports = []
     for snr_db in cfg.snr_db_list:
         records = run_trials(cfg, snr_db)
@@ -212,38 +214,6 @@ def sweep(cfg: BenchConfig) -> list[RmseReport]:
             reports.append(summarize(records, snr_db, method))
     reports.sort(key=lambda rep: (rep.snr_db, rep.method))
     return reports
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    stage: str
-    mean_ms: float
-    std_ms: float
-    reps: int
-
-
-def time_stages(cfg: BenchConfig, reps: int = 100, warmup: int = 3) -> list[StageTiming]:
-    """Mean wall time of the coarse stage and of each refinement, over fresh frames."""
-    snr_db = cfg.snr_db_list[0]
-    records = [run_trial(cfg, snr_db, cfg.seed + i) for i in range(warmup + reps)][warmup:]
-    rows = [
-        StageTiming(
-            "coarse",
-            float(np.mean([r.coarse_ms for r in records])),
-            float(np.std([r.coarse_ms for r in records])),
-            reps,
-        )
-    ]
-    for method in cfg.methods:
-        if method == BASELINE:
-            continue
-        times = [r.outcomes[method].refine_ms for r in records]
-        rows.append(
-            StageTiming(
-                f"{method}_refine", float(np.mean(times)), float(np.std(times)), reps
-            )
-        )
-    return rows
 
 
 def write_reports_csv(path: str | Path, reports: list[RmseReport]) -> None:
@@ -259,17 +229,9 @@ def write_reports_csv(path: str | Path, reports: list[RmseReport]) -> None:
             )
 
 
-def write_timings_csv(path: str | Path, rows: list[StageTiming]) -> None:
-    with open(path, "w") as fh:
-        fh.write("stage,mean_ms,std_ms,reps\n")
-        for row in rows:
-            fh.write(f"{row.stage},{row.mean_ms!r},{row.std_ms!r},{row.reps}\n")
-
-
 def code_digest(code: CodeMatrix) -> str:
-    """SHA-256 of the canonical code file text."""
-    text = "\n".join(" ".join(f"{v:d}" for v in row) for row in code.entries) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+    """SHA-256 of the file ``write_code`` writes for this code."""
+    return hashlib.sha256(code_text(code).encode()).hexdigest()
 
 
 def sidecar_metadata(cfg: BenchConfig, conformance_score: float | None = None) -> dict:

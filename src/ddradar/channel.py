@@ -143,11 +143,14 @@ def add_noise(
     The per-sample noise variance is sigma^2 = ref_energy / (N M 10^{snr/10}),
     so the frame SNR sum|s|^2 / (N M sigma^2) equals the request.  ``ref_energy``
     is the energy of the clean transmitted pulse.  ``snr_db = inf`` returns the
-    input unchanged.  Noise is drawn from a Philox stream keyed by ``seed``.
+    input unchanged; NaN and ``-inf`` are rejected.  Noise is drawn from a
+    Philox stream keyed by ``seed``.
     """
     if ref_energy <= 0:
         raise ValueError(f"ref_energy must be positive, got {ref_energy}")
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return signal
     sigma2 = ref_energy / (params.frame_len * 10 ** (snr_db / 10.0))
     rng = np.random.Generator(np.random.Philox(seed))

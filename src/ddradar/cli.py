@@ -1,9 +1,9 @@
 """Command-line front end: every pipeline stage as a subcommand.
 
 All numeric I/O is in normalized units (delays in T_s, Dopplers in delta_f);
-``estimate --tc`` additionally reports physical seconds/Hz.  Data goes to
-files or stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage
-error, 2 runtime failure.
+``estimate`` additionally reports seconds and Hz for the geometry's T_c.
+Data goes to files or stdout, diagnostics to stderr.  Exit codes: 0
+success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -24,16 +24,9 @@ from .ambiguity import (
     sinc_conformance,
     write_surface,
 )
-from .bench import (
-    BenchConfig,
-    sweep,
-    time_stages,
-    write_reports_csv,
-    write_sidecar,
-    write_timings_csv,
-)
+from .bench import sweep, write_reports_csv, write_sidecar
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
-from .codes import random_code, read_code, reference_good_code, write_code
+from .codes import random_code, read_code, write_code
 from .config import DEFAULT_GEOMETRY, ParameterError, load_params, load_sweep, make_params
 from .estimator import DEFAULT_THRESHOLD, REFINERS, SOLVER, estimate
 from .waveform import read_signal, synthesize_discrete, write_signal
@@ -143,21 +136,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--method", choices=tuple(REFINERS), default="sinc2d")
     sub.add_argument("--theta", type=float, default=DEFAULT_THRESHOLD)
     sub.add_argument("--json", action="store_true", help="one JSON object per detection")
-    sub.add_argument("--tc", type=float, help="physical T_c in seconds for unit conversion")
 
     sub = subs.add_parser("sweep", help="Monte Carlo RMSE sweep over SNR")
     sub.add_argument("--config", required=True, help="key = value bench config file")
     sub.add_argument("--out", required=True)
     sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-
-    sub = subs.add_parser("time-stages", help="mean wall time per pipeline stage")
-    _add_params_args(sub)
-    sub.add_argument("--code", help="code file (default: built-in reference code)")
-    sub.add_argument("--snr-db", type=_parse_snr, default=30.0)
-    sub.add_argument("--reps", type=int, default=100)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="CSV path (default: stdout)")
 
     return parser
 
@@ -222,9 +206,6 @@ def _cmd_estimate(args) -> int:
     r = read_signal(args.r_file, params.T_s)
     s = read_signal(args.s_file, params.T_s)
     results = estimate(r, s, args.theta, args.method, params)
-    phys = None
-    if args.tc is not None:
-        phys = make_params(params.N, params.M, params.N_t, params.N_f, T_c=args.tc)
     for est in results:
         rec = {
             "l_hat": est.detection.l_hat,
@@ -235,18 +216,16 @@ def _cmd_estimate(args) -> int:
             "delay_Ts": est.delay_cells,
             "doppler_df": est.doppler_cells,
             "converged": est.converged,
+            "delay_s": est.delay_est,
+            "doppler_hz": est.doppler_est,
         }
-        if phys is not None:
-            rec["delay_s"] = est.delay_cells * phys.T_s
-            rec["doppler_hz"] = est.doppler_cells * phys.delta_f
         if args.json:
             print(json.dumps(rec))
         else:
             print(
                 f"detection l={rec['l_hat']} k={rec['k_hat']}: "
                 f"delay={rec['delay_Ts']:.4f} T_s, doppler={rec['doppler_df']:.4f} df, "
-                f"alpha={rec['alpha']:.4f}"
-                + (f", {rec['delay_s']:.6e} s / {rec['doppler_hz']:.6e} Hz" if phys else "")
+                f"alpha={rec['alpha']:.4f}, {rec['delay_s']:.6e} s / {rec['doppler_hz']:.6e} Hz"
             )
     if not results:
         print("no detections above threshold", file=sys.stderr)
@@ -263,27 +242,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_time_stages(args) -> int:
-    params = _resolve_params(args)
-    if args.code:
-        code = read_code(args.code, params)
-    else:
-        code = reference_good_code()
-        code.require_match(params)
-    seed = _resolve_seed(args)
-    cfg = BenchConfig(
-        params=params, code=code, snr_db_list=(args.snr_db,), trials=args.reps, seed=seed
-    )
-    rows = time_stages(cfg, reps=args.reps)
-    if args.out:
-        write_timings_csv(args.out, rows)
-    else:
-        print("stage,mean_ms,std_ms,reps")
-        for row in rows:
-            print(f"{row.stage},{row.mean_ms!r},{row.std_ms!r},{row.reps}")
-    return 0
-
-
 _COMMANDS = {
     "gen-code": _cmd_gen_code,
     "show-code": _cmd_show_code,
@@ -293,7 +251,6 @@ _COMMANDS = {
     "ambiguity": _cmd_ambiguity,
     "estimate": _cmd_estimate,
     "sweep": _cmd_sweep,
-    "time-stages": _cmd_time_stages,
 }
 
 

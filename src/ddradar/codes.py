@@ -102,10 +102,14 @@ def reference_bad_code() -> CodeMatrix:
     return CodeMatrix(np.array(_BAD_8X8))
 
 
+def code_text(code: CodeMatrix) -> str:
+    """The code file: N_t lines of N_f space-separated +/-1 integers."""
+    return "\n".join(" ".join(f"{v:d}" for v in row) for row in code.entries) + "\n"
+
+
 def write_code(path: str | Path, code: CodeMatrix) -> None:
-    """Write N_t lines of N_f space-separated +/-1 integers."""
-    lines = [" ".join(f"{v:d}" for v in row) for row in code.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``code_text(code)`` to ``path``."""
+    Path(path).write_text(code_text(code))
 
 
 def read_code(path: str | Path, params: RadarParams | None = None) -> CodeMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -14,11 +15,10 @@ from ddradar.bench import (
     sidecar_metadata,
     summarize,
     sweep,
-    time_stages,
     write_reports_csv,
-    write_timings_csv,
     write_sidecar,
 )
+from ddradar.codes import code_text, reference_bad_code, write_code
 from ddradar.estimator import REFINERS, SOLVER
 
 SMALL = make_params(16, 8, 2, 4, 1.0)
@@ -93,9 +93,18 @@ def test_sweep_report_grid():
         assert rep.rmse_delay >= 0 and rep.rmse_doppler >= 0
 
 
-def test_sweep_rejects_empty_snr_list():
-    with pytest.raises(ValueError, match="nonempty"):
-        sweep(small_cfg(snr_db_list=()))
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(snr_db_list=()), "nonempty"),
+        (dict(trials=0), "trials must be at least 1, got 0"),
+        (dict(trials=-5), "trials must be at least 1, got -5"),
+    ],
+    ids=["empty-snr", "zero-trials", "negative-trials"],
+)
+def test_sweep_rejects_empty_snr_list(kw, message):
+    with pytest.raises(ValueError, match=message):
+        sweep(small_cfg(**kw))
 
 
 def test_baseline_rmse_near_uniform_std(p_default, good_code):
@@ -137,22 +146,27 @@ def test_sidecar_metadata(tmp_path):
     assert sidecar_metadata(cfg)["trials"] == cfg.trials
 
 
-def test_time_stages_rows(tmp_path):
+@pytest.mark.parametrize(
+    "code", [random_code(SMALL, seed=1), reference_good_code(), reference_bad_code()]
+)
+def test_code_digest_is_sha256_of_code_file(tmp_path, code):
+    path = tmp_path / "code.txt"
+    write_code(path, code)
+    assert path.read_text() == code_text(code)
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sidecar_metadata(small_cfg(code=code))["code_sha256"] == expected
+
+
+def test_summary_stage_costs():
     cfg = small_cfg(trials=8)
-    rows = time_stages(cfg, reps=8, warmup=1)
-    stages = [row.stage for row in rows]
-    assert stages == ["coarse", "sinc2d_refine", "quadratic_refine"]
-    for row in rows:
-        assert row.mean_ms > 0 and row.reps == 8
-    by_stage = {row.stage: row for row in rows}
-    assert by_stage["quadratic_refine"].mean_ms < by_stage["coarse"].mean_ms
+    records = run_trials(cfg, 30.0)
+    sinc2d = summarize(records, 30.0, "sinc2d")
+    quadratic = summarize(records, 30.0, "quadratic")
+    coarse_ms = sinc2d.mean_coarse_ms
+    assert coarse_ms > 0 and sinc2d.mean_refine_ms > 0 and quadratic.mean_refine_ms > 0
+    assert quadratic.mean_refine_ms < coarse_ms
     # sinc fit costs the same order as the surface computation, never more
-    assert by_stage["sinc2d_refine"].mean_ms < 20 * by_stage["coarse"].mean_ms
-    path = tmp_path / "t.csv"
-    write_timings_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "stage,mean_ms,std_ms,reps"
-    assert len(lines) == 4
+    assert sinc2d.mean_refine_ms < 20 * coarse_ms
 
 
 def test_miss_counting():

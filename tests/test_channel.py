@@ -163,6 +163,12 @@ def test_add_noise_rejects_bad_reference(p_default, s_paper):
         add_noise(s_paper, 10.0, 1, p_default, 0.0)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_add_noise_rejects_nan_and_minus_inf_snr(p_default, s_paper, snr_db):
+    with pytest.raises(ValueError, match="snr_db must be a number or \\+inf"):
+        add_noise(s_paper, snr_db, 1, p_default, s_paper.energy)
+
+
 def test_gating_zeroes_transmit_window(p_default):
     ones = ComplexSignal(np.ones(p_default.frame_len), p_default.T_s)
     gated = apply_receive_gating(ones, p_default)

@@ -139,7 +139,7 @@ def test_estimate_physical_units(tmp_path, capsys):
     )
     code, out, _ = run(
         capsys, "estimate", "--r", str(r_path), "--s", str(s_path),
-        "--method", "quadratic", "--json", "--tc", "1e-6",
+        "--method", "quadratic", "--json", "--T_c", "1e-6",
     )
     rec = json.loads(out.splitlines()[0])
     assert rec["delay_s"] == pytest.approx(200 * 1e-6 / 16, rel=1e-3)
@@ -188,7 +188,7 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
     "argv",
     [
         ("sweep", "--config", "{cfg}", "--out", "{out}"),
-        ("time-stages", "--params-config", "{cfg}", "--reps", "1", "--seed", "1"),
+        ("gen-code", "--params-config", "{cfg}", "--seed", "1", "--out", "{out}"),
     ],
 )
 def test_unknown_config_key_exits_two(tmp_path, capsys, argv):
@@ -201,23 +201,15 @@ def test_unknown_config_key_exits_two(tmp_path, capsys, argv):
     assert "line 6: unknown key 'trails'" in err
 
 
-def test_time_stages_stdout(capsys):
-    code, out, _ = run(
-        capsys, "time-stages", "--N", "16", "--M", "8", "--N_t", "2", "--N_f", "4",
-        "--code", "/dev/null/nonexistent", "--reps", "2", "--seed", "1",
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_simulate_bad_snr_exits_two(tmp_path, capsys, snr):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "simulate", "--code", str(code_path), "--delay", "300", "--doppler", "0",
+        f"--snr-db={snr}", "--seed", "1", "--out", str(out),
     )
-    assert code == 2  # bad code path reported as runtime failure
-
-
-def test_time_stages_with_generated_code(tmp_path, capsys):
-    cfg_code = tmp_path / "c.txt"
-    run(capsys, "gen-code", "--N", "16", "--M", "8", "--N_t", "2", "--N_f", "4",
-        "--seed", "2", "--out", str(cfg_code))
-    code, out, _ = run(
-        capsys, "time-stages", "--N", "16", "--M", "8", "--N_t", "2", "--N_f", "4",
-        "--code", str(cfg_code), "--reps", "3", "--seed", "1",
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "stage,mean_ms,std_ms,reps"
-    assert len(lines) == 4
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("ddradar simulate: snr_db must be") and err.count("\n") == 1
