@@ -3,7 +3,6 @@ time-frequency coded Gaussian pulses."""
 
 from .ambiguity import (
     AmbiguitySurface,
-    SincLobeModel,
     continuous_ambiguity,
     discrete_ambiguity,
     sinc_conformance,
@@ -54,7 +53,6 @@ __all__ = [
     "ParameterError",
     "RadarParams",
     "RmseReport",
-    "SincLobeModel",
     "TrialRecord",
     "add_noise",
     "apply_channel",

@@ -59,12 +59,6 @@ class AmbiguitySurface:
     def contains_lag(self, ell: int) -> bool:
         return self.ell_min <= ell <= self.ell_max
 
-    def value(self, ell: int, k: int) -> complex:
-        """Value at lag ell and signed Doppler bin k (k taken modulo N M)."""
-        if not self.contains_lag(ell):
-            raise IndexError(f"lag {ell} outside [{self.ell_min}, {self.ell_max}]")
-        return complex(self.values[ell - self.ell_min, k % self.n_bins])
-
     def normalized(self, a0: float) -> "AmbiguitySurface":
         """Scale by the auto-ambiguity peak A_ss[0,0] = signal energy."""
         _check_norm(a0)
@@ -156,31 +150,18 @@ def extend_surface(
 def continuous_ambiguity(
     x_samples: ComplexSignal,
     y_code: CodeMatrix,
-    tau: float,
-    nu: float,
-    params: RadarParams,
-) -> complex:
-    """Riemann-sum ambiguity between a sampled signal and an analytic one.
-
-    A(tau, nu) ~= T_s sum_j x[j] y*(j T_s - tau) e^{-2 pi i nu j T_s}, where
-    y is evaluated with the continuous synthesizer.  On integer grid points
-    this reproduces T_s times the discrete surface, up to the truncated
-    Gaussian tails absent from the stored replica.
-    """
-    grid = _continuous_ambiguity_grid(
-        x_samples, y_code, np.array([tau]), np.array([nu]), params
-    )
-    return complex(grid[0, 0])
-
-
-def _continuous_ambiguity_grid(
-    x_samples: ComplexSignal,
-    y_code: CodeMatrix,
     taus: np.ndarray,
     nus: np.ndarray,
     params: RadarParams,
 ) -> np.ndarray:
-    """Vectorized evaluation over a tau x nu grid, shape (len(taus), len(nus))."""
+    """Riemann-sum ambiguity between a sampled signal and an analytic one.
+
+    A(tau, nu) ~= T_s sum_j x[j] y*(j T_s - tau) e^{-2 pi i nu j T_s}, where
+    y is the untruncated analytic signal of ``y_code``, over a tau x nu grid
+    of shape (len(taus), len(nus)).  On integer grid points this reproduces
+    T_s times the discrete surface, up to the truncated Gaussian tails absent
+    from the stored replica.
+    """
     n = params.frame_len
     if len(x_samples) != n:
         raise ValueError(f"x must have frame length {n}, got {len(x_samples)}")
@@ -190,16 +171,6 @@ def _continuous_ambiguity_grid(
     weighted = x_samples.samples[None, :] * np.conj(y)  # (n_tau, NM)
     doppler = np.exp(-2j * np.pi * np.outer(t, nus))  # (NM, n_nu)
     return params.T_s * (weighted @ doppler)
-
-
-def sinc_model(ell: float, k: float, params: RadarParams) -> float:
-    """Separable main-lobe model |sinc(N_f ell / M)| |sinc(N_t k / N)|.
-
-    ``ell`` is a delay offset in T_s units, ``k`` a Doppler offset in delta_f
-    units.  Normalized so the origin evaluates to 1; intended validity is
-    |ell| <= M/N_f, |k| <= N/N_t.
-    """
-    return float(SincLobeModel(params)(ell, k))
 
 
 def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,30 +190,28 @@ def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(s), slope
 
 
-@dataclass(frozen=True)
-class SincLobeModel:
-    """The separable main-lobe model bound to a geometry.
+def lobe_factors(ell, k, params: RadarParams) -> tuple[np.ndarray, ...]:
+    """Per-axis factors of the sinc lobe model and their derivatives.
 
-    :func:`sinc_model` is its scalar form; the sinc fit reads the per-axis
-    factors and their derivatives from :meth:`axis_factors`.
+    Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
+    b = |sinc(N_t k / N)|, db = db/dk, for a delay offset ``ell`` in T_s
+    units and a Doppler offset ``k`` in delta_f units; the model is
+    ``a * b``.  The sinc fit reads the factors and derivatives from here.
     """
+    a, da = _abs_sinc(ell, params.N_f, params.M)
+    b, db = _abs_sinc(k, params.N_t, params.N)
+    return a, da, b, db
 
-    params: RadarParams
 
-    def __call__(self, ell, k):
-        a, _, b, _ = self.axis_factors(ell, k)
-        return a * b
+def sinc_model(ell, k, params: RadarParams):
+    """Separable main-lobe model |sinc(N_f ell / M)| |sinc(N_t k / N)|.
 
-    def axis_factors(self, ell, k) -> tuple[np.ndarray, ...]:
-        """Per-axis factors of the model and their derivatives.
-
-        Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
-        b = |sinc(N_t k / N)|, db = db/dk; the model is ``a * b`` (with
-        ``ell`` and ``k`` broadcast against each other).
-        """
-        a, da = _abs_sinc(ell, self.params.N_f, self.params.M)
-        b, db = _abs_sinc(k, self.params.N_t, self.params.N)
-        return a, da, b, db
+    ``ell`` and ``k`` broadcast against each other.  Normalized so the
+    origin evaluates to 1; intended validity is |ell| <= M/N_f,
+    |k| <= N/N_t.
+    """
+    a, _, b, _ = lobe_factors(ell, k, params)
+    return a * b
 
 
 def sinc_conformance(
@@ -267,16 +236,11 @@ def sinc_conformance(
     n_k = int(round(oversample * params.N / params.N_t))
     ell_grid = np.arange(-n_ell, n_ell + 1) / oversample  # T_s units
     k_grid = np.arange(-n_k, n_k + 1) / oversample  # delta_f units
-    tau_cut = _continuous_ambiguity_grid(
-        s, code, ell_grid * params.T_s, np.zeros(1), params
-    )[:, 0]
-    nu_cut = _continuous_ambiguity_grid(
-        s, code, np.zeros(1), k_grid * params.delta_f, params
-    )[0, :]
+    tau_cut = continuous_ambiguity(s, code, ell_grid * params.T_s, np.zeros(1), params)[:, 0]
+    nu_cut = continuous_ambiguity(s, code, np.zeros(1), k_grid * params.delta_f, params)[0]
     a0 = abs(nu_cut[n_k])
-    model = SincLobeModel(params)
-    dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - model(ell_grid, 0.0)))
-    dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - model(0.0, k_grid)))
+    dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - sinc_model(ell_grid, 0.0, params)))
+    dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - sinc_model(0.0, k_grid, params)))
     score = float(max(dev_tau, dev_nu))
     return score, score <= delta
 

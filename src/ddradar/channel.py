@@ -5,11 +5,7 @@ The main path samples the analytic transmitted pulse train directly,
     r[j] = alpha * s(j T_s - t_d) * e^{+2 pi i f_D j T_s},
 
 with s the windowed pulse train the transmitter actually radiates, so an
-integer-sample delay reduces to an exact shift of the stored replica.  An
-ideal-bandlimited interpolation matrix H is provided as an independent
-oracle: it models DA conversion -> delay/Doppler -> AD conversion with
-ideal sinc filters and agrees with the direct path at the 1e-3
-relative-energy level.
+integer-sample delay reduces to an exact shift of the stored replica.
 """
 
 from __future__ import annotations
@@ -104,33 +100,6 @@ def apply_channel(
     return ComplexSignal(r, params.T_s)
 
 
-def h_matrix(
-    truth: ChannelTruth, params: RadarParams, n_rows: int, n_cols: int
-) -> np.ndarray:
-    """Ideal-sinc interpolation channel matrix H of shape (n_rows, n_cols).
-
-    H[i, j] = T_s a e^{i pi f_D (t_d + (i+j) T_s)} sinc(a (t_d + (j-i) T_s)),
-    a = max(0, 1/T_s - |f_D|), with the normalized sinc(x) = sin(pi x)/(pi x).
-    """
-    a = max(0.0, 1.0 / params.T_s - abs(truth.f_D))
-    if a == 0.0:
-        return np.zeros((n_rows, n_cols), dtype=np.complex128)
-    i = np.arange(n_rows)[:, None]
-    j = np.arange(n_cols)[None, :]
-    phase = np.exp(1j * np.pi * truth.f_D * (truth.t_d + (i + j) * params.T_s))
-    lobe = np.sinc(a * (truth.t_d + (j - i) * params.T_s))
-    return params.T_s * a * phase * lobe
-
-
-def h_matrix_received(
-    signal: ComplexSignal, truth: ChannelTruth, params: RadarParams
-) -> ComplexSignal:
-    """Oracle received frame r[i] = sum_{j<L} H[i, j] s[j] (no noise)."""
-    H = h_matrix(truth, params, params.frame_len, params.L)
-    r = truth.alpha * (H @ signal.samples[: params.L])
-    return ComplexSignal(r, params.T_s)
-
-
 def add_noise(
     signal: ComplexSignal,
     snr_db: float,
@@ -143,16 +112,23 @@ def add_noise(
     The per-sample noise variance is sigma^2 = ref_energy / (N M 10^{snr/10}),
     so the frame SNR sum|s|^2 / (N M sigma^2) equals the request.  ``ref_energy``
     is the energy of the clean transmitted pulse.  ``snr_db = inf`` returns the
-    input unchanged; NaN and ``-inf`` are rejected.  Noise is drawn from a
-    Philox stream keyed by ``seed``.
+    input unchanged; any other SNR whose sigma^2 is not finite and positive
+    (NaN, ``-inf``, or a finite value far outside any physical range) is
+    rejected.  Noise is drawn from a Philox stream keyed by ``seed``.
     """
     if ref_energy <= 0:
         raise ValueError(f"ref_energy must be positive, got {ref_energy}")
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
         return signal
-    sigma2 = ref_energy / (params.frame_len * 10 ** (snr_db / 10.0))
+    try:
+        sigma2 = ref_energy / (params.frame_len * 10 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^{snr/10} overflows or underflows to 0
+        sigma2 = math.nan
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(
+            f"snr_db must be a number or +inf giving a finite positive noise variance, "
+            f"got {snr_db}"
+        )
     rng = np.random.Generator(np.random.Philox(seed))
     scale = math.sqrt(sigma2 / 2.0)
     noise = scale * (

@@ -39,20 +39,13 @@ class CodeMatrix:
     def n_f(self) -> int:
         return self.entries.shape[1]
 
-    def entry(self, n: int, col: int) -> int:
-        """Chip at time slot n, stored column col = m + N_f/2."""
-        return int(self.entries[n, col])
-
     @property
     def m_values(self) -> np.ndarray:
         """Signed subcarrier indices m = -N_f/2 .. N_f/2 - 1, one per column."""
         return np.arange(self.n_f) - self.n_f // 2
 
-    def matches(self, params: RadarParams) -> bool:
-        return self.n_t == params.N_t and self.n_f == params.N_f
-
     def require_match(self, params: RadarParams) -> None:
-        if not self.matches(params):
+        if (self.n_t, self.n_f) != (params.N_t, params.N_f):
             raise ValueError(
                 f"code is {self.n_t}x{self.n_f} but params expect "
                 f"{params.N_t}x{params.N_f}"

@@ -8,6 +8,7 @@ work in seconds/Hz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +41,8 @@ class RadarParams:
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-        if self.T_c <= 0:
-            raise ParameterError(f"T_c must be positive, got {self.T_c!r}")
+        if not 0 < self.T_c < math.inf:
+            raise ParameterError(f"T_c must be positive and finite, got {self.T_c!r}")
         if self.N_f % 2 != 0:
             raise ParameterError(
                 f"N_f must be even (subcarriers span -N_f/2..N_f/2-1), got {self.N_f}"
@@ -134,6 +135,14 @@ def parse_config_text(text: str, allowed: frozenset[str] | None = None) -> dict:
     return out
 
 
+def _typed(key: str, value, typ):
+    """Cast a config value to its key's type; an integer key takes only an
+    integer, never a float it would truncate or a boolean."""
+    if typ is int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ParameterError(f"config key {key!r} must be an integer, got {value!r}")
+    return typ(value)
+
+
 def _parse_value(value: str, lineno: int):
     if value.startswith("[") and value.endswith("]"):
         inner = value[1:-1].strip()
@@ -168,7 +177,7 @@ def load_params(path: str | Path, overrides: dict | None = None) -> RadarParams:
     kwargs = {}
     for key, typ in _PARAM_KEYS.items():
         if key in raw:
-            kwargs[key] = typ(raw[key])
+            kwargs[key] = _typed(key, raw[key], typ)
     if overrides:
         for key, val in overrides.items():
             if key in _PARAM_KEYS and val is not None:
@@ -195,16 +204,16 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
 
     raw = parse_config_text(Path(path).read_text(), CONFIG_KEYS)
     geometry = dict(DEFAULT_GEOMETRY)
-    geometry.update({k: typ(raw[k]) for k, typ in _PARAM_KEYS.items() if k in raw})
+    geometry.update({k: _typed(k, raw[k], typ) for k, typ in _PARAM_KEYS.items() if k in raw})
     params = make_params(**geometry)
     if "code_file" in raw:
         code = read_code(raw["code_file"], params)
     elif "code_seed" in raw:
-        code = random_code(params, int(raw["code_seed"]))
+        code = random_code(params, _typed("code_seed", raw["code_seed"], int))
     else:
         code = reference_good_code()
         code.require_match(params)
-    kwargs = {k: typ(raw[k]) for k, typ in _SWEEP_KEYS.items() if k in raw}
+    kwargs = {k: _typed(k, raw[k], typ) for k, typ in _SWEEP_KEYS.items() if k in raw}
     if "snr_db" in raw:
         snr = raw["snr_db"]
         kwargs["snr_db_list"] = tuple(float(v) for v in (snr if isinstance(snr, list) else [snr]))

@@ -34,9 +34,9 @@ from scipy.optimize import minimize
 
 from .ambiguity import (
     AmbiguitySurface,
-    SincLobeModel,
     discrete_ambiguity,
     extend_surface,
+    lobe_factors,
 )
 from .config import RadarParams
 from .waveform import ComplexSignal
@@ -121,7 +121,7 @@ def coarse_detect(
     neighborhood, circular along the Doppler axis.  Returns detections in
     descending magnitude order; an empty list means nothing crossed theta.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"threshold must be positive, got {theta}")
     mag = np.abs(surface.values)
     rows, cols = np.nonzero(mag > theta)
@@ -210,7 +210,7 @@ def _sinc_fit(
     y: np.ndarray,
     ell_off: np.ndarray,
     k_off: np.ndarray,
-    model: SincLobeModel,
+    params: RadarParams,
 ) -> tuple[float, np.ndarray, float]:
     """Residual of the lobe fit at offsets x, its exact gradient, and the gain.
 
@@ -218,7 +218,7 @@ def _sinc_fit(
     envelope theorem the gradient is -2 g <y - g m, dm/dx>, with
     dm/dx_0 = -da b^T and dm/dx_1 = -a db^T from the separable factors.
     """
-    a, da, b, db = model.axis_factors(ell_off - x[0], k_off - x[1])
+    a, da, b, db = lobe_factors(ell_off - x[0], k_off - x[1], params)
     m = a[:, None] * b[None, :]
     gain = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
     res = y - gain * m
@@ -233,10 +233,9 @@ def refine_sinc2d(
     patch, ell_off, k_off = _fit_patch(surface, det)
     peak = float(patch.max())
     y = patch / peak
-    model = SincLobeModel(params)
 
     def fit(x):
-        return _sinc_fit(x, y, ell_off, k_off, model)
+        return _sinc_fit(x, y, ell_off, k_off, params)
 
     try:
         quad = refine_quadratic(surface, det)

@@ -1,18 +1,18 @@
 """Transmit-signal synthesis from a chip code.
 
-The discrete synthesis places a Gaussian pulse in each occupied time slot
-and modulates it across the occupied subcarriers:
+The transmitter places a Gaussian pulse in each occupied time slot and
+modulates it across the occupied subcarriers:
 
-    s[j] = (1/M) sum_n sum_m X[n, m] g[j - n M] e^{+2 pi i m j / M}
+    s(t) = (1/M) sum_n sum_m X[n, m] g(t / T_c - n - 1.5) e^{+2 pi i m F_c t}
 
-The sampled prototype g[j] is the 3M-sample causal window of the Gaussian,
-g[j] = g((j - 1.5 M) T_s / T_c) for 0 <= j < 3M and zero elsewhere, so slot
-n occupies samples [n M, n M + 3 M) and the whole pulse train occupies
-exactly [0, (N_t + 2) M) -- the receive-gate boundary L.  The continuous
-evaluator computes the same double sum analytically with the untruncated
-Gaussian and the same 1/M normalization, so the two paths agree
-sample-for-sample up to the truncated tails; it serves as the oracle for
-the channel model.
+Each slot's pulse is radiated only over its 3 T_c window [n T_c, (n + 3) T_c),
+so the whole pulse train occupies exactly [0, (N_t + 2) T_c) -- the
+receive-gate boundary L.  One evaluator computes this sum: with the window
+it is the radiated signal, which the stored replica samples at t = j T_s
+and the channel samples at the delayed times; without it, it is the
+untruncated analytic signal, the smooth oracle that differs from the
+replica only by the truncated Gaussian tails.  The independent term-by-term
+oracle for the replica, ``brute_synthesize``, lives in the tests.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 from .codes import CodeMatrix
 from .config import RadarParams
 
-PULSE_CENTER_SLOTS = 1.5  # sampled pulse peaks 1.5 M samples into its window
-PULSE_SPAN_SLOTS = 3  # sampled pulse support is [0, 3 M)
+PULSE_CENTER_SLOTS = 1.5  # each pulse peaks 1.5 T_c into its 3 T_c window
 
 
 @dataclass(frozen=True)
@@ -57,22 +56,10 @@ def gaussian_pulse(t):
     return 2 ** 0.25 * np.exp(-np.pi * np.asarray(t, dtype=float) ** 2)
 
 
-def _sampled_pulse(offsets: np.ndarray, params: RadarParams) -> np.ndarray:
-    """Causal sampled prototype g[j], zero outside [0, 3 M)."""
-    g = gaussian_pulse(offsets / params.M - PULSE_CENTER_SLOTS)
-    keep = (offsets >= 0) & (offsets < PULSE_SPAN_SLOTS * params.M)
-    return np.where(keep, g, 0.0)
-
-
 def synthesize_discrete(code: CodeMatrix, params: RadarParams) -> ComplexSignal:
-    """Build the frame_len-sample transmitted signal for a code."""
-    code.require_match(params)
-    j = np.arange(params.frame_len)
-    slots = np.arange(params.N_t) * params.M
-    pulses = _sampled_pulse(j[None, :] - slots[:, None], params)  # (N_t, NM)
-    phases = np.exp(2j * np.pi * np.outer(code.m_values, j) / params.M)  # (N_f, NM)
-    s = np.einsum("nm,nj,mj->j", code.entries.astype(float), pulses, phases)
-    return ComplexSignal(s / params.M, params.T_s)
+    """Build the frame_len-sample replica: the radiated signal at t = j T_s."""
+    t = np.arange(params.frame_len) * params.T_s
+    return ComplexSignal(evaluate_transmitted(code, params, t), params.T_s)
 
 
 def _continuous_sum(code: CodeMatrix, params: RadarParams, t, truncated: bool):
@@ -83,12 +70,10 @@ def _continuous_sum(code: CodeMatrix, params: RadarParams, t, truncated: bool):
     )
     pulses = gaussian_pulse(slots_t)  # (N_t, T)
     if truncated:
-        # window [0, 3 T_c) per slot, matching the sampled prototype exactly
+        # window [0, 3 T_c) per slot, the pulse the transmitter radiates
         inside = (slots_t >= -PULSE_CENTER_SLOTS) & (slots_t < PULSE_CENTER_SLOTS)
         pulses = np.where(inside, pulses, 0.0)
-    phases = np.exp(
-        2j * np.pi * np.outer(code.m_values, t_arr) * params.F_c
-    )  # (N_f, T)
+    phases = np.exp(2j * np.pi * np.outer(code.m_values, t_arr) * params.F_c)  # (N_f, T)
     s = np.einsum("nm,nt,mt->t", code.entries.astype(float), pulses, phases) / params.M
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return complex(s[0])
@@ -99,7 +84,7 @@ def evaluate_continuous(code: CodeMatrix, params: RadarParams, t):
     """Evaluate the analytic transmitted signal at time(s) ``t`` (seconds).
 
     Accepts a scalar or an array; returns a matching complex result.  Uses the
-    untruncated Gaussian, scaled by 1/M to match :func:`synthesize_discrete`;
+    untruncated Gaussian, scaled by 1/M like :func:`synthesize_discrete`;
     serves as the smooth diagnostic oracle for the other code paths.
     """
     return _continuous_sum(code, params, t, truncated=False)
@@ -107,8 +92,8 @@ def evaluate_continuous(code: CodeMatrix, params: RadarParams, t):
 
 def evaluate_transmitted(code: CodeMatrix, params: RadarParams, t):
     """Like :func:`evaluate_continuous` but with the per-slot 3 T_c pulse
-    window actually radiated by the transmitter, so sampling at t = j T_s
-    reproduces the stored replica exactly."""
+    window actually radiated by the transmitter; sampled at t = j T_s it is
+    the stored replica."""
     return _continuous_sum(code, params, t, truncated=True)
 
 

@@ -37,7 +37,7 @@ def direct_ambiguity(r, s, ells, n):
 
 def test_zero_lag_zero_bin_is_energy(p_default, s_paper):
     surf = discrete_ambiguity(s_paper, s_paper, (0, 0), p_default)
-    assert surf.value(0, 0) == pytest.approx(s_paper.energy, rel=1e-12)
+    assert surf.values[0, 0] == pytest.approx(s_paper.energy, rel=1e-12)
 
 
 def test_integer_channel_peak_location(p_default, good_code, s_paper):
@@ -117,14 +117,14 @@ def test_surface_validation(p_default, s_paper):
 def test_signed_bin_wrapping(p_default, s_paper):
     surf = discrete_ambiguity(s_paper, s_paper, (0, 0), p_default)
     n = surf.n_bins
-    assert surf.value(0, -1) == surf.value(0, n - 1)
-    assert surf.value(0, 5) == surf.value(0, 5 - n)
     assert surf.signed_bin(n - 1) == -1
     assert surf.signed_bin(1) == 1
+    for col in (1, 5, n // 2, n // 2 + 1, n - 5, n - 1):
+        assert surf.values[0, surf.signed_bin(col) % n] == surf.values[0, col]
 
 
 def test_continuous_auto_origin_is_scaled_energy(p_default, good_code, s_paper):
-    a00 = continuous_ambiguity(s_paper, good_code, 0.0, 0.0, p_default)
+    a00 = continuous_ambiguity(s_paper, good_code, np.zeros(1), np.zeros(1), p_default)[0, 0]
     assert abs(a00 - p_default.T_s * s_paper.energy) <= 5e-5 * p_default.T_s * s_paper.energy
 
 
@@ -138,17 +138,18 @@ def test_continuous_matches_discrete_on_grid(p_default, good_code, s_paper):
         ell = int(rng.integers(290, 311))
         k = int(rng.integers(-20, 21))
         cont = continuous_ambiguity(
-            r, good_code, ell * p_default.T_s, k * p_default.delta_f, p_default
-        )
-        disc = surf.value(ell, k) * p_default.T_s
+            r, good_code, np.array([ell * p_default.T_s]), np.array([k * p_default.delta_f]),
+            p_default,
+        )[0, 0]
+        disc = surf.values[ell - surf.ell_min, k % surf.n_bins] * p_default.T_s
         assert abs(cont - disc) <= 1e-4 * peak
 
 
 def test_tau_axis_matches_sinc_lobe(p_square, good_code):
     # half-sample cut of the auto-ambiguity vs the lobe model
     s = synthesize_discrete(good_code, p_square)
-    a = continuous_ambiguity(s, good_code, 0.5 * p_square.T_s, 0.0, p_square)
-    a0 = continuous_ambiguity(s, good_code, 0.0, 0.0, p_square)
+    taus = np.array([0.5, 0.0]) * p_square.T_s
+    a, a0 = continuous_ambiguity(s, good_code, taus, np.zeros(1), p_square)[:, 0]
     model = abs(np.sinc(0.5 * p_square.N_f / p_square.M))
     assert abs(a) / abs(a0) == pytest.approx(model, rel=0.02)
 
@@ -170,6 +171,15 @@ def test_sinc_model_symmetry_separability(ell, k):
     assert v == pytest.approx(
         sinc_model(ell, 0.0, p) * sinc_model(0.0, k, p), abs=1e-13
     )
+
+
+def test_sinc_model_broadcasts(p_default):
+    ell = np.linspace(-2.0, 2.0, 9)
+    k = np.linspace(-8.0, 8.0, 13)
+    grid = sinc_model(ell[:, None], k[None, :], p_default)
+    assert grid.shape == (9, 13)
+    for i, j in np.ndindex(grid.shape):
+        assert grid[i, j] == sinc_model(ell[i], k[j], p_default)
 
 
 def test_sinc_model_nulls(p_default):

@@ -11,8 +11,31 @@ from ddradar import (
     apply_receive_gating,
     make_params,
 )
-from ddradar.channel import h_matrix, h_matrix_received
 from ddradar.waveform import ComplexSignal
+
+
+def h_matrix(truth, params, n_rows, n_cols):
+    """Ideal-sinc interpolation channel matrix H of shape (n_rows, n_cols).
+
+    It models DA conversion -> delay/Doppler -> AD conversion with ideal sinc
+    filters, an oracle independent of the sampled pulse train:
+    H[i, j] = T_s a e^{i pi f_D (t_d + (i+j) T_s)} sinc(a (t_d + (j-i) T_s)),
+    a = max(0, 1/T_s - |f_D|), with the normalized sinc(x) = sin(pi x)/(pi x).
+    """
+    a = max(0.0, 1.0 / params.T_s - abs(truth.f_D))
+    if a == 0.0:
+        return np.zeros((n_rows, n_cols), dtype=np.complex128)
+    i = np.arange(n_rows)[:, None]
+    j = np.arange(n_cols)[None, :]
+    phase = np.exp(1j * np.pi * truth.f_D * (truth.t_d + (i + j) * params.T_s))
+    lobe = np.sinc(a * (truth.t_d + (j - i) * params.T_s))
+    return params.T_s * a * phase * lobe
+
+
+def h_matrix_received(signal, truth, params):
+    """Oracle received frame r[i] = sum_{j<L} H[i, j] s[j] (no noise)."""
+    H = h_matrix(truth, params, params.frame_len, params.L)
+    return ComplexSignal(truth.alpha * (H @ signal.samples[: params.L]), params.T_s)
 
 
 @given(td_cells=st.floats(128.0, 896.0), fd_cells=st.floats(-512.0, 512.0))
@@ -163,7 +186,7 @@ def test_add_noise_rejects_bad_reference(p_default, s_paper):
         add_noise(s_paper, 10.0, 1, p_default, 0.0)
 
 
-@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000, -4000])
 def test_add_noise_rejects_nan_and_minus_inf_snr(p_default, s_paper, snr_db):
     with pytest.raises(ValueError, match="snr_db must be a number or \\+inf"):
         add_noise(s_paper, snr_db, 1, p_default, s_paper.energy)

@@ -201,7 +201,7 @@ def test_unknown_config_key_exits_two(tmp_path, capsys, argv):
     assert "line 6: unknown key 'trails'" in err
 
 
-@pytest.mark.parametrize("snr", ["nan", "-inf"])
+@pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])
 def test_simulate_bad_snr_exits_two(tmp_path, capsys, snr):
     code_path = tmp_path / "code.txt"
     write_code(code_path, reference_good_code())
@@ -213,3 +213,26 @@ def test_simulate_bad_snr_exits_two(tmp_path, capsys, snr):
     assert code == 2
     assert stdout == "" and not out.exists()
     assert err.startswith("ddradar simulate: snr_db must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--T_c", "nan", "T_c must be"), ("--T_c", "inf", "T_c must be"),
+     ("--theta", "nan", "threshold must be positive")],
+)
+def test_estimate_non_finite_number_exits_two(tmp_path, capsys, flag, value, message):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    s_path = tmp_path / "s.csv"
+    r_path = tmp_path / "r.csv"
+    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
+    run(
+        capsys, "simulate", "--code", str(code_path), "--delay", "200", "--doppler", "0",
+        "--snr-db", "inf", "--seed", "1", "--out", str(r_path),
+    )
+    code, out, err = run(
+        capsys, "estimate", "--r", str(r_path), "--s", str(s_path), "--json", flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ddradar estimate: ") and message in err and err.count("\n") == 1

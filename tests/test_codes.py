@@ -31,12 +31,12 @@ def test_random_code_entries(p_default):
 def test_reference_matrices():
     good = reference_good_code()
     bad = reference_bad_code()
-    assert good.entry(0, 0) == -1
-    assert good.entry(7, 0) == +1
+    assert good.entries[0, 0] == -1
+    assert good.entries[7, 0] == +1
     assert list(good.entries[0]) == [-1, 1, -1, 1, -1, 1, -1, -1]
     assert list(good.entries[7]) == [1, 1, 1, 1, -1, 1, 1, -1]
-    assert bad.entry(0, 0) == -1
-    assert bad.entry(1, 0) == +1
+    assert bad.entries[0, 0] == -1
+    assert bad.entries[1, 0] == +1
     assert list(bad.entries[0]) == [-1, -1, 1, -1, -1, -1, 1, 1]
     for code in (good, bad):
         assert np.all(np.abs(code.entries) == 1)

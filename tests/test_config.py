@@ -36,6 +36,8 @@ def test_degenerate_geometry_rejected():
         (dict(N=0, M=16, N_t=8, N_f=8), "N must be"),
         (dict(N=64, M=-3, N_t=8, N_f=8), "M must be"),
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=0.0), "T_c must be"),
+        (dict(N=64, M=16, N_t=8, N_f=8, T_c=float("nan")), "T_c must be"),
+        (dict(N=64, M=16, N_t=8, N_f=8, T_c=float("inf")), "T_c must be"),
     ],
 )
 def test_parameter_violations(kwargs, match):
@@ -125,3 +127,23 @@ def test_readers_reject_unknown_keys(tmp_path, reader):
     cfg.write_text(SHARED_CONFIG + "# trials misspelled\ntrails = 5\n")
     with pytest.raises(ParameterError, match=r"line 12: unknown key 'trails'"):
         reader(cfg)
+
+
+@pytest.mark.parametrize("value", ["64.7", "true", '"64"'])
+def test_load_params_rejects_non_integer_geometry(tmp_path, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"N = {value}\nM = 16\nN_t = 8\nN_f = 8\n")
+    with pytest.raises(ParameterError, match="config key 'N' must be an integer"):
+        load_params(cfg)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["M = 16.0", "trials = 2.9", "seed = true", 'workers = "2"', "code_seed = 1.5"],
+)
+def test_load_sweep_rejects_non_integer_values(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    key = line.split()[0]
+    with pytest.raises(ParameterError, match=f"config key '{key}' must be an integer"):
+        load_sweep(cfg)

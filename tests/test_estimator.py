@@ -18,7 +18,7 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar import bench, estimator
-from ddradar.ambiguity import AmbiguitySurface, SincLobeModel
+from ddradar.ambiguity import AmbiguitySurface, sinc_model
 from ddradar.bench import BenchConfig, run_trial
 from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
 
@@ -35,13 +35,12 @@ def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):
 
 def synthetic_model_surface(params, l0, k0, eps_t, eps_f, alpha):
     """Surface whose magnitudes follow the lobe model exactly (fit oracle)."""
-    model = SincLobeModel(params)
     r_ell, r_k = params.lobe_half_extents
     n = params.frame_len
     values = np.zeros((2 * r_ell + 1, n), dtype=complex)
     for i, dl in enumerate(range(-r_ell, r_ell + 1)):
         for dk in range(-r_k, r_k + 1):
-            values[i, (k0 + dk) % n] = alpha * model(dl - eps_t, dk - eps_f)
+            values[i, (k0 + dk) % n] = alpha * sinc_model(dl - eps_t, dk - eps_f, params)
     return AmbiguitySurface(values, l0 - r_ell, params, norm=1.0)
 
 
@@ -49,7 +48,7 @@ def fit_residual(surface, det, params, eps_t, eps_f):
     """Objective of the sinc fit, recomputed independently of the estimator."""
     y, ell_off, k_off = _fit_patch(surface, det)
     y = y / y.max()
-    m = SincLobeModel(params)(ell_off[:, None] - eps_t, k_off[None, :] - eps_f)
+    m = sinc_model(ell_off[:, None] - eps_t, k_off[None, :] - eps_f, params)
     alpha = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
     return float(np.sum((y - alpha * m) ** 2))
 
@@ -105,6 +104,12 @@ def test_coarse_detect_rejects_bad_threshold(p_default, good_code, s_paper):
     surf = discrete_ambiguity(s_paper, s_paper, (0, 4), p_default)
     with pytest.raises(ValueError, match="threshold"):
         coarse_detect(surf, 0.0, p_default)
+
+
+def test_coarse_detect_rejects_nan_threshold(p_default, s_paper):
+    surf = discrete_ambiguity(s_paper, s_paper, (0, 4), p_default)
+    with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+        coarse_detect(surf, float("nan"), p_default)
 
 
 def test_quadratic_symmetric_stencil(p_default):
@@ -306,9 +311,8 @@ def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper)
 
 
 def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
-    model = SincLobeModel(params)
-    f, grad, gain = _sinc_fit(x, y, ell_off, k_off, model)
-    oracle = central_difference(lambda z: _sinc_fit(z, y, ell_off, k_off, model)[0], x)
+    f, grad, gain = _sinc_fit(x, y, ell_off, k_off, params)
+    oracle = central_difference(lambda z: _sinc_fit(z, y, ell_off, k_off, params)[0], x)
     assert grad == pytest.approx(oracle, abs=tol)
     return f, grad, gain
 
@@ -345,9 +349,8 @@ def test_sinc_fit_gradient_at_origin_with_nulls_on_patch_edge(p_default):
 
 
 def test_sinc_fit_gradient_zero_when_gain_clips(p_default):
-    model = SincLobeModel(p_default)
     ell_off, k_off = np.arange(-2, 3), np.arange(-8, 9)
-    y = -model(ell_off[:, None] - 0.1, k_off[None, :] + 0.2)  # <y, m> < 0
+    y = -sinc_model(ell_off[:, None] - 0.1, k_off[None, :] + 0.2, p_default)  # <y, m> < 0
     f, grad, gain = _check_gradient(y, ell_off, k_off, p_default, np.array([0.2, -0.3]))
     assert gain == 0.0
     assert np.array_equal(grad, np.zeros(2))

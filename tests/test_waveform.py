@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,9 @@ from ddradar.waveform import evaluate_transmitted, read_signal, write_signal
 # Energy of the reference good code at (64, 16, 8, 8), frozen from a
 # term-by-term evaluation of the synthesis sum (see brute_synthesize below).
 GOLDEN_ENERGY = 3.8418676225757564
+# SHA-256 of the same replica's complex128 samples; every benchmark digest
+# rests on these bits, so a synthesis change that moves any of them shows here.
+GOLDEN_REPLICA_SHA256 = "5b040b9f5a75aa0436b0d02c96581d68f66a2ba91ffa747a4907203bd4c8cb86"
 
 
 def brute_synthesize(code, params):
@@ -86,6 +90,11 @@ def test_golden_energy_and_brute_force(p_default, good_code, s_paper):
     oracle = brute_synthesize(code, p_small)
     produced = synthesize_discrete(code, p_small).samples
     assert np.max(np.abs(oracle - produced)) <= 1e-14
+
+
+def test_replica_bits_are_pinned(s_paper):
+    assert s_paper.samples.dtype == np.complex128
+    assert hashlib.sha256(s_paper.samples.tobytes()).hexdigest() == GOLDEN_REPLICA_SHA256
 
 
 def test_discrete_continuous_consistency(p_default, good_code, s_paper):
