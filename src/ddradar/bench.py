@@ -16,19 +16,20 @@ miss rate is reported alongside.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .ambiguity import discrete_ambiguity
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
-from .codes import CodeMatrix, code_text
-from .config import RadarParams
+from .codes import CodeMatrix, code_text, random_code, read_code, reference_good_code
+from .config import RadarParams, load_params, read_config
 from .estimator import (
     DEFAULT_THRESHOLD,
     REFINERS,
@@ -54,6 +55,28 @@ class BenchConfig:
     seed: int = 0
     workers: int = 1
     methods: tuple[str, ...] = DEFAULT_METHODS
+
+
+def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None) -> BenchConfig:
+    """Read a sweep config file into a BenchConfig; geometry resolves by
+    ``load_params``.  ``code_file`` reads a code, ``code_seed`` draws one,
+    and neither means the reference good code.  Other keys default to
+    BenchConfig's; non-None ``workers`` and ``seed`` override the file.
+    """
+    raw = read_config(path)
+    params = load_params(path)
+    if "code_file" in raw:
+        code = read_code(raw["code_file"], params)
+    elif "code_seed" in raw:
+        code = random_code(params, raw["code_seed"])
+    else:
+        code = reference_good_code()
+        code.require_match(params)
+    kwargs = {k: raw[k] for k in ("trials", "theta", "seed", "workers") if k in raw}
+    if "snr_db" in raw:
+        kwargs["snr_db_list"] = tuple(raw["snr_db"])
+    kwargs.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
+    return BenchConfig(params=params, code=code, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -170,18 +193,14 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     )
 
 
-def _trial_task(args) -> TrialRecord:
-    cfg, snr_db, trial_seed = args
-    return run_trial(cfg, snr_db, trial_seed)
-
-
 def run_trials(cfg: BenchConfig, snr_db: float) -> list[TrialRecord]:
     """All trials at one SNR, in trial order, optionally on worker processes."""
-    tasks = [(cfg, snr_db, cfg.seed + i) for i in range(cfg.trials)]
+    trial = functools.partial(run_trial, cfg, snr_db)
+    seeds = range(cfg.seed, cfg.seed + cfg.trials)
     if cfg.workers <= 1:
-        return [_trial_task(t) for t in tasks]
+        return list(map(trial, seeds))
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(_trial_task, tasks, chunksize=max(1, cfg.trials // (4 * cfg.workers))))
+        return list(pool.map(trial, seeds, chunksize=max(1, cfg.trials // (4 * cfg.workers))))
 
 
 def summarize(records: list[TrialRecord], snr_db: float, method: str) -> RmseReport:
@@ -236,11 +255,10 @@ def code_digest(code: CodeMatrix) -> str:
 
 def sidecar_metadata(cfg: BenchConfig, conformance_score: float | None = None) -> dict:
     """Reproducibility block written next to every sweep CSV."""
-    p = cfg.params
     meta = {
         "seed": cfg.seed,
         "code_sha256": code_digest(cfg.code),
-        "params": {"N": p.N, "M": p.M, "N_t": p.N_t, "N_f": p.N_f, "T_c": p.T_c},
+        "params": asdict(cfg.params),
         "theta": cfg.theta,
         "trials": cfg.trials,
         "snr_db_list": list(cfg.snr_db_list),

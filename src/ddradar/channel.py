@@ -38,7 +38,7 @@ class ChannelTruth:
     eps_f: float
 
     def __post_init__(self):
-        if abs(self.eps_t) > 0.5 + 1e-12 or abs(self.eps_f) > 0.5 + 1e-12:
+        if not abs(self.eps_t) <= 0.5 + 1e-12 or not abs(self.eps_f) <= 0.5 + 1e-12:
             raise ValueError(
                 f"fractional parts must lie in [-1/2, 1/2], got "
                 f"eps_t={self.eps_t}, eps_f={self.eps_f}"
@@ -48,6 +48,8 @@ class ChannelTruth:
     def from_delay_doppler(
         cls, t_d: float, f_D: float, alpha: complex, params: RadarParams
     ) -> "ChannelTruth":
+        if not (math.isfinite(t_d) and math.isfinite(f_D)):
+            raise ValueError(f"delay and Doppler must be finite, got t_d={t_d}, f_D={f_D}")
         l_d = int(np.rint(t_d / params.T_s))  # round-half-even
         k_D = int(np.rint(f_D / params.delta_f))
         return cls(

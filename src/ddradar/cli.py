@@ -24,10 +24,10 @@ from .ambiguity import (
     sinc_conformance,
     write_surface,
 )
-from .bench import sweep, write_reports_csv, write_sidecar
+from .bench import load_sweep, sweep, write_reports_csv, write_sidecar
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import random_code, read_code, write_code
-from .config import DEFAULT_GEOMETRY, ParameterError, load_params, load_sweep, make_params
+from .config import DEFAULT_GEOMETRY, ParameterError, load_params
 from .estimator import DEFAULT_THRESHOLD, REFINERS, SOLVER, estimate
 from .waveform import read_signal, synthesize_discrete, write_signal
 
@@ -53,20 +53,12 @@ def _config_hash() -> str:
 def _add_params_args(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("geometry")
     grp.add_argument("--params-config", metavar="FILE", help="key = value file with N, M, N_t, N_f, T_c")
-    grp.add_argument("--N", type=int)
-    grp.add_argument("--M", type=int)
-    grp.add_argument("--N_t", type=int)
-    grp.add_argument("--N_f", type=int)
-    grp.add_argument("--T_c", type=float)
+    for key, default in DEFAULT_GEOMETRY.items():
+        grp.add_argument(f"--{key}", type=type(default))
 
 
 def _resolve_params(args):
-    overrides = {k: getattr(args, k) for k in ("N", "M", "N_t", "N_f", "T_c")}
-    if args.params_config:
-        return load_params(args.params_config, overrides)
-    merged = dict(DEFAULT_GEOMETRY)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return make_params(**merged)
+    return load_params(args.params_config, {k: getattr(args, k) for k in DEFAULT_GEOMETRY})
 
 
 def _resolve_seed(args) -> int:

@@ -4,6 +4,10 @@ All delays downstream are expressed in units of the sampling interval T_s
 and all Dopplers in units of the frequency bin width delta_f.  With the
 default T_c = 1.0 every quantity is dimensionless; pass a physical T_c to
 work in seconds/Hz.
+
+Settings files are flat ``key = value`` files read by ``read_config``, one
+type per key (``CONFIG_KEYS``); ``load_params`` is the one rule that turns
+defaults, a file and flag overrides into a RadarParams.
 """
 
 from __future__ import annotations
@@ -99,126 +103,75 @@ def make_params(N: int, M: int, N_t: int, N_f: int, T_c: float = 1.0) -> RadarPa
 
 DEFAULT_GEOMETRY = {"N": 64, "M": 16, "N_t": 8, "N_f": 8, "T_c": 1.0}
 
-_PARAM_KEYS = {"N": int, "M": int, "N_t": int, "N_f": int, "T_c": float}
-_SWEEP_KEYS = {"trials": int, "theta": float, "seed": int, "workers": int}
-# One key set for both readers, so a single file can serve as the params
-# config and the sweep config; any other key is a typo and is rejected.
-CONFIG_KEYS = frozenset(
-    [*_PARAM_KEYS, *_SWEEP_KEYS, "snr_db", "code_file", "code_seed"]
-)
+# Every config key and its type.  One key set serves the params config and
+# the sweep config, so one file can serve both; any other key is a typo.
+# ``list`` is a number or a bracketed list of numbers, read as floats.
+CONFIG_KEYS = {
+    **{key: type(default) for key, default in DEFAULT_GEOMETRY.items()},
+    "trials": int,
+    "theta": float,
+    "seed": int,
+    "workers": int,
+    "snr_db": list,
+    "code_seed": int,
+    "code_file": str,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a number or a list of numbers",
+               str: "a quoted string"}
 
 
-def parse_config_text(text: str, allowed: frozenset[str] | None = None) -> dict:
-    """Parse a flat ``key = value`` config file (a TOML subset).
+def read_config(path: str | Path) -> dict:
+    """Read a flat ``key = value`` config file (a TOML subset), each value
+    parsed as its key's type in CONFIG_KEYS; ``#`` starts a comment.
 
-    Supports integers, floats, quoted strings, and flat lists of numbers.
-    Lines starting with ``#`` and blank lines are ignored.  With ``allowed``,
-    a key outside it raises ParameterError naming the key and its line.
+    An unknown key, a repeated key or a value that is not of its key's type
+    raises ParameterError naming the key and its line.
     """
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or not key or not value:
             raise ParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        if not key or not value:
-            raise ParameterError(f"config line {lineno}: empty key or value in {raw!r}")
-        if allowed is not None and key not in allowed:
+        if key not in CONFIG_KEYS:
             raise ParameterError(
-                f"config line {lineno}: unknown key {key!r}; expected one of {sorted(allowed)}"
+                f"config line {lineno}: unknown key {key!r}; expected one of {sorted(CONFIG_KEYS)}"
             )
-        out[key] = _parse_value(value, lineno)
+        if key in out:
+            raise ParameterError(f"config line {lineno}: repeated key {key!r}")
+        typ = CONFIG_KEYS[key]
+        try:
+            out[key] = _parse(value, typ)
+        except ValueError:
+            raise ParameterError(
+                f"config line {lineno}: config key {key!r} must be {_TYPE_NAMES[typ]}, got {value!r}"
+            ) from None
     return out
 
 
-def _typed(key: str, value, typ):
-    """Cast a config value to its key's type; an integer key takes only an
-    integer, never a float it would truncate or a boolean."""
-    if typ is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ParameterError(f"config key {key!r} must be an integer, got {value!r}")
+def _parse(value: str, typ: type):
+    """``value`` as ``typ``; ValueError when it is not one.  int() and
+    float() reject booleans and quoted strings."""
+    if typ is str:
+        if len(value) < 2 or value[0] != value[-1] or value[0] not in "\"'":
+            raise ValueError(value)
+        return value[1:-1]
+    if typ is list:
+        items = value[1:-1].split(",") if value[:1] == "[" and value[-1:] == "]" else [value]
+        return [float(item) for item in items]
     return typ(value)
 
 
-def _parse_value(value: str, lineno: int):
-    if value.startswith("[") and value.endswith("]"):
-        inner = value[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(tok.strip(), lineno) for tok in inner.split(",")]
-    return _parse_scalar(value, lineno)
-
-
-def _parse_scalar(tok: str, lineno: int):
-    if len(tok) >= 2 and tok[0] == tok[-1] and tok[0] in "\"'":
-        return tok[1:-1]
-    if tok.lower() in ("true", "false"):
-        return tok.lower() == "true"
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParameterError(f"config line {lineno}: cannot parse value {tok!r}") from None
-
-
-def load_params(path: str | Path, overrides: dict | None = None) -> RadarParams:
-    """Read geometry keys (N, M, N_t, N_f, T_c) from a config file.
-
-    ``overrides`` entries with non-None values take precedence over the file.
-    Sweep keys are accepted and ignored; any other key raises ParameterError.
+def load_params(path: str | Path | None = None, overrides: dict | None = None) -> RadarParams:
+    """The frame geometry: DEFAULT_GEOMETRY, then the geometry keys of the
+    config file at ``path``, then the non-None ``overrides``.  Flags, params
+    files and sweep files all resolve geometry by this one rule.
     """
-    raw = parse_config_text(Path(path).read_text(), CONFIG_KEYS)
-    kwargs = {}
-    for key, typ in _PARAM_KEYS.items():
-        if key in raw:
-            kwargs[key] = _typed(key, raw[key], typ)
-    if overrides:
-        for key, val in overrides.items():
-            if key in _PARAM_KEYS and val is not None:
-                kwargs[key] = _PARAM_KEYS[key](val)
-    missing = [k for k in ("N", "M", "N_t", "N_f") if k not in kwargs]
-    if missing:
-        raise ParameterError(f"config {path}: missing required keys {missing}")
-    return make_params(**kwargs)
-
-
-def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None):
-    """Read a Monte Carlo sweep config into a ``bench.BenchConfig``.
-
-    Geometry keys default to DEFAULT_GEOMETRY.  ``code_file`` reads a code,
-    ``code_seed`` draws a random one, and neither means the reference good
-    code.  ``snr_db`` is a number or a list; ``trials``, ``theta``, ``seed``
-    and ``workers`` default to BenchConfig's.  Non-None ``workers`` and
-    ``seed`` take precedence over the file.  Any other key raises
-    ParameterError.
-    """
-    # bench and codes import this module, so they are imported here
-    from .bench import BenchConfig
-    from .codes import random_code, read_code, reference_good_code
-
-    raw = parse_config_text(Path(path).read_text(), CONFIG_KEYS)
     geometry = dict(DEFAULT_GEOMETRY)
-    geometry.update({k: _typed(k, raw[k], typ) for k, typ in _PARAM_KEYS.items() if k in raw})
-    params = make_params(**geometry)
-    if "code_file" in raw:
-        code = read_code(raw["code_file"], params)
-    elif "code_seed" in raw:
-        code = random_code(params, _typed("code_seed", raw["code_seed"], int))
-    else:
-        code = reference_good_code()
-        code.require_match(params)
-    kwargs = {k: _typed(k, raw[k], typ) for k, typ in _SWEEP_KEYS.items() if k in raw}
-    if "snr_db" in raw:
-        snr = raw["snr_db"]
-        kwargs["snr_db_list"] = tuple(float(v) for v in (snr if isinstance(snr, list) else [snr]))
-    if workers is not None:
-        kwargs["workers"] = workers
-    if seed is not None:
-        kwargs["seed"] = seed
-    return BenchConfig(params=params, code=code, **kwargs)
+    if path is not None:
+        raw = read_config(path)
+        geometry.update({k: raw[k] for k in DEFAULT_GEOMETRY if k in raw})
+    geometry.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    return make_params(**geometry)

@@ -44,15 +44,16 @@ from .waveform import ComplexSignal
 DEFAULT_THRESHOLD = 0.5
 _FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
-# read them from here.
+# read them from here.  ``stationary_tol`` decides both the seed skip and
+# ``Estimate.converged``.
 SOLVER = {
     "kind": "l-bfgs-b",
     "jac": "analytic",
     "ftol": 1e-14,
     "gtol": 1e-12,
     "maxiter": 200,
+    "stationary_tol": 1e-3,
 }
-_INIT_GRAD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def refine_sinc2d(
         x0 = np.zeros(2)
 
     seed_fit = fit(x0)
-    if np.max(np.abs(seed_fit[1])) <= _INIT_GRAD_TOL:
+    if np.max(np.abs(seed_fit[1])) <= SOLVER["stationary_tol"]:
         best = x0  # seed already stationary
     else:
         result = minimize(
@@ -272,12 +273,12 @@ def refine_sinc2d(
 
 def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
     """First-order stationary in the fit box: the gradient within
-    ``_INIT_GRAD_TOL``, components pinned at a bound they push against
+    ``SOLVER["stationary_tol"]``, components pinned at a bound they push against
     zeroed.  Not the solver's exit code, which calls a line search stalled
     at the objective's round-off floor "ABNORMAL"."""
     lo, hi = np.array(_FIT_BOUNDS).T
     pinned = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
-    return bool(np.max(np.abs(np.where(pinned, 0.0, grad))) <= _INIT_GRAD_TOL)
+    return bool(np.max(np.abs(np.where(pinned, 0.0, grad))) <= SOLVER["stationary_tol"])
 
 
 # Every refinement method by name, each called as (surface, det, params);

@@ -138,7 +138,7 @@ def test_sidecar_metadata(tmp_path):
     write_sidecar(path, cfg, conformance_score=0.02)
     meta = json.loads(path.read_text())
     assert meta["seed"] == cfg.seed
-    assert meta["params"]["N"] == SMALL.N
+    assert meta["params"] == {"N": 16, "M": 8, "N_t": 2, "N_f": 4, "T_c": 1.0}
     assert meta["code_sha256"] == code_digest(cfg.code)
     assert meta["conformance_score"] == 0.02
     assert meta["optimizer"] == SOLVER
@@ -195,3 +195,31 @@ def test_run_trial_agrees_with_estimate(p_default, good_code, method, monkeypatc
         assert (out.l_hat, out.k_hat, out.eps_t, out.eps_f) == (
             est.detection.l_hat, est.detection.k_hat, est.eps_t, est.eps_f
         )
+
+
+# Noiseless RMSEs at the paper geometry, 200 trials from seed 42: with no
+# noise every per-trial offset is deterministic, so the sweep pins each
+# method's bias floor tightly.  A tighter check beside acceptance
+# criterion 4's factor-of-3 band, not a replacement for it.
+NOISELESS_GOLDEN = {
+    "sinc2d": (0.009160575914790994, 0.02610963101070486),
+    "quadratic": (0.01909164359619977, 0.05435034657111708),
+    "baseline": (0.29284732738890695, 0.2863284075590715),
+}
+
+
+def test_noiseless_sweep_golden():
+    cfg = BenchConfig(
+        params=make_params(64, 16, 8, 8, 1.0),
+        code=reference_good_code(),
+        snr_db_list=(math.inf,),
+        trials=200,
+        seed=42,
+    )
+    reports = {rep.method: rep for rep in sweep(cfg)}
+    assert set(reports) == set(NOISELESS_GOLDEN)
+    for method, (rmse_delay, rmse_doppler) in NOISELESS_GOLDEN.items():
+        rep = reports[method]
+        assert rep.rmse_delay == pytest.approx(rmse_delay, rel=1e-9, abs=0)
+        assert rep.rmse_doppler == pytest.approx(rmse_doppler, rel=1e-9, abs=0)
+        assert rep.miss_rate == pytest.approx(0.035, rel=1e-9, abs=0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ddradar.cli import main
+from ddradar.cli import _resolve_params, build_parser, main
 from ddradar.codes import read_code, reference_bad_code, reference_good_code, write_code
 
 
@@ -236,3 +236,52 @@ def test_estimate_non_finite_number_exits_two(tmp_path, capsys, flag, value, mes
     assert code == 2
     assert out == ""
     assert err.startswith("ddradar estimate: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("theta = true", "line 5: config key 'theta' must be a number, got 'true'"),
+        ('T_c = "2.0"', "line 5: config key 'T_c' must be a number"),
+        ('snr_db = "30"', "line 5: config key 'snr_db' must be a number or a list"),
+        ("code_file = 5", "line 5: config key 'code_file' must be a quoted string"),
+        ("trials = 3\ntrials = 5", "line 6: repeated key 'trials'"),
+        ("N = 64.7", "line 5: config key 'N' must be an integer"),
+    ],
+    ids=["bool-theta", "quoted-T_c", "quoted-snr_db", "bare-code_file", "repeated-trials",
+         "float-N"],
+)
+def test_malformed_sweep_config_exits_two(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"M = 8\nN_t = 2\nN_f = 4\ncode_seed = 3\n{lines}\n")
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("ddradar sweep: ") and message in err and err.count("\n") == 1
+
+
+def test_params_file_defaults_like_flags(tmp_path):
+    cfg = tmp_path / "radar.cfg"
+    cfg.write_text("N = 16\nN_t = 2\n")
+    parser = build_parser()
+    from_file = parser.parse_args(["gen-code", "--params-config", str(cfg), "--out", "c.txt"])
+    from_flags = parser.parse_args(["gen-code", "--N", "16", "--N_t", "2", "--out", "c.txt"])
+    assert _resolve_params(from_file) == _resolve_params(from_flags)
+
+
+@pytest.mark.parametrize("flag", ["--delay", "--doppler"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_non_finite_delay_doppler_exits_two(tmp_path, capsys, flag, value):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    out = tmp_path / "r.csv"
+    delay, doppler = (value, "0") if flag == "--delay" else ("300", value)
+    code, stdout, err = run(
+        capsys, "simulate", "--code", str(code_path), "--delay", delay, "--doppler", doppler,
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("ddradar simulate: ") and "must be finite" in err
+    assert err.count("\n") == 1

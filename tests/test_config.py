@@ -1,9 +1,14 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ddradar import ParameterError, load_params, make_params, reference_good_code
-from ddradar.config import load_sweep, parse_config_text
+from ddradar.bench import load_sweep
+from ddradar.config import CONFIG_KEYS, read_config
 
 
 def test_paper_geometry_derived_units():
@@ -77,19 +82,33 @@ def test_load_params_and_overrides(tmp_path):
 
 
 def test_load_params_missing_key(tmp_path):
+    # a missing geometry key keeps its default, as it does for flags
     cfg = tmp_path / "radar.cfg"
-    cfg.write_text("N = 64\nM = 16\n")
-    with pytest.raises(ParameterError, match="missing required keys"):
-        load_params(cfg)
+    cfg.write_text("N = 16\nN_t = 2\n")
+    p = load_params(cfg)
+    assert p == make_params(16, 16, 2, 8, 1.0)
+    assert p == load_params(overrides={"N": 16, "N_t": 2, "M": None})
+    assert load_params() == make_params(64, 16, 8, 8, 1.0)
 
 
-def test_parse_config_text_values():
-    raw = parse_config_text('a = 3\nb = 2.5\nc = [1, 2, 3]\nd = "x"\ne = true\n')
-    assert raw == {"a": 3, "b": 2.5, "c": [1, 2, 3], "d": "x", "e": True}
-    with pytest.raises(ParameterError):
-        parse_config_text("broken line\n")
-    with pytest.raises(ParameterError):
-        parse_config_text("a = 1..2\n")
+def test_parse_config_text_values(tmp_path):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(
+        'N = 3  # comment\nT_c = 2\nsnr_db = [1, 2.5, inf]\ntheta = 1e-1\n'
+        "code_file = 'x.txt'\nseed = -4\n"
+    )
+    raw = read_config(cfg)
+    assert raw == {
+        "N": 3, "T_c": 2.0, "snr_db": [1.0, 2.5, math.inf], "theta": 0.1,
+        "code_file": "x.txt", "seed": -4,
+    }
+    assert {k: type(v) for k, v in raw.items()} == {k: CONFIG_KEYS[k] for k in raw}
+    cfg.write_text("snr_db = 25\n")
+    assert read_config(cfg) == {"snr_db": [25.0]}
+    for bad in ("broken line", "N = ", "theta = 1..2", "snr_db = [1, 2", "snr_db = []"):
+        cfg.write_text(bad + "\n")
+        with pytest.raises(ParameterError, match="config line 1: "):
+            read_config(cfg)
 
 
 SHARED_CONFIG = (
@@ -109,6 +128,18 @@ def test_one_config_file_serves_both_readers(tmp_path):
     assert (bench.trials, bench.theta, bench.seed, bench.workers) == (10, 0.4, 77, 2)
     over = load_sweep(cfg, workers=1, seed=5)
     assert (over.workers, over.seed) == (1, 5)
+
+
+def test_readme_bench_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(# bench\.cfg\n.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(text)
+    bench = load_sweep(cfg)
+    assert bench.params == make_params(64, 16, 8, 8, 1.0)
+    assert bench.snr_db_list == (0.0, 10.0, 20.0, 30.0)
+    assert (bench.trials, bench.theta, bench.seed, bench.workers) == (1000, 0.5, 42, 1)
+    assert np.array_equal(bench.code.entries, reference_good_code().entries)
 
 
 def test_load_sweep_defaults(tmp_path):
