@@ -8,9 +8,9 @@ is computed for the whole lag window at once: the shifted replica rows are
 one strided view into a zero-padded conjugate replica (shifted indices
 outside the frame read zero), multiplied by the echo into a single
 (n_lags, N M) array, transformed by one batched FFT in place, and, when a
-normalization constant is given, divided by it in place.  A positive true
-Doppler lands in a low positive bin; bins above N M / 2 are read as
-negative frequencies.
+normalization constant is given, scaled by its reciprocal in place.  A
+positive true Doppler lands in a low positive bin; bins above N M / 2 are
+read as negative frequencies.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
@@ -70,8 +70,8 @@ class AmbiguitySurface:
 
 
 def _check_norm(a0: float) -> None:
-    if a0 <= 0:
-        raise ValueError(f"normalization constant must be positive, got {a0}")
+    if not 0 < a0 < np.inf:
+        raise ValueError(f"normalization constant must be positive and finite, got {a0}")
 
 
 def _lagged_products(
@@ -100,8 +100,12 @@ def discrete_ambiguity(
     """FFT-based cross-ambiguity over an inclusive window of integer lags.
 
     With ``norm`` (the A_ss[0,0] that :meth:`AmbiguitySurface.normalized`
-    takes) the surface is divided by it in place; the values are identical
-    to ``discrete_ambiguity(...).normalized(norm)``.
+    takes) the float64 view of the surface is multiplied by ``1.0 / norm``
+    in place.  numpy divides a complex array by a real scalar as
+    ``(a + b*0) * (1/norm)`` and ``(b - a*0) * (1/norm)``, so every value
+    equals ``discrete_ambiguity(...).normalized(norm)``, which keeps the
+    complex division as the oracle, and every |A| is bit-identical; only an
+    exactly zero part can come out with the other sign.
     """
     n = params.frame_len
     if len(r) != n or len(s) != n:
@@ -118,7 +122,9 @@ def discrete_ambiguity(
     products = _lagged_products(r.samples, s.samples, ell_min, ell_max)
     values = np.fft.fft(products, axis=1, out=products)
     if norm is not None:
-        values /= norm
+        # Equal to values / norm: numpy's complex-by-real division scales
+        # each part by 1/norm, and the float view skips its complex loop.
+        values.view(np.float64)[...] *= 1.0 / norm
     return AmbiguitySurface(values, ell_min, params, norm=norm)
 
 

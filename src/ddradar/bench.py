@@ -29,7 +29,7 @@ import numpy as np
 from .ambiguity import discrete_ambiguity
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import CodeMatrix, code_text, random_code, read_code, reference_good_code
-from .config import RadarParams, load_params, read_config
+from .config import ParameterError, RadarParams, load_params, read_config
 from .estimator import (
     DEFAULT_THRESHOLD,
     REFINERS,
@@ -39,7 +39,7 @@ from .estimator import (
     extend_around,
     refiner,
 )
-from .waveform import synthesize_discrete
+from .waveform import ComplexSignal, synthesize_discrete
 
 BASELINE = "baseline"  # coarse cell only, fractional offsets left at zero
 DEFAULT_METHODS = tuple(REFINERS)
@@ -56,14 +56,29 @@ class BenchConfig:
     workers: int = 1
     methods: tuple[str, ...] = DEFAULT_METHODS
 
+    @functools.cached_property
+    def replica(self) -> ComplexSignal:
+        """The transmitted replica s, synthesized once per config."""
+        return synthesize_discrete(self.code, self.params)
+
+
+# The least value each integer sweep setting may take.
+_SWEEP_MINIMUM = {"workers": 1, "seed": 0, "code_seed": 0}
+
 
 def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None) -> BenchConfig:
     """Read a sweep config file into a BenchConfig; geometry resolves by
     ``load_params``.  ``code_file`` reads a code, ``code_seed`` draws one,
     and neither means the reference good code.  Other keys default to
     BenchConfig's; non-None ``workers`` and ``seed`` override the file.
+    A ``workers`` below 1 or a negative ``seed`` / ``code_seed``, from the
+    file or an override, raises ParameterError naming the key.
     """
     raw = read_config(path)
+    raw.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
+    for key, least in _SWEEP_MINIMUM.items():
+        if key in raw and raw[key] < least:
+            raise ParameterError(f"sweep setting {key!r} must be at least {least}, got {raw[key]}")
     params = load_params(path)
     if "code_file" in raw:
         code = read_code(raw["code_file"], params)
@@ -75,7 +90,6 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
     kwargs = {k: raw[k] for k in ("trials", "theta", "seed", "workers") if k in raw}
     if "snr_db" in raw:
         kwargs["snr_db_list"] = tuple(raw["snr_db"])
-    kwargs.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
     return BenchConfig(params=params, code=code, **kwargs)
 
 
@@ -136,7 +150,7 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     noise_seed = int(np.random.SeedSequence([trial_seed, 1]).generate_state(1)[0])
 
     truth = draw_truth(cfg, truth_rng)
-    s = synthesize_discrete(cfg.code, p)
+    s = cfg.replica
     r = apply_channel(cfg.code, p, truth)
     r = add_noise(r, snr_db, noise_seed, p, ref_energy=s.energy)
     r = apply_receive_gating(r, p)

@@ -69,6 +69,17 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _seed_arg(text: str) -> int:
+    """A --seed value: numpy seeds only from non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_snr(text: str) -> float:
     if text.strip().lower() in ("inf", "+inf", "infinity", "noiseless"):
         return math.inf
@@ -86,7 +97,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("gen-code", help="draw a random +/-1 code matrix")
     _add_params_args(sub)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--out", required=True)
 
     sub = subs.add_parser("show-code", help="print a code matrix")
@@ -109,7 +120,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--delay", type=float, required=True, help="true delay in T_s units")
     sub.add_argument("--doppler", type=float, required=True, help="true Doppler in delta_f units")
     sub.add_argument("--snr-db", type=_parse_snr, default=math.inf, help="SNR in dB, or 'inf'")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--no-gate", action="store_true", help="skip receive gating")
     sub.add_argument("--out", required=True)
 

@@ -124,16 +124,19 @@ def coarse_detect(
     """
     if not theta > 0:
         raise ValueError(f"threshold must be positive, got {theta}")
-    mag = np.abs(surface.values)
-    rows, cols = np.nonzero(mag > theta)
-    if rows.size == 0:
-        return []
-    order = np.argsort(mag[rows, cols])[::-1]
-    rows, cols = rows[order], cols[order]
-    r_ell, r_k = params.lobe_half_extents
+    mag = np.abs(surface.values).ravel()
     nbins = surface.n_bins
+    # Row-major flat indices, the order the 2-D np.nonzero gives, found
+    # without its per-axis index pass over the whole mask.
+    flat = np.flatnonzero(mag > theta)
+    if flat.size == 0:
+        return []
+    peaks = mag[flat]
+    order = np.argsort(peaks)[::-1]
+    rows, cols = np.divmod(flat[order], nbins)
+    r_ell, r_k = params.lobe_half_extents
     kept: list[tuple[int, int, float]] = []
-    for row, col in zip(rows, cols):
+    for row, col, peak in zip(rows, cols, peaks[order]):
         suppressed = False
         for krow, kcol, _ in kept:
             d_k = abs(col - kcol)
@@ -142,7 +145,7 @@ def coarse_detect(
                 suppressed = True
                 break
         if not suppressed:
-            kept.append((row, col, float(mag[row, col])))
+            kept.append((row, col, float(peak)))
     return [
         Detection(int(surface.ell_min + row), int(surface.signed_bin(col)), peak)
         for row, col, peak in kept

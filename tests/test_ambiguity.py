@@ -84,17 +84,29 @@ def test_edge_windows_match_direct_sum(window):
 
 
 def test_norm_argument_matches_normalized(p_default, good_code, s_paper):
+    # the in-place reciprocal scaling against normalized()'s complex division:
+    # equal values and bit-identical magnitudes
     truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
-    window = p_default.lag_window
-    direct = discrete_ambiguity(r, s_paper, window, p_default, norm=s_paper.energy)
-    staged = discrete_ambiguity(r, s_paper, window, p_default).normalized(s_paper.energy)
-    assert np.array_equal(direct.values, staged.values)
-    assert direct.norm == staged.norm == s_paper.energy
-    assert discrete_ambiguity(r, s_paper, window, p_default).norm is None
+    n = p_default.frame_len
+    rng = np.random.default_rng(23)
+    s_random = ComplexSignal(
+        rng.standard_normal(n) + 1j * rng.standard_normal(n), p_default.T_s
+    )
+    windows = [p_default.lag_window, (-(n - 1), -1), (-40, 25)]
+    for s in (s_paper, s_random):
+        for window in windows:
+            direct = discrete_ambiguity(r, s, window, p_default, norm=s.energy)
+            staged = discrete_ambiguity(r, s, window, p_default).normalized(s.energy)
+            assert np.array_equal(direct.values, staged.values)
+            assert np.array_equal(
+                np.abs(direct.values).view(np.uint64), np.abs(staged.values).view(np.uint64)
+            )
+            assert direct.norm == staged.norm == s.energy
+    assert discrete_ambiguity(r, s_paper, windows[0], p_default).norm is None
 
 
-@pytest.mark.parametrize("norm", [0.0, -1.0])
+@pytest.mark.parametrize("norm", [0.0, -1.0, np.nan, np.inf])
 def test_norm_argument_must_be_positive(p_default, s_paper, norm):
     with pytest.raises(ValueError, match="must be positive"):
         discrete_ambiguity(s_paper, s_paper, (0, 1), p_default, norm=norm)

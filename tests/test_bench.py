@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +80,36 @@ def test_worker_counts_agree():
         for method in cfg1.methods:
             assert a.outcomes[method].err_delay == b.outcomes[method].err_delay
             assert a.outcomes[method].err_doppler == b.outcomes[method].err_doppler
+
+
+def test_run_trial_synthesizes_the_replica_once(monkeypatch):
+    calls, synthesize = [], bench.synthesize_discrete
+
+    def counting(code, params):
+        calls.append(code)
+        return synthesize(code, params)
+
+    monkeypatch.setattr(bench, "synthesize_discrete", counting)
+    cfg = small_cfg()
+    for trial_seed in range(5):
+        run_trial(cfg, 30.0, trial_seed)
+    assert len(calls) == 1
+    assert np.array_equal(cfg.replica.samples, synthesize(cfg.code, cfg.params).samples)
+
+
+def _trial_stats(rec):
+    """A record without its wall-time fields."""
+    outcomes = {m: dataclasses.replace(o, refine_ms=0.0) for m, o in rec.outcomes.items()}
+    return dataclasses.replace(rec, coarse_ms=0.0, outcomes=outcomes)
+
+
+def test_read_replica_travels_to_workers():
+    cfg = small_cfg(trials=8, workers=2)
+    cfg.replica  # cached before the config is pickled to the workers
+    assert "replica" in pickle.loads(pickle.dumps(cfg)).__dict__
+    serial = run_trials(dataclasses.replace(cfg, workers=1), 30.0)
+    pooled = run_trials(cfg, 30.0)
+    assert [_trial_stats(rec) for rec in pooled] == [_trial_stats(rec) for rec in serial]
 
 
 def test_sweep_report_grid():

@@ -285,3 +285,41 @@ def test_simulate_non_finite_delay_doppler_exits_two(tmp_path, capsys, flag, val
     assert stdout == "" and not out.exists()
     assert err.startswith("ddradar simulate: ") and "must be finite" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "lines, flags, key",
+    [
+        ("workers = -4", (), "workers"),
+        ("code_seed = -3", (), "code_seed"),
+        ("seed = -1", (), "seed"),
+        ("", ("--workers", "0"), "workers"),
+        ("", ("--seed", "-1"), "seed"),
+    ],
+    ids=["file-workers", "file-code_seed", "file-seed", "flag-workers", "flag-seed"],
+)
+def test_sweep_out_of_range_setting_exits_two(tmp_path, capsys, lines, flags, key):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"N = 16\nM = 8\nN_t = 2\nN_f = 4\ntrials = 2\n{lines}\n")
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out), *flags)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"ddradar sweep: sweep setting '{key}' must be at least")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen-code", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_flag_is_usage_error(tmp_path, capsys, command, seed):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    out = tmp_path / "out.txt"
+    extra = () if command == "gen-code" else ("--code", str(code_path), "--delay", "300",
+                                               "--doppler", "0")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra, "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err

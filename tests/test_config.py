@@ -178,3 +178,23 @@ def test_load_sweep_rejects_non_integer_values(tmp_path, line):
     key = line.split()[0]
     with pytest.raises(ParameterError, match=f"config key '{key}' must be an integer"):
         load_sweep(cfg)
+
+
+@pytest.mark.parametrize(
+    "line, overrides, message",
+    [
+        ("workers = 0", {}, "'workers' must be at least 1, got 0"),
+        ("workers = -4", {}, "'workers' must be at least 1, got -4"),
+        ("seed = -1", {}, "'seed' must be at least 0, got -1"),
+        ("code_seed = -3", {}, "'code_seed' must be at least 0, got -3"),
+        ("workers = 2", {"workers": 0}, "'workers' must be at least 1, got 0"),
+        ("seed = 5", {"seed": -1}, "'seed' must be at least 0, got -1"),
+    ],
+    ids=["zero-workers", "negative-workers", "negative-seed", "negative-code_seed",
+         "zero-workers-override", "negative-seed-override"],
+)
+def test_load_sweep_rejects_out_of_range_settings(tmp_path, line, overrides, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        load_sweep(cfg, **overrides)

@@ -112,6 +112,68 @@ def test_coarse_detect_rejects_nan_threshold(p_default, s_paper):
         coarse_detect(surf, float("nan"), p_default)
 
 
+def reference_coarse_detect(surface, theta, params):
+    """Threshold + greedy suppression by the 2-D np.nonzero scan (hit-order oracle)."""
+    mag = np.abs(surface.values)
+    rows, cols = np.nonzero(mag > theta)
+    if rows.size == 0:
+        return []
+    order = np.argsort(mag[rows, cols])[::-1]
+    rows, cols = rows[order], cols[order]
+    r_ell, r_k = params.lobe_half_extents
+    nbins = surface.n_bins
+    kept = []
+    for row, col in zip(rows, cols):
+        suppressed = False
+        for krow, kcol, _ in kept:
+            d_k = abs(col - kcol)
+            d_k = min(d_k, nbins - d_k)
+            if abs(row - krow) <= r_ell and d_k <= r_k:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append((row, col, float(mag[row, col])))
+    return [
+        Detection(int(surface.ell_min + row), int(surface.signed_bin(col)), peak)
+        for row, col, peak in kept
+    ]
+
+
+def test_coarse_detect_matches_nonzero_oracle_on_clutter(p_default, good_code, s_paper):
+    # -10 dB frames at theta = 0.28: hundreds of hits, tens of survivors
+    cfg = BenchConfig(params=p_default, code=good_code)
+    kept = 0
+    for i in range(20):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, i])))
+        truth = bench.draw_truth(cfg, rng)
+        r = apply_channel(good_code, p_default, truth)
+        r = add_noise(r, -10.0, int(rng.integers(2**32)), p_default, ref_energy=s_paper.energy)
+        r = apply_receive_gating(r, p_default)
+        surf = discrete_ambiguity(r, s_paper, p_default.lag_window, p_default, norm=s_paper.energy)
+        dets = coarse_detect(surf, 0.28, p_default)
+        assert dets == reference_coarse_detect(surf, 0.28, p_default)
+        kept += len(dets)
+    assert kept > 20 * 10
+
+
+def test_coarse_detect_matches_nonzero_oracle_on_ties(p_default):
+    # equal magnitudes on many rows: the kept list depends on the hit order
+    n = p_default.frame_len
+    values = np.zeros((40, n), dtype=complex)
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 40, size=120)
+    cols = rng.integers(0, 3 * p_default.N, size=120)
+    values[rows, cols] = 0.75 * np.array([1, -1, 1j, -1j])[rng.integers(0, 4, size=120)]
+    values[rows[::5], cols[::5]] = 0.9
+    surf = AmbiguitySurface(values, -5, p_default, norm=1.0)
+    for level in (0.75, 0.9):
+        tied_rows = np.nonzero(np.abs(surf.values) == level)[0]
+        assert np.unique(tied_rows).size > 5
+    dets = coarse_detect(surf, 0.5, p_default)
+    assert dets == reference_coarse_detect(surf, 0.5, p_default)
+    assert 1 < len(dets) < np.count_nonzero(surf.values)
+
+
 def test_quadratic_symmetric_stencil(p_default):
     surf = synthetic_model_surface(p_default, 300, 0, 0.0, 0.0, 1.0)
     est = refine_quadratic(surf, Detection(300, 0, 1.0))
