@@ -14,8 +14,9 @@ read as negative frequencies.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
-screen measures the worst deviation from that model on an oversampled grid
-and accepts or rejects the code.
+screen measures the worst deviation from that model along the two lobe axis
+cuts, at a fixed OVERSAMPLE points per cell, and accepts the code when it
+stays within the fixed CONFORMANCE_DELTA.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .codes import CodeMatrix
 from .config import RadarParams
 from .waveform import ComplexSignal, evaluate_continuous, synthesize_discrete
 
-DEFAULT_CONFORMANCE_DELTA = 0.05
-DEFAULT_OVERSAMPLE = 8
+CONFORMANCE_DELTA = 0.05
+OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -220,35 +221,29 @@ def sinc_model(ell, k, params: RadarParams):
     return a * b
 
 
-def sinc_conformance(
-    code: CodeMatrix,
-    params: RadarParams,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    delta: float = DEFAULT_CONFORMANCE_DELTA,
-) -> tuple[float, bool]:
+def sinc_conformance(code: CodeMatrix, params: RadarParams) -> tuple[float, bool]:
     """Score a code by its worst deviation from the sinc lobe model.
 
     Evaluates |A_ss| / |A_ss(0, 0)| along the two main-lobe axis cuts,
     |tau| <= T_s M/N_f at nu = 0 and |nu| <= delta_f N/N_t at tau = 0, with
-    ``oversample`` points per unit lag/bin, and returns (max deviation from
-    the model over both cuts, deviation <= delta).  The cuts are where a
-    skewed code betrays itself; the model says nothing useful about the
-    lobe's corner regions, where every code carries ~0.1 of residual energy.
+    ``OVERSAMPLE`` points per unit lag/bin, and returns (max deviation from
+    the model over both cuts, deviation <= ``CONFORMANCE_DELTA``).  The cuts
+    are where a skewed code betrays itself; the model says nothing useful
+    about the lobe's corner regions, where every code carries ~0.1 of
+    residual energy.
     """
-    if oversample < 4:
-        raise ValueError(f"oversample must be >= 4, got {oversample}")
     s = synthesize_discrete(code, params)
-    n_ell = int(round(oversample * params.M / params.N_f))
-    n_k = int(round(oversample * params.N / params.N_t))
-    ell_grid = np.arange(-n_ell, n_ell + 1) / oversample  # T_s units
-    k_grid = np.arange(-n_k, n_k + 1) / oversample  # delta_f units
+    n_ell = int(round(OVERSAMPLE * params.M / params.N_f))
+    n_k = int(round(OVERSAMPLE * params.N / params.N_t))
+    ell_grid = np.arange(-n_ell, n_ell + 1) / OVERSAMPLE  # T_s units
+    k_grid = np.arange(-n_k, n_k + 1) / OVERSAMPLE  # delta_f units
     tau_cut = continuous_ambiguity(s, code, ell_grid * params.T_s, np.zeros(1), params)[:, 0]
     nu_cut = continuous_ambiguity(s, code, np.zeros(1), k_grid * params.delta_f, params)[0]
     a0 = abs(nu_cut[n_k])
     dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - sinc_model(ell_grid, 0.0, params)))
     dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - sinc_model(0.0, k_grid, params)))
     score = float(max(dev_tau, dev_nu))
-    return score, score <= delta
+    return score, score <= CONFORMANCE_DELTA
 
 
 def write_surface(path: str | Path, surface: AmbiguitySurface) -> None:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import discrete_ambiguity
+from .ambiguity import discrete_ambiguity, sinc_conformance
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import CodeMatrix, code_text, random_code, read_code, reference_good_code
 from .config import ParameterError, RadarParams, load_params, read_config
@@ -69,10 +69,11 @@ _SWEEP_MINIMUM = {"workers": 1, "seed": 0, "code_seed": 0}
 def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None) -> BenchConfig:
     """Read a sweep config file into a BenchConfig; geometry resolves by
     ``load_params``.  ``code_file`` reads a code, ``code_seed`` draws one,
-    and neither means the reference good code.  Other keys default to
-    BenchConfig's; non-None ``workers`` and ``seed`` override the file.
-    A ``workers`` below 1 or a negative ``seed`` / ``code_seed``, from the
-    file or an override, raises ParameterError naming the key.
+    neither means the reference good code, and both raise ParameterError.
+    Other keys default to BenchConfig's; non-None ``workers`` and ``seed``
+    override the file.  A ``workers`` below 1 or a negative ``seed`` /
+    ``code_seed``, from the file or an override, raises ParameterError
+    naming the key.
     """
     raw = read_config(path)
     raw.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
@@ -80,6 +81,8 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
         if key in raw and raw[key] < least:
             raise ParameterError(f"sweep setting {key!r} must be at least {least}, got {raw[key]}")
     params = load_params(path)
+    if "code_file" in raw and "code_seed" in raw:
+        raise ParameterError("sweep config names two codes: give code_file or code_seed, not both")
     if "code_file" in raw:
         code = read_code(raw["code_file"], params)
     elif "code_seed" in raw:
@@ -217,13 +220,13 @@ def run_trials(cfg: BenchConfig, snr_db: float) -> list[TrialRecord]:
         return list(pool.map(trial, seeds, chunksize=max(1, cfg.trials // (4 * cfg.workers))))
 
 
-def summarize(records: list[TrialRecord], snr_db: float, method: str) -> RmseReport:
-    """Reduce trial records (in trial order) to one report row."""
+def summarize(records: list[TrialRecord], method: str) -> RmseReport:
+    """Reduce trial records (in trial order) at one SNR to one report row."""
     err_d = np.array([rec.outcomes[method].err_delay for rec in records])
     err_f = np.array([rec.outcomes[method].err_doppler for rec in records])
     misses = np.array([rec.outcomes[method].miss for rec in records])
     return RmseReport(
-        snr_db=snr_db,
+        snr_db=records[0].snr_db,
         method=method,
         rmse_delay=float(np.sqrt(np.mean(err_d**2))),
         rmse_doppler=float(np.sqrt(np.mean(err_f**2))),
@@ -244,7 +247,7 @@ def sweep(cfg: BenchConfig) -> list[RmseReport]:
     for snr_db in cfg.snr_db_list:
         records = run_trials(cfg, snr_db)
         for method in cfg.methods:
-            reports.append(summarize(records, snr_db, method))
+            reports.append(summarize(records, method))
     reports.sort(key=lambda rep: (rep.snr_db, rep.method))
     return reports
 
@@ -267,9 +270,9 @@ def code_digest(code: CodeMatrix) -> str:
     return hashlib.sha256(code_text(code).encode()).hexdigest()
 
 
-def sidecar_metadata(cfg: BenchConfig, conformance_score: float | None = None) -> dict:
-    """Reproducibility block written next to every sweep CSV."""
-    meta = {
+def sidecar_metadata(cfg: BenchConfig) -> dict:
+    """Reproducibility block next to every sweep CSV, with the code's conformance score."""
+    return {
         "seed": cfg.seed,
         "code_sha256": code_digest(cfg.code),
         "params": asdict(cfg.params),
@@ -279,11 +282,9 @@ def sidecar_metadata(cfg: BenchConfig, conformance_score: float | None = None) -
         "methods": list(cfg.methods),
         "workers": cfg.workers,
         "optimizer": dict(SOLVER),
+        "conformance_score": sinc_conformance(cfg.code, cfg.params)[0],
     }
-    if conformance_score is not None:
-        meta["conformance_score"] = conformance_score
-    return meta
 
 
-def write_sidecar(path: str | Path, cfg: BenchConfig, conformance_score: float | None = None) -> None:
-    Path(path).write_text(json.dumps(sidecar_metadata(cfg, conformance_score), indent=2) + "\n")
+def write_sidecar(path: str | Path, cfg: BenchConfig) -> None:
+    Path(path).write_text(json.dumps(sidecar_metadata(cfg), indent=2) + "\n")

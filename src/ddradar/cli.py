@@ -18,8 +18,8 @@ import sys
 
 from . import __version__
 from .ambiguity import (
-    DEFAULT_CONFORMANCE_DELTA,
-    DEFAULT_OVERSAMPLE,
+    CONFORMANCE_DELTA,
+    OVERSAMPLE,
     discrete_ambiguity,
     sinc_conformance,
     write_surface,
@@ -43,8 +43,8 @@ def _config_hash() -> str:
     frozen = {
         "geometry": DEFAULT_GEOMETRY,
         "theta": DEFAULT_THRESHOLD,
-        "delta": DEFAULT_CONFORMANCE_DELTA,
-        "oversample": DEFAULT_OVERSAMPLE,
+        "delta": CONFORMANCE_DELTA,
+        "oversample": OVERSAMPLE,
         "optimizer": SOLVER,
     }
     return hashlib.sha256(json.dumps(frozen, sort_keys=True).encode()).hexdigest()[:12]
@@ -80,12 +80,6 @@ def _seed_arg(text: str) -> int:
     return value
 
 
-def _parse_snr(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity", "noiseless"):
-        return math.inf
-    return float(text)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ddradar", description=__doc__)
     parser.add_argument(
@@ -106,8 +100,6 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("check-code", help="screen a code against the sinc lobe model")
     _add_params_args(sub)
     sub.add_argument("--code", required=True)
-    sub.add_argument("--delta", type=float, default=DEFAULT_CONFORMANCE_DELTA)
-    sub.add_argument("--oversample", type=int, default=DEFAULT_OVERSAMPLE)
 
     sub = subs.add_parser("synth", help="synthesize the transmitted signal")
     _add_params_args(sub)
@@ -119,7 +111,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--code", required=True)
     sub.add_argument("--delay", type=float, required=True, help="true delay in T_s units")
     sub.add_argument("--doppler", type=float, required=True, help="true Doppler in delta_f units")
-    sub.add_argument("--snr-db", type=_parse_snr, default=math.inf, help="SNR in dB, or 'inf'")
+    sub.add_argument("--snr-db", type=float, default=math.inf, help="SNR in dB, or 'inf'")
     sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--no-gate", action="store_true", help="skip receive gating")
     sub.add_argument("--out", required=True)
@@ -168,8 +160,8 @@ def _cmd_show_code(args) -> int:
 def _cmd_check_code(args) -> int:
     params = _resolve_params(args)
     code = read_code(args.code, params)
-    score, ok = sinc_conformance(code, params, oversample=args.oversample, delta=args.delta)
-    print(f"score={score:.6f} delta={args.delta} {'PASS' if ok else 'FAIL'}")
+    score, ok = sinc_conformance(code, params)
+    print(f"score={score:.6f} delta={CONFORMANCE_DELTA} {'PASS' if ok else 'FAIL'}")
     return 0
 
 
@@ -219,8 +211,8 @@ def _cmd_estimate(args) -> int:
             "delay_Ts": est.delay_cells,
             "doppler_df": est.doppler_cells,
             "converged": est.converged,
-            "delay_s": est.delay_est,
-            "doppler_hz": est.doppler_est,
+            "delay_s": est.delay_cells * params.T_s,
+            "doppler_hz": est.doppler_cells * params.delta_f,
         }
         if args.json:
             print(json.dumps(rec))
@@ -237,10 +229,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_sweep(args.config, args.workers, args.seed)
-    score, _ = sinc_conformance(cfg.code, cfg.params)
     reports = sweep(cfg)
     write_reports_csv(args.out, reports)
-    write_sidecar(args.out + ".meta.json", cfg, conformance_score=score)
+    write_sidecar(args.out + ".meta.json", cfg)
     print(f"wrote {len(reports)} report rows to {args.out}", file=sys.stderr)
     return 0
 

@@ -60,6 +60,11 @@ class RadarParams:
                 f"receive gate L=(N_t+2)*M={self.L} exceeds frame_len={self.frame_len}; "
                 f"geometry leaves no room to listen for echoes"
             )
+        if 2 * self.N_t > self.N:
+            raise ParameterError(
+                f"detectability window {list(self.lag_window)} = [N_t*M, (N-N_t)*M] is empty: "
+                f"2*N_t={2 * self.N_t} exceeds N={self.N}"
+            )
 
     @property
     def F_c(self) -> float:

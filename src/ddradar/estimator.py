@@ -8,7 +8,8 @@ method refines.  Refinement recovers the sub-cell offsets by one of the
 rows of ``REFINERS``: least-squares fitting the separable sinc lobe model
 to the magnitude patch around the peak (``sinc2d``), closed-form parabolic
 interpolation of the two 3-point stencils through the peak (``quadratic``),
-or leaving the offsets at zero (``baseline``).
+or leaving the offsets at zero (``baseline``).  Each row returns an
+``Estimate`` in cells of T_s and delta_f.
 
 The sinc fit eliminates the amplitude in closed form: for fixed offsets the
 optimal gain is alpha = max(0, sum(y m) / sum(m^2)), leaving a 2-variable
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ambiguity import (
     AmbiguitySurface,
@@ -67,17 +67,20 @@ class Detection:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A refined detection with fractional offsets and fitted amplitude."""
+    """A refined detection: offsets in cells clamped to [-1/2, 1/2], gain >= 0."""
 
     detection: Detection
     eps_t: float
     eps_f: float
     alpha: float
     method: str
-    delay_est: float  # (l_hat + eps_t) * T_s, seconds
-    doppler_est: float  # (k_hat + eps_f) * delta_f, Hz
     converged: bool = True
     degenerate: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps_t", min(0.5, max(-0.5, float(self.eps_t))))
+        object.__setattr__(self, "eps_f", min(0.5, max(-0.5, float(self.eps_f))))
+        object.__setattr__(self, "alpha", max(0.0, float(self.alpha)))
 
     @property
     def delay_cells(self) -> float:
@@ -86,31 +89,6 @@ class Estimate:
     @property
     def doppler_cells(self) -> float:
         return self.detection.k_hat + self.eps_f
-
-
-def _make_estimate(
-    det: Detection,
-    eps_t: float,
-    eps_f: float,
-    alpha: float,
-    method: str,
-    params: RadarParams,
-    converged: bool = True,
-    degenerate: bool = False,
-) -> Estimate:
-    eps_t = min(0.5, max(-0.5, float(eps_t)))
-    eps_f = min(0.5, max(-0.5, float(eps_f)))
-    return Estimate(
-        detection=det,
-        eps_t=eps_t,
-        eps_f=eps_f,
-        alpha=max(0.0, float(alpha)),
-        method=method,
-        delay_est=(det.l_hat + eps_t) * params.T_s,
-        doppler_est=(det.k_hat + eps_f) * params.delta_f,
-        converged=converged,
-        degenerate=degenerate,
-    )
 
 
 def coarse_detect(
@@ -179,15 +157,7 @@ def refine_quadratic(surface: AmbiguitySurface, det: Detection) -> Estimate:
     eps_f, degen_f = _stencil_offset(
         abs(values[row, col_lo]), center, abs(values[row, col_hi])
     )
-    return _make_estimate(
-        det,
-        eps_t,
-        eps_f,
-        center,
-        "quadratic",
-        surface.params,
-        degenerate=degen_t or degen_f,
-    )
+    return Estimate(det, eps_t, eps_f, center, "quadratic", degenerate=degen_t or degen_f)
 
 
 def _fit_patch(
@@ -251,6 +221,7 @@ def refine_sinc2d(
     if np.max(np.abs(seed_fit[1])) <= SOLVER["stationary_tol"]:
         best = x0  # seed already stationary
     else:
+        from scipy.optimize import minimize  # loaded by refiner("sinc2d")
         result = minimize(
             lambda x: fit(x)[:2],
             x0,
@@ -263,15 +234,7 @@ def refine_sinc2d(
     # never worse than the seed or than leaving the offsets at zero
     candidates = [(np.zeros(2), fit(np.zeros(2))), (x0, seed_fit), (best, fit(best))]
     eps, (_, grad, gain) = min(candidates, key=lambda c: c[1][0])
-    return _make_estimate(
-        det,
-        eps[0],
-        eps[1],
-        gain * peak,
-        "sinc2d",
-        params,
-        converged=_stationary(eps, grad),
-    )
+    return Estimate(det, eps[0], eps[1], gain * peak, "sinc2d", converged=_stationary(eps, grad))
 
 
 def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
@@ -289,20 +252,23 @@ def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
 REFINERS = {
     "sinc2d": refine_sinc2d,
     "quadratic": lambda surface, det, params: refine_quadratic(surface, det),
-    "baseline": lambda surface, det, params: _make_estimate(
-        det, 0.0, 0.0, det.peak_mag, "baseline", params
-    ),
+    "baseline": lambda surface, det, params: Estimate(det, 0.0, 0.0, det.peak_mag, "baseline"),
 }
 
 
 def refiner(method: str):
-    """The ``REFINERS`` row for ``method``; ValueError for an unknown name."""
+    """The ``REFINERS`` row for ``method``; ValueError for an unknown name.
+    Looking up ``sinc2d`` imports scipy's solver, before any timed refinement;
+    a run that fits no sinc never loads scipy."""
     try:
-        return REFINERS[method]
+        refine = REFINERS[method]
     except KeyError:
         raise ValueError(
             f"unknown method {method!r}; expected one of {tuple(REFINERS)}"
         ) from None
+    if method == "sinc2d":
+        import scipy.optimize  # noqa: F401
+    return refine
 
 
 def extend_around(

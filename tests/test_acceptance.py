@@ -58,7 +58,7 @@ def rmse_run():
     start = time.perf_counter()
     records = run_trials(cfg, 30.0)
     elapsed = time.perf_counter() - start
-    reports = {m: summarize(records, 30.0, m) for m in cfg.methods}
+    reports = {m: summarize(records, m) for m in cfg.methods}
     return reports, elapsed
 
 

@@ -224,11 +224,6 @@ def test_conformance_smoke_single_slot_code():
     assert np.isfinite(score) and score >= 0
 
 
-def test_conformance_rejects_low_oversample(p_default, good_code):
-    with pytest.raises(ValueError, match="oversample"):
-        sinc_conformance(good_code, p_default, oversample=3)
-
-
 def test_extend_surface_matches_direct(p_default, good_code, s_paper):
     truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)

@@ -7,7 +7,14 @@ import pickle
 import numpy as np
 import pytest
 
-from ddradar import BenchConfig, estimate, make_params, random_code, reference_good_code
+from ddradar import (
+    BenchConfig,
+    estimate,
+    make_params,
+    random_code,
+    reference_good_code,
+    sinc_conformance,
+)
 from ddradar import bench
 from ddradar.bench import (
     code_digest,
@@ -24,6 +31,7 @@ from ddradar.codes import code_text, reference_bad_code, write_code
 from ddradar.estimator import REFINERS, SOLVER
 
 SMALL = make_params(16, 8, 2, 4, 1.0)
+PAPER = make_params(64, 16, 8, 8, 1.0)
 
 
 def small_cfg(**kw):
@@ -144,7 +152,7 @@ def test_baseline_rmse_near_uniform_std(p_default, good_code):
         params=p_default, code=good_code, snr_db_list=(30.0,), trials=100, seed=7
     )
     records = run_trials(cfg, 30.0)
-    rep = summarize(records, 30.0, "baseline")
+    rep = summarize(records, "baseline")
     assert rep.rmse_delay == pytest.approx(1 / math.sqrt(12), abs=0.05)
 
 
@@ -167,12 +175,12 @@ def test_reports_csv_format(tmp_path):
 def test_sidecar_metadata(tmp_path):
     cfg = small_cfg()
     path = tmp_path / "out.csv.meta.json"
-    write_sidecar(path, cfg, conformance_score=0.02)
+    write_sidecar(path, cfg)
     meta = json.loads(path.read_text())
     assert meta["seed"] == cfg.seed
     assert meta["params"] == {"N": 16, "M": 8, "N_t": 2, "N_f": 4, "T_c": 1.0}
     assert meta["code_sha256"] == code_digest(cfg.code)
-    assert meta["conformance_score"] == 0.02
+    assert meta["conformance_score"] == sinc_conformance(cfg.code, cfg.params)[0]
     assert meta["optimizer"] == SOLVER
     assert meta["optimizer"]["maxiter"] == 200
     assert sidecar_metadata(cfg)["trials"] == cfg.trials
@@ -186,14 +194,16 @@ def test_code_digest_is_sha256_of_code_file(tmp_path, code):
     write_code(path, code)
     assert path.read_text() == code_text(code)
     expected = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert sidecar_metadata(small_cfg(code=code))["code_sha256"] == expected
+    # each config at its own code's geometry, as load_sweep requires
+    params = SMALL if (code.n_t, code.n_f) == (SMALL.N_t, SMALL.N_f) else PAPER
+    assert sidecar_metadata(small_cfg(params=params, code=code))["code_sha256"] == expected
 
 
 def test_summary_stage_costs():
     cfg = small_cfg(trials=8)
     records = run_trials(cfg, 30.0)
-    sinc2d = summarize(records, 30.0, "sinc2d")
-    quadratic = summarize(records, 30.0, "quadratic")
+    sinc2d = summarize(records, "sinc2d")
+    quadratic = summarize(records, "quadratic")
     coarse_ms = sinc2d.mean_coarse_ms
     assert coarse_ms > 0 and sinc2d.mean_refine_ms > 0 and quadratic.mean_refine_ms > 0
     assert quadratic.mean_refine_ms < coarse_ms

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ddradar import make_params
 from ddradar.cli import _resolve_params, build_parser, main
 from ddradar.codes import read_code, reference_bad_code, reference_good_code, write_code
 
@@ -37,7 +38,8 @@ def test_version_reports_config_hash(capsys):
         main(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "ddradar 0.1.0" in out and "config" in out
+    # the hash covers the geometry defaults, theta, the screen's constants and SOLVER
+    assert out.strip() == "ddradar 0.1.0 (config 12d7d93ef917)"
 
 
 def test_gen_show_code_round_trip(tmp_path, capsys):
@@ -65,9 +67,13 @@ def test_check_code_pass_and_fail(tmp_path, capsys):
     write_code(good, reference_good_code())
     write_code(bad, reference_bad_code())
     code, out, _ = run(capsys, "check-code", "--code", str(good))
-    assert code == 0 and "PASS" in out
+    assert code == 0 and out.startswith("score=") and out.endswith(" delta=0.05 PASS\n")
     code, out, _ = run(capsys, "check-code", "--code", str(bad))
-    assert code == 0 and "FAIL" in out  # rejection is a result, not an error
+    assert code == 0 and out.endswith(" delta=0.05 FAIL\n")  # rejection is a result
+    for flag in ("--delta", "--oversample"):  # the screen's settings are fixed
+        with pytest.raises(SystemExit) as exc:
+            main(["check-code", "--code", str(good), flag, "4"])
+        assert exc.value.code == 1
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -143,6 +149,9 @@ def test_estimate_physical_units(tmp_path, capsys):
     )
     rec = json.loads(out.splitlines()[0])
     assert rec["delay_s"] == pytest.approx(200 * 1e-6 / 16, rel=1e-3)
+    p = make_params(64, 16, 8, 8, 1e-6)
+    assert rec["delay_s"] == rec["delay_Ts"] * p.T_s
+    assert rec["doppler_hz"] == rec["doppler_df"] * p.delta_f
 
 
 def test_ambiguity_surface_dump(tmp_path, capsys):
@@ -323,3 +332,44 @@ def test_bad_seed_flag_is_usage_error(tmp_path, capsys, command, seed):
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+
+
+def test_empty_detectability_window_exits_two(tmp_path, capsys):
+    out = tmp_path / "code.txt"
+    code, stdout, err = run(
+        capsys, "gen-code", "--N", "8", "--M", "4", "--N_t", "5", "--N_f", "2",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("ddradar gen-code: detectability window [20, 12]")
+
+
+def test_sweep_naming_two_codes_exits_two(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"code_file = '{code_path}'\ncode_seed = 3\ntrials = 2\n")
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "code_file" in err and "code_seed" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["inf", "+inf", "Infinity", "30"])
+def test_snr_db_is_a_number(text):
+    args = build_parser().parse_args(
+        ["simulate", "--code", "c.txt", "--delay", "0", "--doppler", "0", "--snr-db", text,
+         "--out", "r.csv"]
+    )
+    assert args.snr_db == float(text)
+
+
+def test_snr_db_rejects_words(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["simulate", "--code", "c.txt", "--delay", "0", "--doppler", "0",
+             "--snr-db", "noiseless", "--out", "r.csv"]
+        )
+    assert exc.value.code == 1

@@ -43,6 +43,7 @@ def test_degenerate_geometry_rejected():
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=0.0), "T_c must be"),
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=float("nan")), "T_c must be"),
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=float("inf")), "T_c must be"),
+        (dict(N=8, M=4, N_t=5, N_f=2), r"detectability window \[20, 12\] .* is empty"),
     ],
 )
 def test_parameter_violations(kwargs, match):
@@ -198,3 +199,10 @@ def test_load_sweep_rejects_out_of_range_settings(tmp_path, line, overrides, mes
     cfg.write_text(line + "\n")
     with pytest.raises(ParameterError, match=re.escape(message)):
         load_sweep(cfg, **overrides)
+
+
+def test_load_sweep_rejects_two_codes(tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("code_file = 'code.txt'\ncode_seed = 3\n")
+    with pytest.raises(ParameterError, match="code_file or code_seed, not both"):
+        load_sweep(cfg)

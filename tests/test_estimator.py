@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ddradar import (
     ChannelTruth,
     Detection,
+    Estimate,
     apply_channel,
     apply_receive_gating,
     add_noise,
@@ -295,6 +302,11 @@ def test_estimates_are_clamped(p_default, good_code):
             assert -0.5 <= est.eps_t <= 0.5
             assert -0.5 <= est.eps_f <= 0.5
             assert est.alpha >= 0.0
+    det = Detection(300, 2, 1.0)
+    est = Estimate(det, np.float64(0.75), -3, -0.2, "sinc2d")
+    assert (est.eps_t, est.eps_f, est.alpha) == (0.5, -0.5, 0.0)
+    assert all(type(v) is float for v in (est.eps_t, est.eps_f, est.alpha))
+    assert (est.delay_cells, est.doppler_cells) == (300.5, 1.5)
 
 
 def test_end_to_end_integer_truth_small_bias(good_code):
@@ -329,8 +341,6 @@ def test_end_to_end_fractional(p_default, good_code, s_paper):
     est = estimate(r, s_paper, 0.5, "sinc2d", p_default)[0]
     assert abs(est.delay_cells - 300.25) <= 0.02
     assert abs(est.doppler_cells - 2.25) <= 0.07
-    assert est.delay_est == pytest.approx(est.delay_cells * p_default.T_s)
-    assert est.doppler_est == pytest.approx(est.doppler_cells * p_default.delta_f)
 
 
 def test_end_to_end_empty_detection(p_default, good_code, s_paper):
@@ -454,7 +464,7 @@ def _spy_minimize(monkeypatch):
         results.append(minimize(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(estimator, "minimize", spy)
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
     return results
 
 
@@ -490,3 +500,30 @@ def test_sinc_fit_stopped_by_maxiter_is_not_converged(p_default, good_code, monk
     (result,) = results
     assert "ITERATIONS REACHED LIMIT" in result.message
     assert not est.converged
+
+
+_SCIPY_PROBE = """
+import sys
+import ddradar as dd
+from ddradar.estimator import refiner
+p = dd.make_params(64, 16, 8, 8)
+code = dd.reference_good_code()
+truth = dd.ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0, p)
+r = dd.apply_receive_gating(dd.apply_channel(code, p, truth), p)
+assert dd.estimate(r, dd.synthesize_discrete(code, p), 0.5, "quadratic", p)
+print("scipy" in sys.modules)
+refiner("sinc2d")
+print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_with_the_sinc2d_refiner():
+    """A fresh interpreter that runs a quadratic ``estimate`` never imports
+    scipy; looking up the sinc2d refiner does."""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    ).stdout.split()
+    assert out == ["False", "True"]
