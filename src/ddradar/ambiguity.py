@@ -12,6 +12,12 @@ normalization constant is given, scaled by its reciprocal in place.  A
 positive true Doppler lands in a low positive bin; bins above N M / 2 are
 read as negative frequencies.
 
+No cell of lag ell can exceed B[ell] = sum_j |r[j]| |s[j - ell]|, the l1
+norm of that lag's product row (triangle inequality).  ``lag_peak_bounds``
+computes B for a window as one real correlation over the replica's nonzero
+support, so a caller can skip every lag whose bound cannot reach its
+threshold before paying for the FFT.
+
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
 screen measures the worst deviation from that model along the two lobe axis
@@ -62,7 +68,7 @@ class AmbiguitySurface:
 
     def normalized(self, a0: float) -> "AmbiguitySurface":
         """Scale by the auto-ambiguity peak A_ss[0,0] = signal energy."""
-        _check_norm(a0)
+        check_norm(a0)
         return AmbiguitySurface(self.values / a0, self.ell_min, self.params, norm=a0)
 
     def signed_bin(self, col: int) -> int:
@@ -70,9 +76,27 @@ class AmbiguitySurface:
         return col - self.n_bins if col > self.n_bins // 2 else col
 
 
-def _check_norm(a0: float) -> None:
+def check_norm(a0: float) -> None:
+    """Raise ValueError unless a normalization constant is positive and finite."""
     if not 0 < a0 < np.inf:
         raise ValueError(f"normalization constant must be positive and finite, got {a0}")
+
+
+def _check_window(
+    r: ComplexSignal, s: ComplexSignal, lag_window: tuple[int, int], params: RadarParams
+) -> None:
+    """Raise ValueError for signals off the frame length or a lag window that
+    is empty or reaches past +-(NM-1)."""
+    n = params.frame_len
+    if len(r) != n or len(s) != n:
+        raise ValueError(
+            f"signals must have frame length {n}, got {len(r)} and {len(s)}"
+        )
+    ell_min, ell_max = lag_window
+    if ell_max < ell_min:
+        raise ValueError(f"empty lag window {lag_window}")
+    if ell_min < -(n - 1) or ell_max > n - 1:
+        raise ValueError(f"lag window {lag_window} outside [-(NM-1), NM-1]")
 
 
 def _lagged_products(
@@ -108,18 +132,10 @@ def discrete_ambiguity(
     complex division as the oracle, and every |A| is bit-identical; only an
     exactly zero part can come out with the other sign.
     """
-    n = params.frame_len
-    if len(r) != n or len(s) != n:
-        raise ValueError(
-            f"signals must have frame length {n}, got {len(r)} and {len(s)}"
-        )
-    ell_min, ell_max = lag_window
-    if ell_max < ell_min:
-        raise ValueError(f"empty lag window {lag_window}")
-    if ell_min < -(n - 1) or ell_max > n - 1:
-        raise ValueError(f"lag window {lag_window} outside [-(NM-1), NM-1]")
+    _check_window(r, s, lag_window, params)
     if norm is not None:
-        _check_norm(norm)
+        check_norm(norm)
+    ell_min, ell_max = lag_window
     products = _lagged_products(r.samples, s.samples, ell_min, ell_max)
     values = np.fft.fft(products, axis=1, out=products)
     if norm is not None:
@@ -127,6 +143,37 @@ def discrete_ambiguity(
         # each part by 1/norm, and the float view skips its complex loop.
         values.view(np.float64)[...] *= 1.0 / norm
     return AmbiguitySurface(values, ell_min, params, norm=norm)
+
+
+def lag_peak_bounds(
+    r: ComplexSignal,
+    s: ComplexSignal,
+    lag_window: tuple[int, int],
+    params: RadarParams,
+) -> np.ndarray:
+    """B[ell] = sum_j |r[j]| |s[j - ell]| for each lag of an inclusive window.
+
+    No cell of lag ell of the unnormalized surface exceeds B[ell], and a
+    single-impulse echo attains it.  The sum runs over the replica's nonzero
+    support, found from ``s`` itself, so the paper's replica costs its 160
+    samples a lag and a dense one the whole frame; |r| is read only over
+    the span the window's lags reach, as zero outside the frame.  Takes the
+    signal and window checks of :func:`discrete_ambiguity`.
+    """
+    _check_window(r, s, lag_window, params)
+    ell_min, ell_max = lag_window
+    s_abs = np.abs(s.samples)
+    support = np.flatnonzero(s_abs)
+    if support.size == 0:
+        return np.zeros(ell_max - ell_min + 1)
+    first, last = int(support[0]), int(support[-1])
+    # lag ell reads r[first + ell .. last + ell]
+    lo, hi = first + ell_min, last + ell_max + 1
+    span = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, len(r))
+    if a < b:
+        span[a - lo : b - lo] = np.abs(r.samples[a:b])
+    return np.correlate(span, s_abs[first : last + 1], "valid")
 
 
 def extend_surface(

@@ -7,11 +7,15 @@ streams derived from that key, so a sweep is reproducible sample-for-sample
 regardless of the worker count.
 
 Errors are accounted in grid cells: delay error (l_hat + eps_hat) - t_d/T_s
-and the Doppler analogue.  A trial whose coarse stage finds nothing above
-the threshold falls back to the global surface argmax and is flagged as a
-miss, as is a trial whose coarse cell is not the true cell; missed trials
-still contribute their actual error, so the RMSE is unconditioned, and the
-miss rate is reported alongside.
+and the Doppler analogue.  The coarse stage is the estimator's
+``coarse_stage``, which computes the surface only on the lags whose bound
+can reach the threshold.  A trial whose coarse stage finds nothing above
+the threshold computes the full-window surface, falls back to its global
+argmax and is flagged as a miss, as is a trial whose coarse cell is not the
+true cell; missed trials still contribute their actual error, so the RMSE
+is unconditioned, and the miss rate is reported alongside.  A trial's
+``coarse_ms`` times the screen, the surface, detection and that fallback
+surface.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .estimator import (
     REFINERS,
     SOLVER,
     Detection,
-    coarse_detect,
+    coarse_stage,
     extend_around,
     refiner,
 )
@@ -73,7 +77,8 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
     Other keys default to BenchConfig's; non-None ``workers`` and ``seed``
     override the file.  A ``workers`` below 1 or a negative ``seed`` /
     ``code_seed``, from the file or an override, raises ParameterError
-    naming the key.
+    naming the key, and so does a detectability window with no interior
+    lag for ``draw_truth`` to place a target on.
     """
     raw = read_config(path)
     raw.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
@@ -81,6 +86,12 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
         if key in raw and raw[key] < least:
             raise ParameterError(f"sweep setting {key!r} must be at least {least}, got {raw[key]}")
     params = load_params(path)
+    ell_min, ell_max = params.lag_window
+    if ell_max - ell_min < 2:
+        raise ParameterError(
+            f"detectability window [{ell_min}, {ell_max}] has no interior lag for a sweep "
+            "target: a sweep needs ell_max - ell_min >= 2"
+        )
     if "code_file" in raw and "code_seed" in raw:
         raise ParameterError("sweep config names two codes: give code_file or code_seed, not both")
     if "code_file" in raw:
@@ -159,8 +170,9 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     r = apply_receive_gating(r, p)
 
     t0 = time.perf_counter_ns()
-    surface = discrete_ambiguity(r, s, p.lag_window, p, norm=s.energy)
-    detections = coarse_detect(surface, cfg.theta, p)
+    surface, detections = coarse_stage(r, s, cfg.theta, p, p.lag_window)
+    if not detections:
+        surface = discrete_ambiguity(r, s, p.lag_window, p, norm=s.energy)
     coarse_ms = (time.perf_counter_ns() - t0) / 1e6
 
     if detections:

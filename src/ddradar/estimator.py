@@ -1,15 +1,20 @@
 """Coarse threshold detection and fractional refinement.
 
-Detection lists every surface cell above the threshold, thinned by
-non-maximum suppression over one main-lobe extent so each target yields a
-single hit.  The surface is then grown to cover that same lobe half-extent
-of lags around every detection, ``params.lobe_half_extents[0]``, whichever
-method refines.  Refinement recovers the sub-cell offsets by one of the
-rows of ``REFINERS``: least-squares fitting the separable sinc lobe model
-to the magnitude patch around the peak (``sinc2d``), closed-form parabolic
-interpolation of the two 3-point stencils through the peak (``quadratic``),
-or leaving the offsets at zero (``baseline``).  Each row returns an
-``Estimate`` in cells of T_s and delta_f.
+The coarse stage, ``coarse_stage``, bounds every lag of the window with
+``lag_peak_bounds`` and computes the normalized surface only from the first
+to the last lag whose bound can reach the threshold; no other lag has a
+cell above it, so the hits, their order and the detections are those of
+the full-window surface.  Detection lists every surface cell above the
+threshold, thinned by non-maximum suppression over one main-lobe extent so
+each target yields a single hit.  The surface is then grown to cover that
+same lobe half-extent of lags around every detection,
+``params.lobe_half_extents[0]``, whichever method refines.  Refinement
+recovers the sub-cell offsets by one of the rows of ``REFINERS``:
+least-squares fitting the separable sinc lobe model to the magnitude patch
+around the peak (``sinc2d``), closed-form parabolic interpolation of the
+two 3-point stencils through the peak (``quadratic``), or leaving the
+offsets at zero (``baseline``).  Each row returns an ``Estimate`` in cells
+of T_s and delta_f.
 
 The sinc fit eliminates the amplitude in closed form: for fixed offsets the
 optimal gain is alpha = max(0, sum(y m) / sum(m^2)), leaving a 2-variable
@@ -34,14 +39,24 @@ import numpy as np
 
 from .ambiguity import (
     AmbiguitySurface,
+    check_norm,
     discrete_ambiguity,
     extend_surface,
+    lag_peak_bounds,
     lobe_factors,
 )
 from .config import RadarParams
 from .waveform import ComplexSignal
 
 DEFAULT_THRESHOLD = 0.5
+# The coarse stage drops a lag only when its bound, raised by this relative
+# margin, is still at most theta * norm.  A computed cell can exceed the
+# exact |A| by the FFT's worst-case rounding, of order log2(NM) eps times
+# the row's l1 norm, which is the bound itself: about 1e-14 relative at the
+# paper's NM = 1024.  The margin lies far above that and the few eps of the
+# bound's own sum and of the 1/norm scaling, so a dropped lag has no
+# computed cell above theta.
+SCREEN_MARGIN = 1e-9
 _FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
 # read them from here.  ``stationary_tol`` decides both the seed skip and
@@ -100,8 +115,7 @@ def coarse_detect(
     neighborhood, circular along the Doppler axis.  Returns detections in
     descending magnitude order; an empty list means nothing crossed theta.
     """
-    if not theta > 0:
-        raise ValueError(f"threshold must be positive, got {theta}")
+    _check_threshold(theta)
     mag = np.abs(surface.values).ravel()
     nbins = surface.n_bins
     # Row-major flat indices, the order the 2-D np.nonzero gives, found
@@ -128,6 +142,42 @@ def coarse_detect(
         Detection(int(surface.ell_min + row), int(surface.signed_bin(col)), peak)
         for row, col, peak in kept
     ]
+
+
+def _check_threshold(theta: float) -> None:
+    if not theta > 0:
+        raise ValueError(f"threshold must be positive, got {theta}")
+
+
+def coarse_stage(
+    r: ComplexSignal,
+    s: ComplexSignal,
+    theta: float,
+    params: RadarParams,
+    lag_window: tuple[int, int],
+) -> tuple[AmbiguitySurface | None, list[Detection]]:
+    """The surface normalized by ``s.energy`` over the live lags of the
+    window, and its ``coarse_detect`` detections.
+
+    A lag is live unless its ``lag_peak_bounds`` bound B satisfies
+    B (1 + SCREEN_MARGIN) <= theta * norm; a NaN bound is live.  The
+    surface spans the first to the last live lag, so the hits, their order
+    and the detections equal those of the full-window surface, and
+    ``extend_around`` computes any further lag a refinement reads.  Every
+    input check of ``discrete_ambiguity`` and ``coarse_detect`` runs before
+    the screen.  Returns (None, []) when no lag is live.
+    """
+    bounds = lag_peak_bounds(r, s, lag_window, params)
+    norm = s.energy
+    check_norm(norm)
+    _check_threshold(theta)
+    live = np.flatnonzero(~(bounds * (1.0 + SCREEN_MARGIN) <= theta * norm))
+    if live.size == 0:
+        return None, []
+    ell_min = lag_window[0]
+    window = (ell_min + int(live[0]), ell_min + int(live[-1]))
+    surface = discrete_ambiguity(r, s, window, params, norm=norm)
+    return surface, coarse_detect(surface, theta, params)
 
 
 def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bool]:
@@ -294,17 +344,18 @@ def estimate(
     params: RadarParams,
     lag_window: tuple[int, int] | None = None,
 ) -> list[Estimate]:
-    """Full pipeline: ambiguity surface, threshold detection, refinement.
+    """Full pipeline: screened ambiguity surface, threshold detection,
+    refinement.
 
     The surface is normalized by the replica energy so ``theta`` is read
     against a unit-peak auto-ambiguity.  The lag window defaults to the
-    detectability window; it is then grown to the lobe half-extent around
-    the detections, so no refinement reads past its edge.
+    detectability window; ``coarse_stage`` computes the surface on its live
+    lags only, and it is then grown to the lobe half-extent around the
+    detections, so no refinement reads past its edge.
     """
     refine = refiner(method)
     window = params.lag_window if lag_window is None else lag_window
-    surface = discrete_ambiguity(r, s, window, params, norm=s.energy)
-    detections = coarse_detect(surface, theta, params)
+    surface, detections = coarse_stage(r, s, theta, params, window)
     if not detections:
         return []
     surface = extend_around(surface, r, s, detections)

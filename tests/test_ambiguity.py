@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ddradar import (
     ChannelTruth,
     CodeMatrix,
+    add_noise,
     apply_channel,
     apply_receive_gating,
     continuous_ambiguity,
@@ -17,7 +18,8 @@ from ddradar import (
     sinc_model,
     synthesize_discrete,
 )
-from ddradar.ambiguity import AmbiguitySurface, extend_surface, write_surface
+from ddradar.ambiguity import AmbiguitySurface, extend_surface, lag_peak_bounds, write_surface
+from ddradar.estimator import SCREEN_MARGIN
 from ddradar.waveform import ComplexSignal
 
 
@@ -207,6 +209,79 @@ def test_peak_bound_on_auto_surfaces():
         s = synthesize_discrete(random_code(p, seed), p)
         surf = discrete_ambiguity(s, s, (-(p.frame_len - 1), p.frame_len - 1), p)
         assert np.max(np.abs(surf.values)) <= s.energy * (1 + 1e-12)
+
+
+def direct_bounds(r, s, ells, n):
+    """Defining sum of the per-lag bound, sum_j |r[j]| |s[j - ell]|."""
+    return np.array(
+        [sum(abs(r[j]) * abs(s[j - ell]) for j in range(n) if 0 <= j - ell < n) for ell in ells]
+    )
+
+
+def assert_bounds_hold(r, s, window, p):
+    """Every row's peak |A| under its bound, with the coarse stage's margin."""
+    bounds = lag_peak_bounds(r, s, window, p)
+    peaks = np.max(np.abs(discrete_ambiguity(r, s, window, p).values), axis=1)
+    assert bounds.shape == peaks.shape == (window[1] - window[0] + 1,)
+    assert np.all(peaks <= bounds * (1 + SCREEN_MARGIN))
+    return bounds, peaks
+
+
+@pytest.mark.parametrize("trim", [(0, 0), (3, 5)], ids=["dense", "zero-edged"])
+def test_lag_bounds_on_dense_signals_over_every_lag(trim):
+    # dense random signals, the whole +-(NM-1) range; "zero-edged" zeroes the
+    # replica's first 3 and last 5 samples, so the support is found from s
+    p = make_params(4, 4, 1, 2, 1.0)
+    n = p.frame_len
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s[: trim[0]] = 0
+    s[n - trim[1] :] = 0
+    window = (-(n - 1), n - 1)
+    bounds, _ = assert_bounds_hold(ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), window, p)
+    oracle = direct_bounds(r, s, range(window[0], window[1] + 1), n)
+    assert np.allclose(bounds, oracle, rtol=1e-12, atol=0)
+    for sub in [(-(n - 1), -(n - 1)), (n - 1, n - 1), (-4, 9)]:
+        part = lag_peak_bounds(ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), sub, p)
+        assert np.array_equal(part, bounds[sub[0] + n - 1 : sub[1] + n])
+
+
+def test_lag_bounds_attained_by_a_single_impulse(p_default, s_paper):
+    # |A[ell, k]| = |r[j0]| |s[j0 - ell]| = B[ell] in every bin
+    n = p_default.frame_len
+    for j0 in (0, 500, n - 1):
+        r = np.zeros(n, dtype=complex)
+        r[j0] = 0.3 - 0.4j
+        bounds, peaks = assert_bounds_hold(
+            ComplexSignal(r, p_default.T_s), s_paper, (-(n - 1), n - 1), p_default
+        )
+        assert np.allclose(peaks, bounds, rtol=1e-12, atol=0)
+        assert np.count_nonzero(bounds) == 160  # the replica's support
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(-1023, 1023), (-1023, -900), (900, 1023), (-1023, -1023), (1023, 1023), (128, 896)],
+    ids=["full", "low-edge", "high-edge", "first-lag", "last-lag", "detectability"],
+)
+def test_lag_bounds_on_paper_replica_at_frame_edges(p_default, good_code, s_paper, window):
+    truth = ChannelTruth.from_grid(300, 0.25, 2, -0.25, 1.0 + 0j, p_default)
+    r = add_noise(apply_channel(good_code, p_default, truth), 10.0, 3, p_default,
+                  ref_energy=s_paper.energy)
+    bounds, _ = assert_bounds_hold(apply_receive_gating(r, p_default), s_paper, window, p_default)
+    assert np.all(np.isfinite(bounds)) and np.all(bounds >= 0)
+
+
+def test_lag_bounds_zero_replica_and_checks(p_default, s_paper):
+    zero = ComplexSignal(np.zeros(p_default.frame_len), p_default.T_s)
+    assert np.array_equal(lag_peak_bounds(s_paper, zero, (-3, 4), p_default), np.zeros(8))
+    with pytest.raises(ValueError, match="empty lag window"):
+        lag_peak_bounds(s_paper, s_paper, (5, 4), p_default)
+    with pytest.raises(ValueError, match="outside"):
+        lag_peak_bounds(s_paper, s_paper, (0, p_default.frame_len), p_default)
+    with pytest.raises(ValueError, match="frame length"):
+        lag_peak_bounds(ComplexSignal(np.ones(4), p_default.T_s), s_paper, (0, 1), p_default)
 
 
 def test_conformance_separates_reference_codes(p_default, good_code, bad_code):

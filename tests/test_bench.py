@@ -9,6 +9,12 @@ import pytest
 
 from ddradar import (
     BenchConfig,
+    Detection,
+    add_noise,
+    apply_channel,
+    apply_receive_gating,
+    coarse_detect,
+    discrete_ambiguity,
     estimate,
     make_params,
     random_code,
@@ -17,6 +23,8 @@ from ddradar import (
 )
 from ddradar import bench
 from ddradar.bench import (
+    MethodOutcome,
+    TrialRecord,
     code_digest,
     draw_truth,
     run_trial,
@@ -28,7 +36,7 @@ from ddradar.bench import (
     write_sidecar,
 )
 from ddradar.codes import code_text, reference_bad_code, write_code
-from ddradar.estimator import REFINERS, SOLVER
+from ddradar.estimator import REFINERS, SOLVER, extend_around, refiner
 
 SMALL = make_params(16, 8, 2, 4, 1.0)
 PAPER = make_params(64, 16, 8, 8, 1.0)
@@ -237,6 +245,81 @@ def test_run_trial_agrees_with_estimate(p_default, good_code, method, monkeypatc
         assert (out.l_hat, out.k_hat, out.eps_t, out.eps_f) == (
             est.detection.l_hat, est.detection.k_hat, est.eps_t, est.eps_f
         )
+
+
+def reference_run_trial(cfg, snr_db, trial_seed):
+    """``run_trial`` on the full-window surface, with no lag screen (oracle)."""
+    p = cfg.params
+    refiners = [(method, refiner(method)) for method in cfg.methods]
+    truth_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([trial_seed, 0])))
+    noise_seed = int(np.random.SeedSequence([trial_seed, 1]).generate_state(1)[0])
+    truth = draw_truth(cfg, truth_rng)
+    s = cfg.replica
+    r = apply_channel(cfg.code, p, truth)
+    r = add_noise(r, snr_db, noise_seed, p, ref_energy=s.energy)
+    r = apply_receive_gating(r, p)
+    surface = discrete_ambiguity(r, s, p.lag_window, p, norm=s.energy)
+    detections = coarse_detect(surface, cfg.theta, p)
+    if detections:
+        det, undetected = detections[0], False
+    else:
+        row, col = np.unravel_index(np.argmax(np.abs(surface.values)), surface.values.shape)
+        det = Detection(
+            surface.ell_min + int(row),
+            surface.signed_bin(int(col)),
+            float(np.abs(surface.values[row, col])),
+        )
+        undetected = True
+    surface = extend_around(surface, r, s, [det])
+    true_delay, true_doppler = truth.l_d + truth.eps_t, truth.k_D + truth.eps_f
+    miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
+    outcomes = {}
+    for method, refine in refiners:
+        est = refine(surface, det, p)
+        outcomes[method] = MethodOutcome(
+            method, det.l_hat, det.k_hat, est.eps_t, est.eps_f,
+            est.delay_cells - true_delay, est.doppler_cells - true_doppler, miss, 0.0,
+        )
+    return TrialRecord(
+        trial_seed, snr_db, truth.l_d, truth.eps_t, truth.k_D, truth.eps_f, 0.0, outcomes
+    )
+
+
+def untimed(rec):
+    """A trial record with its stage timings zeroed."""
+    outcomes = {m: dataclasses.replace(o, refine_ms=0.0) for m, o in rec.outcomes.items()}
+    return dataclasses.replace(rec, coarse_ms=0.0, outcomes=outcomes)
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 0.0])
+def test_run_trial_matches_full_window_reference(snr_db):
+    cfg = BenchConfig(params=PAPER, code=reference_good_code(), seed=42)
+    for trial_seed in range(42, 242):
+        rec = run_trial(cfg, snr_db, trial_seed)
+        assert untimed(rec) == reference_run_trial(cfg, snr_db, trial_seed)
+
+
+def test_run_trial_fallback_matches_full_window_reference():
+    # theta = 2 leaves no cell, and at 30 dB no lag, above the threshold
+    cfg = BenchConfig(params=PAPER, code=reference_good_code(), theta=2.0, seed=42)
+    for trial_seed in range(42, 47):
+        rec = run_trial(cfg, 30.0, trial_seed)
+        assert all(out.miss for out in rec.outcomes.values())
+        assert untimed(rec) == reference_run_trial(cfg, 30.0, trial_seed)
+
+
+def test_run_trial_fallback_ignores_a_trimmed_surface(monkeypatch):
+    # live lags with no cell above theta: the argmax must still search the
+    # full window, not the coarse stage's trimmed surface
+    def one_lag_stage(r, s, theta, params, lag_window):
+        window = (lag_window[0], lag_window[0])
+        return discrete_ambiguity(r, s, window, params, norm=s.energy), []
+
+    monkeypatch.setattr(bench, "coarse_stage", one_lag_stage)
+    cfg = BenchConfig(params=PAPER, code=reference_good_code(), theta=2.0, seed=42)
+    for trial_seed in range(42, 45):
+        rec = run_trial(cfg, 30.0, trial_seed)
+        assert untimed(rec) == reference_run_trial(cfg, 30.0, trial_seed)
 
 
 # Noiseless RMSEs at the paper geometry, 200 trials from seed 42: with no

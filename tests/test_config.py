@@ -206,3 +206,14 @@ def test_load_sweep_rejects_two_codes(tmp_path):
     cfg.write_text("code_file = 'code.txt'\ncode_seed = 3\n")
     with pytest.raises(ParameterError, match="code_file or code_seed, not both"):
         load_sweep(cfg)
+
+
+def test_load_sweep_rejects_window_without_interior_lag(tmp_path):
+    # draw_truth places the target strictly inside the window
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("N = 4\nM = 4\nN_t = 2\nN_f = 2\ncode_seed = 1\n")
+    with pytest.raises(ParameterError, match=r"window \[8, 8\].*ell_max - ell_min >= 2"):
+        load_sweep(cfg)
+    assert load_params(cfg).lag_window == (8, 8)  # the geometry itself stays valid
+    cfg.write_text("N = 5\nM = 2\nN_t = 2\nN_f = 2\ncode_seed = 1\n")
+    assert load_sweep(cfg).params.lag_window == (4, 6)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from scipy.optimize import minimize
 
 from ddradar import (
     ChannelTruth,
+    ComplexSignal,
     Detection,
     Estimate,
     apply_channel,
@@ -380,6 +382,102 @@ def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper)
     assert (est.eps_t, est.eps_f) == (0.0, 0.0)
     assert est.alpha == est.detection.peak_mag
     assert est.method == "baseline"
+
+
+def reference_estimate(r, s, theta, method, params, lag_window=None):
+    """``estimate`` on the full-window surface, with no lag screen (oracle)."""
+    refine = estimator.refiner(method)
+    window = params.lag_window if lag_window is None else lag_window
+    surface = discrete_ambiguity(r, s, window, params, norm=s.energy)
+    detections = coarse_detect(surface, theta, params)
+    if not detections:
+        return []
+    surface = estimator.extend_around(surface, r, s, detections)
+    return [refine(surface, det, params) for det in detections]
+
+
+def echo(code, params, truths, snr_db=None, seed=0):
+    """Gated echo of one or more targets, with noise unless snr_db is None."""
+    s = synthesize_discrete(code, params)
+    samples = sum(apply_channel(code, params, truth).samples for truth in truths)
+    r = ComplexSignal(samples, params.T_s)
+    if snr_db is not None:
+        r = add_noise(r, snr_db, seed, params, ref_energy=s.energy)
+    return apply_receive_gating(r, params)
+
+
+SCREEN_FRAMES = {
+    # id: ((l_d, eps_t, k_D, eps_f) per target, SNR in dB, theta, lag window)
+    "30dB": ([(400, 0.3, 2, -0.2)], 30.0, 0.5, None),
+    "0dB": ([(400, 0.3, 2, -0.2)], 0.0, 0.5, None),
+    "-10dB": ([(400, 0.3, 2, -0.2)], -10.0, 0.28, None),
+    "noiseless": ([(400, 0.3, 2, -0.2)], None, 0.5, None),
+    "two-far-targets": ([(150, -0.1, 1, 0.4), (850, 0.2, -3, -0.3)], 30.0, 0.5, None),
+    "window-edge": ([(128, 0.0, 0, 0.1)], 30.0, 0.5, None),
+    "track-gate": ([(500, 0.2, -2, 0.3)], 20.0, 0.5, (495, 511)),
+}
+
+
+@pytest.mark.parametrize("frame", list(SCREEN_FRAMES))
+def test_screened_estimate_matches_full_window(p_default, good_code, s_paper, frame):
+    targets, snr_db, theta, window = SCREEN_FRAMES[frame]
+    truths = [ChannelTruth.from_grid(*t, 1.0 + 0j, p_default) for t in targets]
+    r = echo(good_code, p_default, truths, snr_db, seed=17)
+    for method in ("sinc2d", "quadratic"):
+        want = reference_estimate(r, s_paper, theta, method, p_default, lag_window=window)
+        assert want, "the frame must detect something"
+        assert estimate(r, s_paper, theta, method, p_default, lag_window=window) == want
+    surface, _ = estimator.coarse_stage(r, s_paper, theta, p_default, window or p_default.lag_window)
+    if frame in ("30dB", "noiseless", "window-edge"):
+        assert surface.values.shape[0] < 200  # of 769 lags: the screen does trim
+
+
+def test_screened_estimate_at_theta_equal_to_a_cell_magnitude(p_default, good_code, s_paper):
+    # theta exactly at a computed |A| and one ulp either side: the cell
+    # flips between hit and miss, and the screen must not move with it
+    truth = ChannelTruth.from_grid(400, 0.3, 2, -0.2, 1.0 + 0j, p_default)
+    r = echo(good_code, p_default, [truth], 30.0, seed=17)
+    full = discrete_ambiguity(r, s_paper, p_default.lag_window, p_default, norm=s_paper.energy)
+    mag = np.abs(full.values)
+    rows = np.flatnonzero(mag.max(axis=1) > 0.25)
+    cells = [mag.max(), mag[rows[0]].max(), mag[rows[-1]].max()]
+    for value in cells:
+        for theta in (np.nextafter(value, 0.0), value, np.nextafter(value, np.inf)):
+            for method in ("sinc2d", "quadratic"):
+                want = reference_estimate(r, s_paper, float(theta), method, p_default)
+                assert estimate(r, s_paper, float(theta), method, p_default) == want
+    assert estimate(r, s_paper, float(cells[0]), "quadratic", p_default) == []
+    assert len(estimate(r, s_paper, float(np.nextafter(cells[0], 0.0)), "quadratic", p_default)) == 1
+
+
+# Malformed inputs to the coarse stage, each a change to a call on an
+# all-zero echo of frame length n.
+BAD_COARSE_INPUTS = {
+    "theta-0": lambda zero, n: {"theta": 0.0},
+    "theta-negative": lambda zero, n: {"theta": -1.0},
+    "theta-nan": lambda zero, n: {"theta": float("nan")},
+    "window-high": lambda zero, n: {"lag_window": (0, n)},
+    "window-low": lambda zero, n: {"lag_window": (-n, 3)},
+    "window-empty": lambda zero, n: {"lag_window": (5, 4)},
+    "lengths": lambda zero, n: {"r": ComplexSignal(np.zeros(n + 1), zero.sample_period)},
+    "zero-replica": lambda zero, n: {"s": zero},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COARSE_INPUTS))
+def test_estimate_checks_inputs_before_the_screen(p_default, s_paper, case):
+    # an all-zero echo leaves no lag live, so only the checks can raise
+    n = p_default.frame_len
+    zero = ComplexSignal(np.zeros(n), p_default.T_s)
+    assert estimate(zero, s_paper, 0.5, "quadratic", p_default) == []
+    assert estimator.coarse_stage(zero, s_paper, 0.5, p_default, p_default.lag_window) == (None, [])
+    call = {"r": zero, "s": s_paper, "theta": 0.5, "lag_window": None}
+    call.update(BAD_COARSE_INPUTS[case](zero, n))
+    args = (call["r"], call["s"], call["theta"], "quadratic", p_default)
+    with pytest.raises(ValueError) as want:
+        reference_estimate(*args, lag_window=call["lag_window"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        estimate(*args, lag_window=call["lag_window"])
 
 
 def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
