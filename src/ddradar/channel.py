@@ -5,7 +5,11 @@ The main path samples the analytic transmitted pulse train directly,
     r[j] = alpha * s(j T_s - t_d) * e^{+2 pi i f_D j T_s},
 
 with s the windowed pulse train the transmitter actually radiates, so an
-integer-sample delay reduces to an exact shift of the stored replica.
+integer-sample delay reduces to an exact shift of the stored replica.  The
+pulse train and the Doppler factor are evaluated only on the echo's
+``waveform.radiated_span`` (the samples j with j T_s - t_d in
+[0, (N_t + 2) T_c), plus one guard sample each side); every other sample
+of the frame is zero, as the full-frame evaluation gives.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .codes import CodeMatrix
 from .config import RadarParams
-from .waveform import ComplexSignal, evaluate_transmitted
+from .waveform import ComplexSignal, evaluate_transmitted, radiated_span
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,11 @@ def apply_channel(
             f"delay t_d={truth.t_d} outside detectability window "
             f"[{params.N_t * params.T_c}, {(params.N - params.N_t) * params.T_c}]"
         )
-    t = np.arange(params.frame_len) * params.T_s
+    span = radiated_span(params, truth.t_d)
+    t = np.arange(span.start, span.stop) * params.T_s
     echo = evaluate_transmitted(code, params, t - truth.t_d)
-    r = truth.alpha * echo * np.exp(2j * np.pi * truth.f_D * t)
+    r = np.zeros(params.frame_len, dtype=np.complex128)
+    r[span] = truth.alpha * echo * np.exp(2j * np.pi * truth.f_D * t)
     return ComplexSignal(r, params.T_s)
 
 

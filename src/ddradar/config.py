@@ -13,6 +13,7 @@ defaults, a file and flag overrides into a RadarParams.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,16 +126,22 @@ _TYPE_NAMES = {int: "an integer", float: "a number", list: "a number or a list o
                str: "a quoted string"}
 
 
+# A line up to its first '#' outside quotes.  An unclosed quote runs to the
+# end of the line, so its value fails as a string rather than as a comment.
+_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"?|'[^']*'?)*""")
+
+
 def read_config(path: str | Path) -> dict:
     """Read a flat ``key = value`` config file (a TOML subset), each value
-    parsed as its key's type in CONFIG_KEYS; ``#`` starts a comment.
+    parsed as its key's type in CONFIG_KEYS; ``#`` outside quotes starts a
+    comment.
 
     An unknown key, a repeated key or a value that is not of its key's type
     raises ParameterError naming the key and its line.
     """
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         key, eq, value = (part.strip() for part in line.partition("="))

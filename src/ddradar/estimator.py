@@ -82,7 +82,10 @@ class Detection:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A refined detection: offsets in cells clamped to [-1/2, 1/2], gain >= 0."""
+    """A refined detection: offsets in cells clamped to [-1/2, 1/2], gain >= 0.
+
+    A NaN offset or gain, the mark of a failed refinement, is kept as NaN.
+    """
 
     detection: Detection
     eps_t: float
@@ -93,9 +96,11 @@ class Estimate:
     degenerate: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_t", min(0.5, max(-0.5, float(self.eps_t))))
-        object.__setattr__(self, "eps_f", min(0.5, max(-0.5, float(self.eps_f))))
-        object.__setattr__(self, "alpha", max(0.0, float(self.alpha)))
+        # The value goes first: max and min keep their first argument when
+        # no comparison holds, so a NaN passes through both unclamped.
+        object.__setattr__(self, "eps_t", min(max(float(self.eps_t), -0.5), 0.5))
+        object.__setattr__(self, "eps_f", min(max(float(self.eps_f), -0.5), 0.5))
+        object.__setattr__(self, "alpha", max(float(self.alpha), 0.0))
 
     @property
     def delay_cells(self) -> float:

@@ -13,11 +13,18 @@ and the channel samples at the delayed times; without it, it is the
 untruncated analytic signal, the smooth oracle that differs from the
 replica only by the truncated Gaussian tails.  The independent term-by-term
 oracle for the replica, ``brute_synthesize``, lives in the tests.
+
+Outside its support the radiated train is exactly zero, so a frame is
+evaluated only on ``radiated_span``: the samples j with j T_s - t_d in
+[0, (N_t + 2) T_c), plus one guard sample on each side, clipped to the
+frame (at most 162 of 1024 samples at the paper geometry).  The replica
+(t_d = 0) and the echo both read this one rule; every other sample is zero.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,10 +63,25 @@ def gaussian_pulse(t):
     return 2 ** 0.25 * np.exp(-np.pi * np.asarray(t, dtype=float) ** 2)
 
 
+def radiated_span(params: RadarParams, t_d: float = 0.0) -> slice:
+    """The frame samples j a pulse train delayed by ``t_d`` can reach.
+
+    These are the j with j T_s - t_d in the train's support
+    [0, (N_t + 2) T_c), widened by one guard sample on each side, because
+    the window test runs on rounded times, and clipped to the frame.  Every
+    sample outside the span is exactly zero.
+    """
+    first = math.ceil(t_d / params.T_s) - 1
+    stop = math.ceil((t_d + (params.N_t + 2) * params.T_c) / params.T_s) + 1
+    return slice(max(first, 0), min(stop, params.frame_len))
+
+
 def synthesize_discrete(code: CodeMatrix, params: RadarParams) -> ComplexSignal:
     """Build the frame_len-sample replica: the radiated signal at t = j T_s."""
-    t = np.arange(params.frame_len) * params.T_s
-    return ComplexSignal(evaluate_transmitted(code, params, t), params.T_s)
+    span = radiated_span(params)
+    s = np.zeros(params.frame_len, dtype=np.complex128)
+    s[span] = evaluate_transmitted(code, params, np.arange(span.start, span.stop) * params.T_s)
+    return ComplexSignal(s, params.T_s)
 
 
 def _continuous_sum(code: CodeMatrix, params: RadarParams, t, truncated: bool):

@@ -10,8 +10,18 @@ from ddradar import (
     apply_channel,
     apply_receive_gating,
     make_params,
+    random_code,
 )
-from ddradar.waveform import ComplexSignal
+from ddradar.waveform import ComplexSignal, evaluate_transmitted, radiated_span
+
+
+def dense_channel(code, params, truth):
+    """Full-frame oracle: alpha s(t - t_d) e^{2 pi i f_D t} at every t = j T_s,
+    multiplied in apply_channel's order (numpy's complex products can round
+    differently when their operands are swapped)."""
+    t = np.arange(params.frame_len) * params.T_s
+    echo = evaluate_transmitted(code, params, t - truth.t_d)
+    return truth.alpha * echo * np.exp(2j * np.pi * truth.f_D * t)
 
 
 def h_matrix(truth, params, n_rows, n_cols):
@@ -94,6 +104,50 @@ def test_integer_channel_correlation_peak(p_default, good_code, s_paper):
     r = apply_channel(good_code, p_default, truth)
     corr = np.abs(np.correlate(r.samples, s_paper.samples, mode="full"))
     assert int(np.argmax(corr)) - (p_default.frame_len - 1) == l_d
+
+
+@pytest.mark.parametrize(
+    "geometry, t_d_cells, expected",
+    [
+        ((64, 16, 8, 8, 1.0), 0.0, (0, 161)),  # support [0, 160) plus a guard
+        ((64, 16, 8, 8, 1.0), 300.25, (300, 462)),  # j in [301, 460] plus guards
+        ((64, 16, 8, 8, 1.0), 896.0, (895, 1024)),  # clipped at the frame end
+        ((32, 4, 4, 2, 3.7), 100.5, (100, 126)),  # j in [101, 124] plus guards
+    ],
+)
+def test_radiated_span(geometry, t_d_cells, expected):
+    p = make_params(*geometry)
+    span = radiated_span(p, t_d_cells * p.T_s)
+    assert (span.start, span.stop) == expected
+
+
+def _span_cases():
+    """(geometry, t_d in samples) at both window edges and on both sides of
+    an integer sample, for the paper geometry and four others."""
+    for geometry in [
+        (64, 16, 8, 8, 1.0),
+        (64, 16, 8, 8, 1e-6),
+        (16, 8, 2, 4, 1.0),
+        (32, 4, 4, 2, 3.7),
+        (64, 64, 8, 8, 1.0),
+    ]:
+        N, M, N_t = geometry[:3]
+        lo, hi = N_t * M, (N - N_t) * M  # the window edges in samples
+        k = (lo + hi) // 2
+        for t_d in [lo, hi, hi - 0.5, k - 1e-12, k + 1e-12, k - 0.5, k + 0.5]:
+            yield geometry, t_d
+
+
+@pytest.mark.parametrize("geometry, t_d_cells", list(_span_cases()))
+def test_channel_on_span_matches_full_frame(geometry, t_d_cells):
+    p = make_params(*geometry)
+    code = random_code(p, 5)
+    for alpha, f_D_cells in [(1.0 + 0j, 0.0), (0.6 - 1.3j, 3.37), (-0.2 + 0.9j, -7.5)]:
+        truth = ChannelTruth.from_delay_doppler(
+            t_d_cells * p.T_s, f_D_cells * p.delta_f, alpha, p
+        )
+        r = apply_channel(code, p, truth).samples
+        assert np.array_equal(r.view(np.float64), dense_channel(code, p, truth).view(np.float64))
 
 
 def test_h_matrix_identity_at_origin(p_default):

@@ -112,6 +112,15 @@ def test_parse_config_text_values(tmp_path):
             read_config(cfg)
 
 
+def test_hash_inside_quotes_is_not_a_comment(tmp_path):
+    cfg = tmp_path / "quoted.cfg"
+    cfg.write_text('code_file = "codes/run#2.txt"  # the second run\ntheta = 0.5 # "x#"\n')
+    assert read_config(cfg) == {"code_file": "codes/run#2.txt", "theta": 0.5}
+    cfg.write_text('code_file = "codes/run#2.txt\n')
+    with pytest.raises(ParameterError, match="config line 1: .*quoted string.*run#2"):
+        read_config(cfg)
+
+
 SHARED_CONFIG = (
     "N = 16\nM = 8\nN_t = 2\nN_f = 4\n"
     "code_seed = 3\ntrials = 10\nsnr_db = [20, 30]\ntheta = 0.4\nseed = 77\nworkers = 2\n"

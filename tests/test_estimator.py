@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -309,6 +310,13 @@ def test_estimates_are_clamped(p_default, good_code):
     assert (est.eps_t, est.eps_f, est.alpha) == (0.5, -0.5, 0.0)
     assert all(type(v) is float for v in (est.eps_t, est.eps_f, est.alpha))
     assert (est.delay_cells, est.doppler_cells) == (300.5, 1.5)
+
+
+def test_estimate_keeps_nan_from_failed_refinement():
+    est = Estimate(Detection(1, 2, 0.5), math.nan, math.nan, math.nan, "sinc2d")
+    assert all(math.isnan(v) for v in (est.eps_t, est.eps_f, est.alpha))
+    est = Estimate(Detection(1, 2, 0.5), math.nan, 0.7, -math.inf, "sinc2d")
+    assert math.isnan(est.eps_t) and (est.eps_f, est.alpha) == (0.5, 0.0)
 
 
 def test_end_to_end_integer_truth_small_bias(good_code):

@@ -97,6 +97,16 @@ def test_replica_bits_are_pinned(s_paper):
     assert hashlib.sha256(s_paper.samples.tobytes()).hexdigest() == GOLDEN_REPLICA_SHA256
 
 
+@pytest.mark.parametrize(
+    "geometry", [(64, 16, 8, 8, 1.0), (64, 16, 8, 8, 1e-6), (32, 4, 4, 2, 3.7), (8, 4, 2, 2, 1.0)]
+)
+def test_replica_on_span_matches_full_frame(geometry):
+    p = make_params(*geometry)
+    code = random_code(p, 11)
+    dense = evaluate_transmitted(code, p, np.arange(p.frame_len) * p.T_s)
+    assert synthesize_discrete(code, p).samples.tobytes() == dense.tobytes()
+
+
 def test_discrete_continuous_consistency(p_default, good_code, s_paper):
     t = np.arange(p_default.frame_len) * p_default.T_s
     cont = evaluate_continuous(good_code, p_default, t)
