@@ -34,7 +34,6 @@ from .estimator import (
 )
 from .waveform import (
     ComplexSignal,
-    evaluate_continuous,
     evaluate_transmitted,
     gaussian_pulse,
     synthesize_discrete,
@@ -61,7 +60,6 @@ __all__ = [
     "continuous_ambiguity",
     "discrete_ambiguity",
     "estimate",
-    "evaluate_continuous",
     "evaluate_transmitted",
     "gaussian_pulse",
     "load_params",

@@ -20,9 +20,10 @@ threshold before paying for the FFT.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
-screen measures the worst deviation from that model along the two lobe axis
-cuts, at a fixed OVERSAMPLE points per cell, and accepts the code when it
-stays within the fixed CONFORMANCE_DELTA.
+screen takes the auto-ambiguity of the radiated pulse train, the signal the
+transmitter sends, measures its worst deviation from that model along the
+two lobe axis cuts, at a fixed OVERSAMPLE points per cell, and accepts the
+code when it stays within the fixed CONFORMANCE_DELTA.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import CodeMatrix
 from .config import RadarParams
-from .waveform import ComplexSignal, evaluate_continuous, synthesize_discrete
+from .waveform import ComplexSignal, evaluate_transmitted, synthesize_discrete
 
 CONFORMANCE_DELTA = 0.05
 OVERSAMPLE = 8
@@ -208,20 +209,19 @@ def continuous_ambiguity(
     nus: np.ndarray,
     params: RadarParams,
 ) -> np.ndarray:
-    """Riemann-sum ambiguity between a sampled signal and an analytic one.
+    """Riemann-sum ambiguity between a sampled signal and a radiated one.
 
     A(tau, nu) ~= T_s sum_j x[j] y*(j T_s - tau) e^{-2 pi i nu j T_s}, where
-    y is the untruncated analytic signal of ``y_code``, over a tau x nu grid
-    of shape (len(taus), len(nus)).  On integer grid points this reproduces
-    T_s times the discrete surface, up to the truncated Gaussian tails absent
-    from the stored replica.
+    y is the radiated pulse train of ``y_code`` (``evaluate_transmitted``),
+    over a tau x nu grid of shape (len(taus), len(nus)).  On integer grid
+    points this is T_s times the discrete surface, up to round-off.
     """
     n = params.frame_len
     if len(x_samples) != n:
         raise ValueError(f"x must have frame length {n}, got {len(x_samples)}")
     t = np.arange(n) * params.T_s
     shifted = t[None, :] - taus[:, None]  # (n_tau, NM)
-    y = evaluate_continuous(y_code, params, shifted.ravel()).reshape(shifted.shape)
+    y = evaluate_transmitted(y_code, params, shifted.ravel()).reshape(shifted.shape)
     weighted = x_samples.samples[None, :] * np.conj(y)  # (n_tau, NM)
     doppler = np.exp(-2j * np.pi * np.outer(t, nus))  # (NM, n_nu)
     return params.T_s * (weighted @ doppler)
@@ -271,7 +271,9 @@ def sinc_model(ell, k, params: RadarParams):
 def sinc_conformance(code: CodeMatrix, params: RadarParams) -> tuple[float, bool]:
     """Score a code by its worst deviation from the sinc lobe model.
 
-    Evaluates |A_ss| / |A_ss(0, 0)| along the two main-lobe axis cuts,
+    Evaluates |A_ss| / |A_ss(0, 0)|, the normalized auto-ambiguity of the
+    radiated pulse train (the replica against ``evaluate_transmitted`` at
+    fractional shifts), along the two main-lobe axis cuts,
     |tau| <= T_s M/N_f at nu = 0 and |nu| <= delta_f N/N_t at tau = 0, with
     ``OVERSAMPLE`` points per unit lag/bin, and returns (max deviation from
     the model over both cuts, deviation <= ``CONFORMANCE_DELTA``).  The cuts

@@ -33,7 +33,7 @@ import numpy as np
 from .ambiguity import discrete_ambiguity, sinc_conformance
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import CodeMatrix, code_text, random_code, read_code, reference_good_code
-from .config import ParameterError, RadarParams, load_params, read_config
+from .config import DEFAULT_GEOMETRY, ParameterError, RadarParams, load_params, read_config
 from .estimator import (
     DEFAULT_THRESHOLD,
     REFINERS,
@@ -85,7 +85,7 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
     for key, least in _SWEEP_MINIMUM.items():
         if key in raw and raw[key] < least:
             raise ParameterError(f"sweep setting {key!r} must be at least {least}, got {raw[key]}")
-    params = load_params(path)
+    params = load_params(overrides={k: raw.get(k) for k in DEFAULT_GEOMETRY})
     ell_min, ell_max = params.lag_window
     if ell_max - ell_min < 2:
         raise ParameterError(

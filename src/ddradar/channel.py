@@ -105,7 +105,7 @@ def apply_channel(
     echo = evaluate_transmitted(code, params, t - truth.t_d)
     r = np.zeros(params.frame_len, dtype=np.complex128)
     r[span] = truth.alpha * echo * np.exp(2j * np.pi * truth.f_D * t)
-    return ComplexSignal(r, params.T_s)
+    return ComplexSignal(r)
 
 
 def add_noise(
@@ -124,8 +124,8 @@ def add_noise(
     (NaN, ``-inf``, or a finite value far outside any physical range) is
     rejected.  Noise is drawn from a Philox stream keyed by ``seed``.
     """
-    if ref_energy <= 0:
-        raise ValueError(f"ref_energy must be positive, got {ref_energy}")
+    if not 0 < ref_energy < math.inf:
+        raise ValueError(f"ref_energy must be positive and finite, got {ref_energy}")
     if snr_db == math.inf:
         return signal
     try:
@@ -142,11 +142,11 @@ def add_noise(
     noise = scale * (
         rng.standard_normal(params.frame_len) + 1j * rng.standard_normal(params.frame_len)
     )
-    return ComplexSignal(signal.samples + noise, signal.sample_period)
+    return ComplexSignal(signal.samples + noise)
 
 
 def apply_receive_gating(signal: ComplexSignal, params: RadarParams) -> ComplexSignal:
     """Zero the samples recorded while the transmitter was still firing (j < L)."""
     gated = signal.samples.copy()
     gated[: params.L] = 0.0
-    return ComplexSignal(gated, signal.sample_period)
+    return ComplexSignal(gated)

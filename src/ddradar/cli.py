@@ -190,16 +190,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ambiguity(args) -> int:
     params = _resolve_params(args)
-    r = read_signal(args.r_file, params.T_s)
-    s = read_signal(args.s_file, params.T_s)
+    r = read_signal(args.r_file)
+    s = read_signal(args.s_file)
     write_surface(args.out, discrete_ambiguity(r, s, (args.lmin, args.lmax), params))
     return 0
 
 
 def _cmd_estimate(args) -> int:
     params = _resolve_params(args)
-    r = read_signal(args.r_file, params.T_s)
-    s = read_signal(args.s_file, params.T_s)
+    r = read_signal(args.r_file)
+    s = read_signal(args.s_file)
     results = estimate(r, s, args.theta, args.method, params)
     for est in results:
         rec = {

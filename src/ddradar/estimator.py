@@ -22,13 +22,14 @@ bounded quasi-Newton descent over [-1/2, 1/2]^2 seeded with the quadratic
 estimate.  It runs on the exact gradient via the envelope theorem: the gain
 is optimal at every offset, so only the model's own derivative enters, and
 the separable model gives that from per-axis sinc factors and their
-derivatives.  When the seed is already first-order stationary the descent is
-skipped: on a target sitting exactly on the grid the magnitude patch is
-centro-symmetric, the origin is a stationary point of the fit, and walking
-downhill from it would only chase the small code-dependent mismatch between
-the real surface and the lobe model.  The patch is normalized by its peak
-before fitting, so rescaling the surface scales the fitted amplitude and
-leaves the recovered offsets unchanged up to solver round-off.
+derivatives.  When the seed is already first-order stationary in the fit box
+(the rule of ``Estimate.converged``) the descent is skipped: on a target
+sitting exactly on the grid the magnitude patch is centro-symmetric, the
+origin is a stationary point of the fit, and walking downhill from it would
+only chase the small code-dependent mismatch between the real surface and
+the lobe model.  The patch is normalized by its peak before fitting, so
+rescaling the surface scales the fitted amplitude and leaves the recovered
+offsets unchanged up to solver round-off.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ SCREEN_MARGIN = 1e-9
 _FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
 # read them from here.  ``stationary_tol`` decides both the seed skip and
-# ``Estimate.converged``.
+# ``Estimate.converged``, by the one rule ``_stationary``.
 SOLVER = {
     "kind": "l-bfgs-b",
     "jac": "analytic",
@@ -273,7 +274,7 @@ def refine_sinc2d(
         x0 = np.zeros(2)
 
     seed_fit = fit(x0)
-    if np.max(np.abs(seed_fit[1])) <= SOLVER["stationary_tol"]:
+    if _stationary(x0, seed_fit[1]):
         best = x0  # seed already stationary
     else:
         from scipy.optimize import minimize  # loaded by refiner("sinc2d")
@@ -297,9 +298,11 @@ def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
     ``SOLVER["stationary_tol"]``, components pinned at a bound they push against
     zeroed.  Not the solver's exit code, which calls a line search stalled
     at the objective's round-off floor "ABNORMAL"."""
-    lo, hi = np.array(_FIT_BOUNDS).T
-    pinned = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
-    return bool(np.max(np.abs(np.where(pinned, 0.0, grad))) <= SOLVER["stationary_tol"])
+    tol = SOLVER["stationary_tol"]
+    return all(
+        abs(g) <= tol or (xi <= lo and g > 0) or (xi >= hi and g < 0)
+        for xi, g, (lo, hi) in zip(x, grad, _FIT_BOUNDS)
+    )
 
 
 # Every refinement method by name, each called as (surface, det, params);

@@ -7,12 +7,12 @@ modulates it across the occupied subcarriers:
 
 Each slot's pulse is radiated only over its 3 T_c window [n T_c, (n + 3) T_c),
 so the whole pulse train occupies exactly [0, (N_t + 2) T_c) -- the
-receive-gate boundary L.  One evaluator computes this sum: with the window
-it is the radiated signal, which the stored replica samples at t = j T_s
-and the channel samples at the delayed times; without it, it is the
-untruncated analytic signal, the smooth oracle that differs from the
-replica only by the truncated Gaussian tails.  The independent term-by-term
-oracle for the replica, ``brute_synthesize``, lives in the tests.
+receive-gate boundary L.  This radiated train is the package's one signal
+model: ``evaluate_transmitted`` computes it, the stored replica samples it at
+t = j T_s, the channel samples it at the delayed times, and the conformance
+screen reads its auto-ambiguity.  The independent term-by-term oracle for
+the replica, ``brute_synthesize``, and the untruncated analytic signal, the
+smooth oracle, live in the tests.
 
 Outside its support the radiated train is exactly zero, so a frame is
 evaluated only on ``radiated_span``: the samples j with j T_s - t_d in
@@ -38,10 +38,9 @@ PULSE_CENTER_SLOTS = 1.5  # each pulse peaks 1.5 T_c into its 3 T_c window
 
 @dataclass(frozen=True)
 class ComplexSignal:
-    """A frame of complex baseband samples taken every ``sample_period`` s."""
+    """A frame of complex baseband samples, sample j taken at t = j T_s."""
 
     samples: np.ndarray
-    sample_period: float
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.complex128)
@@ -81,42 +80,22 @@ def synthesize_discrete(code: CodeMatrix, params: RadarParams) -> ComplexSignal:
     span = radiated_span(params)
     s = np.zeros(params.frame_len, dtype=np.complex128)
     s[span] = evaluate_transmitted(code, params, np.arange(span.start, span.stop) * params.T_s)
-    return ComplexSignal(s, params.T_s)
+    return ComplexSignal(s)
 
 
-def _continuous_sum(code: CodeMatrix, params: RadarParams, t, truncated: bool):
-    code.require_match(params)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    slots_t = (
-        t_arr[None, :] / params.T_c - np.arange(params.N_t)[:, None] - PULSE_CENTER_SLOTS
-    )
-    pulses = gaussian_pulse(slots_t)  # (N_t, T)
-    if truncated:
-        # window [0, 3 T_c) per slot, the pulse the transmitter radiates
-        inside = (slots_t >= -PULSE_CENTER_SLOTS) & (slots_t < PULSE_CENTER_SLOTS)
-        pulses = np.where(inside, pulses, 0.0)
-    phases = np.exp(2j * np.pi * np.outer(code.m_values, t_arr) * params.F_c)  # (N_f, T)
-    s = np.einsum("nm,nt,mt->t", code.entries.astype(float), pulses, phases) / params.M
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(s[0])
-    return s
+def evaluate_transmitted(code: CodeMatrix, params: RadarParams, t: np.ndarray) -> np.ndarray:
+    """Evaluate the radiated pulse train at the times ``t`` (seconds, 1-D).
 
-
-def evaluate_continuous(code: CodeMatrix, params: RadarParams, t):
-    """Evaluate the analytic transmitted signal at time(s) ``t`` (seconds).
-
-    Accepts a scalar or an array; returns a matching complex result.  Uses the
-    untruncated Gaussian, scaled by 1/M like :func:`synthesize_discrete`;
-    serves as the smooth diagnostic oracle for the other code paths.
+    Each slot's Gaussian is windowed to its 3 T_c window and the sum is
+    scaled by 1/M; sampled at t = j T_s it is the stored replica.
     """
-    return _continuous_sum(code, params, t, truncated=False)
-
-
-def evaluate_transmitted(code: CodeMatrix, params: RadarParams, t):
-    """Like :func:`evaluate_continuous` but with the per-slot 3 T_c pulse
-    window actually radiated by the transmitter; sampled at t = j T_s it is
-    the stored replica."""
-    return _continuous_sum(code, params, t, truncated=True)
+    code.require_match(params)
+    t = np.asarray(t, dtype=float)
+    slots_t = t[None, :] / params.T_c - np.arange(params.N_t)[:, None] - PULSE_CENTER_SLOTS
+    inside = (slots_t >= -PULSE_CENTER_SLOTS) & (slots_t < PULSE_CENTER_SLOTS)
+    pulses = np.where(inside, gaussian_pulse(slots_t), 0.0)  # (N_t, T)
+    phases = np.exp(2j * np.pi * np.outer(code.m_values, t) * params.F_c)  # (N_f, T)
+    return np.einsum("nm,nt,mt->t", code.entries.astype(float), pulses, phases) / params.M
 
 
 def write_signal(path: str | Path, signal: ComplexSignal) -> None:
@@ -127,7 +106,7 @@ def write_signal(path: str | Path, signal: ComplexSignal) -> None:
             fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
-def read_signal(path: str | Path, sample_period: float) -> ComplexSignal:
+def read_signal(path: str | Path) -> ComplexSignal:
     """Read a ``index,re,im`` CSV written by :func:`write_signal`.
 
     The n data rows must carry each index 0..n-1 exactly once, in any order,
@@ -155,4 +134,4 @@ def read_signal(path: str | Path, sample_period: float) -> ComplexSignal:
             raise ValueError(f"{path}:{lineno}: non-finite sample {line!r}")
         seen[idx] = True
         samples[idx] = value
-    return ComplexSignal(samples, sample_period)
+    return ComplexSignal(samples)

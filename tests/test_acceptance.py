@@ -76,9 +76,7 @@ def test_criterion_1_fft_matches_direct_sum():
         s = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
         lo = int(rng.integers(-(nm - 1), nm - 1))
         hi = int(rng.integers(lo, nm))
-        surf = discrete_ambiguity(
-            ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), (lo, hi), p
-        )
+        surf = discrete_ambiguity(ComplexSignal(r), ComplexSignal(s), (lo, hi), p)
         # direct evaluation of the defining sum: explicit DFT matrix, no FFT
         j = np.arange(nm)
         dft = np.exp(-2j * np.pi * np.outer(j, j) / nm)

@@ -58,9 +58,7 @@ def test_fft_path_matches_direct_sum():
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ells = np.arange(-5, 9)
-    surf = discrete_ambiguity(
-        ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), (-5, 8), p
-    )
+    surf = discrete_ambiguity(ComplexSignal(r), ComplexSignal(s), (-5, 8), p)
     oracle = direct_ambiguity(r, s, ells, n)
     assert np.max(np.abs(surf.values - oracle)) <= 1e-9
 
@@ -77,9 +75,7 @@ def test_edge_windows_match_direct_sum(window):
     rng = np.random.default_rng(11)
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    surf = discrete_ambiguity(
-        ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), window, p
-    )
+    surf = discrete_ambiguity(ComplexSignal(r), ComplexSignal(s), window, p)
     oracle = direct_ambiguity(r, s, np.arange(window[0], window[1] + 1), n)
     assert surf.values.shape == oracle.shape
     assert np.max(np.abs(surf.values - oracle)) <= 1e-9
@@ -92,9 +88,7 @@ def test_norm_argument_matches_normalized(p_default, good_code, s_paper):
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     n = p_default.frame_len
     rng = np.random.default_rng(23)
-    s_random = ComplexSignal(
-        rng.standard_normal(n) + 1j * rng.standard_normal(n), p_default.T_s
-    )
+    s_random = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     windows = [p_default.lag_window, (-(n - 1), -1), (-40, 25)]
     for s in (s_paper, s_random):
         for window in windows:
@@ -121,9 +115,7 @@ def test_surface_validation(p_default, s_paper):
     with pytest.raises(ValueError, match="empty lag window"):
         discrete_ambiguity(s_paper, s_paper, (5, 4), p_default)
     with pytest.raises(ValueError, match="frame length"):
-        discrete_ambiguity(
-            ComplexSignal(np.ones(4), p_default.T_s), s_paper, (0, 1), p_default
-        )
+        discrete_ambiguity(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
     with pytest.raises(ValueError, match="outside"):
         discrete_ambiguity(s_paper, s_paper, (0, p_default.frame_len), p_default)
 
@@ -139,7 +131,7 @@ def test_signed_bin_wrapping(p_default, s_paper):
 
 def test_continuous_auto_origin_is_scaled_energy(p_default, good_code, s_paper):
     a00 = continuous_ambiguity(s_paper, good_code, np.zeros(1), np.zeros(1), p_default)[0, 0]
-    assert abs(a00 - p_default.T_s * s_paper.energy) <= 5e-5 * p_default.T_s * s_paper.energy
+    assert abs(a00 - p_default.T_s * s_paper.energy) <= 1e-12 * p_default.T_s * s_paper.energy
 
 
 def test_continuous_matches_discrete_on_grid(p_default, good_code, s_paper):
@@ -156,7 +148,7 @@ def test_continuous_matches_discrete_on_grid(p_default, good_code, s_paper):
             p_default,
         )[0, 0]
         disc = surf.values[ell - surf.ell_min, k % surf.n_bins] * p_default.T_s
-        assert abs(cont - disc) <= 1e-4 * peak
+        assert abs(cont - disc) <= 1e-12 * peak
 
 
 def test_tau_axis_matches_sinc_lobe(p_square, good_code):
@@ -239,11 +231,11 @@ def test_lag_bounds_on_dense_signals_over_every_lag(trim):
     s[: trim[0]] = 0
     s[n - trim[1] :] = 0
     window = (-(n - 1), n - 1)
-    bounds, _ = assert_bounds_hold(ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), window, p)
+    bounds, _ = assert_bounds_hold(ComplexSignal(r), ComplexSignal(s), window, p)
     oracle = direct_bounds(r, s, range(window[0], window[1] + 1), n)
     assert np.allclose(bounds, oracle, rtol=1e-12, atol=0)
     for sub in [(-(n - 1), -(n - 1)), (n - 1, n - 1), (-4, 9)]:
-        part = lag_peak_bounds(ComplexSignal(r, p.T_s), ComplexSignal(s, p.T_s), sub, p)
+        part = lag_peak_bounds(ComplexSignal(r), ComplexSignal(s), sub, p)
         assert np.array_equal(part, bounds[sub[0] + n - 1 : sub[1] + n])
 
 
@@ -254,7 +246,7 @@ def test_lag_bounds_attained_by_a_single_impulse(p_default, s_paper):
         r = np.zeros(n, dtype=complex)
         r[j0] = 0.3 - 0.4j
         bounds, peaks = assert_bounds_hold(
-            ComplexSignal(r, p_default.T_s), s_paper, (-(n - 1), n - 1), p_default
+            ComplexSignal(r), s_paper, (-(n - 1), n - 1), p_default
         )
         assert np.allclose(peaks, bounds, rtol=1e-12, atol=0)
         assert np.count_nonzero(bounds) == 160  # the replica's support
@@ -274,14 +266,14 @@ def test_lag_bounds_on_paper_replica_at_frame_edges(p_default, good_code, s_pape
 
 
 def test_lag_bounds_zero_replica_and_checks(p_default, s_paper):
-    zero = ComplexSignal(np.zeros(p_default.frame_len), p_default.T_s)
+    zero = ComplexSignal(np.zeros(p_default.frame_len))
     assert np.array_equal(lag_peak_bounds(s_paper, zero, (-3, 4), p_default), np.zeros(8))
     with pytest.raises(ValueError, match="empty lag window"):
         lag_peak_bounds(s_paper, s_paper, (5, 4), p_default)
     with pytest.raises(ValueError, match="outside"):
         lag_peak_bounds(s_paper, s_paper, (0, p_default.frame_len), p_default)
     with pytest.raises(ValueError, match="frame length"):
-        lag_peak_bounds(ComplexSignal(np.ones(4), p_default.T_s), s_paper, (0, 1), p_default)
+        lag_peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
 
 
 def test_conformance_separates_reference_codes(p_default, good_code, bad_code):

@@ -45,7 +45,7 @@ def h_matrix(truth, params, n_rows, n_cols):
 def h_matrix_received(signal, truth, params):
     """Oracle received frame r[i] = sum_{j<L} H[i, j] s[j] (no noise)."""
     H = h_matrix(truth, params, params.frame_len, params.L)
-    return ComplexSignal(truth.alpha * (H @ signal.samples[: params.L]), params.T_s)
+    return ComplexSignal(truth.alpha * (H @ signal.samples[: params.L]))
 
 
 @given(td_cells=st.floats(128.0, 896.0), fd_cells=st.floats(-512.0, 512.0))
@@ -191,7 +191,7 @@ def test_noiseless_flag_returns_input(p_default, s_paper):
 
 
 def test_noise_variance_calibration(p_default):
-    zero = ComplexSignal(np.zeros(p_default.frame_len), p_default.T_s)
+    zero = ComplexSignal(np.zeros(p_default.frame_len))
     ref_energy = 4.0
     snr_db = 10.0
     sigma2 = ref_energy / (p_default.frame_len * 10.0)
@@ -206,7 +206,7 @@ def test_noise_variance_calibration(p_default):
 def test_noise_sigma_formula_at_30db(p_default):
     # sigma^2 = E / (1024 * 1000) for the (64, 16) geometry at 30 dB
     e = 4.0
-    zero = ComplexSignal(np.zeros(p_default.frame_len), p_default.T_s)
+    zero = ComplexSignal(np.zeros(p_default.frame_len))
     rng_out = add_noise(zero, 30.0, 7, p_default, e)
     expected_sigma2 = e / (1024 * 1000)
     var = np.mean(np.abs(rng_out.samples) ** 2)
@@ -236,8 +236,12 @@ def test_noise_reproducible_and_seed_sensitive(p_default, s_paper):
 
 
 def test_add_noise_rejects_bad_reference(p_default, s_paper):
-    with pytest.raises(ValueError, match="ref_energy"):
-        add_noise(s_paper, 10.0, 1, p_default, 0.0)
+    # the check names ref_energy, not the valid snr_db, and runs before the
+    # snr_db = inf shortcut
+    for ref_energy in (0.0, math.nan, math.inf, -math.inf):
+        for snr_db in (30.0, math.inf):
+            with pytest.raises(ValueError, match="^ref_energy must be positive and finite, got"):
+                add_noise(s_paper, snr_db, 1, p_default, ref_energy)
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000, -4000])
@@ -247,7 +251,7 @@ def test_add_noise_rejects_nan_and_minus_inf_snr(p_default, s_paper, snr_db):
 
 
 def test_gating_zeroes_transmit_window(p_default):
-    ones = ComplexSignal(np.ones(p_default.frame_len), p_default.T_s)
+    ones = ComplexSignal(np.ones(p_default.frame_len))
     gated = apply_receive_gating(ones, p_default)
     assert np.all(gated.samples[:160] == 0)
     assert np.all(gated.samples[160:] == 1)

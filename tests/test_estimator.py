@@ -89,9 +89,7 @@ def test_coarse_detect_two_separated_targets(p_default, good_code):
     t2 = ChannelTruth.from_grid(600, 0.0, 5, 0.0, 0.8 + 0j, p_default)
     r1 = apply_channel(good_code, p_default, t1)
     r2 = apply_channel(good_code, p_default, t2)
-    both = apply_receive_gating(
-        type(r1)(r1.samples + r2.samples, r1.sample_period), p_default
-    )
+    both = apply_receive_gating(ComplexSignal(r1.samples + r2.samples), p_default)
     surf = discrete_ambiguity(both, s, p_default.lag_window, p_default).normalized(s.energy)
     dets = coarse_detect(surf, 0.5, p_default)
     assert len(dets) == 2
@@ -408,7 +406,7 @@ def echo(code, params, truths, snr_db=None, seed=0):
     """Gated echo of one or more targets, with noise unless snr_db is None."""
     s = synthesize_discrete(code, params)
     samples = sum(apply_channel(code, params, truth).samples for truth in truths)
-    r = ComplexSignal(samples, params.T_s)
+    r = ComplexSignal(samples)
     if snr_db is not None:
         r = add_noise(r, snr_db, seed, params, ref_energy=s.energy)
     return apply_receive_gating(r, params)
@@ -467,7 +465,7 @@ BAD_COARSE_INPUTS = {
     "window-high": lambda zero, n: {"lag_window": (0, n)},
     "window-low": lambda zero, n: {"lag_window": (-n, 3)},
     "window-empty": lambda zero, n: {"lag_window": (5, 4)},
-    "lengths": lambda zero, n: {"r": ComplexSignal(np.zeros(n + 1), zero.sample_period)},
+    "lengths": lambda zero, n: {"r": ComplexSignal(np.zeros(n + 1))},
     "zero-replica": lambda zero, n: {"s": zero},
 }
 
@@ -476,7 +474,7 @@ BAD_COARSE_INPUTS = {
 def test_estimate_checks_inputs_before_the_screen(p_default, s_paper, case):
     # an all-zero echo leaves no lag live, so only the checks can raise
     n = p_default.frame_len
-    zero = ComplexSignal(np.zeros(n), p_default.T_s)
+    zero = ComplexSignal(np.zeros(n))
     assert estimate(zero, s_paper, 0.5, "quadratic", p_default) == []
     assert estimator.coarse_stage(zero, s_paper, 0.5, p_default, p_default.lag_window) == (None, [])
     call = {"r": zero, "s": s_paper, "theta": 0.5, "lag_window": None}
@@ -606,6 +604,21 @@ def test_sinc_fit_stopped_by_maxiter_is_not_converged(p_default, good_code, monk
     (result,) = results
     assert "ITERATIONS REACHED LIMIT" in result.message
     assert not est.converged
+
+
+def test_sinc_fit_seed_pinned_at_bound_skips_solver(p_default, monkeypatch):
+    # the lobe peaks 0.7 cells past the detection, so the quadratic seed is
+    # clamped to eps_t = 0.5 and the fit pushes against that bound; eps_f = 0
+    # is exactly stationary.  The seed skip and Estimate.converged read the
+    # same projected-gradient rule, so no solver call is made.
+    surf = synthetic_model_surface(p_default, 300, 3, 0.7, 0.0, 1.0)
+    det = Detection(300, 3, 1.0)
+    assert refine_quadratic(surf, det).eps_t == 0.5
+    results = _spy_minimize(monkeypatch)
+    est = refine_sinc2d(surf, det, p_default)
+    assert results == []
+    assert (est.eps_t, est.eps_f) == (0.5, 0.0)
+    assert est.converged
 
 
 _SCIPY_PROBE = """

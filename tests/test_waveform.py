@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from ddradar import (
     CodeMatrix,
-    evaluate_continuous,
     gaussian_pulse,
     make_params,
     random_code,
@@ -38,6 +37,16 @@ def brute_synthesize(code, params):
                     acc += code.entries[n, col] * g * cmath.exp(2j * cmath.pi * m * j / params.M)
         out.append(acc / params.M)
     return np.array(out)
+
+
+def evaluate_continuous(code, params, t):
+    """The untruncated analytic signal at the times ``t`` (1-D): every slot's
+    Gaussian over all t, scaled by 1/M.  The smooth oracle the radiated train
+    differs from only by the truncated tails."""
+    t = np.asarray(t, dtype=float)
+    pulses = gaussian_pulse(t[None, :] / params.T_c - np.arange(params.N_t)[:, None] - 1.5)
+    phases = np.exp(2j * np.pi * np.outer(code.m_values, t) * params.F_c)
+    return np.einsum("nm,nt,mt->t", code.entries.astype(float), pulses, phases) / params.M
 
 
 def test_gaussian_pulse_values():
@@ -128,8 +137,8 @@ def test_transmitted_matches_replica_exactly(p_default, good_code, s_paper):
 def test_continuous_decay(p_default, good_code, s_paper):
     peak = np.max(np.abs(s_paper.samples))
     reach = p_default.N_t * p_default.T_c + 6
-    for t in (reach, reach + 3.7, -reach):
-        assert abs(evaluate_continuous(good_code, p_default, t)) < 1e-10 * peak
+    t = np.array([reach, reach + 3.7, -reach])
+    assert np.all(np.abs(evaluate_continuous(good_code, p_default, t)) < 1e-10 * peak)
 
 
 def test_continuous_linearity_in_code(p_default):
@@ -156,26 +165,17 @@ def test_negated_code_negates_samples(p_default, good_code, s_paper):
     assert np.array_equal(s_neg.samples, -s_paper.samples)
 
 
-def test_scalar_and_array_evaluation_agree(p_default, good_code):
-    ts = [0.0, 0.5, 3.25]
-    arr = evaluate_continuous(good_code, p_default, np.array(ts))
-    for t, v in zip(ts, arr):
-        assert evaluate_continuous(good_code, p_default, t) == pytest.approx(v, abs=1e-15)
-
-
-def test_signal_csv_round_trip(tmp_path, p_default, s_paper):
+def test_signal_csv_round_trip(tmp_path, s_paper):
     path = tmp_path / "s.csv"
     write_signal(path, s_paper)
-    back = read_signal(path, p_default.T_s)
-    assert np.array_equal(back.samples, s_paper.samples)
-    assert back.sample_period == s_paper.sample_period
+    assert np.array_equal(read_signal(path).samples, s_paper.samples)
 
 
 def test_signal_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("re,im\n0.0,0.0\n")
     with pytest.raises(ValueError, match="header"):
-        read_signal(path, 1.0)
+        read_signal(path)
 
 
 @pytest.mark.parametrize(
@@ -195,14 +195,14 @@ def test_signal_csv_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "x.csv"
     path.write_text("index,re,im\n" + rows)
     with pytest.raises(ValueError, match=message) as exc:
-        read_signal(path, 1.0)
+        read_signal(path)
     assert "\n" not in str(exc.value)
 
 
 def test_signal_csv_accepts_any_row_order(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("index,re,im\n1,2.0,0.5\n0,1.0,-0.5\n")
-    assert np.array_equal(read_signal(path, 1.0).samples, [1.0 - 0.5j, 2.0 + 0.5j])
+    assert np.array_equal(read_signal(path).samples, [1.0 - 0.5j, 2.0 + 0.5j])
 
 
 def test_dimension_mismatch_rejected(p_default):
