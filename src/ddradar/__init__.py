@@ -3,7 +3,6 @@ time-frequency coded Gaussian pulses."""
 
 from .ambiguity import (
     AmbiguitySurface,
-    continuous_ambiguity,
     discrete_ambiguity,
     sinc_conformance,
     sinc_model,
@@ -57,7 +56,6 @@ __all__ = [
     "apply_channel",
     "apply_receive_gating",
     "coarse_detect",
-    "continuous_ambiguity",
     "discrete_ambiguity",
     "estimate",
     "evaluate_transmitted",

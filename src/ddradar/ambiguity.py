@@ -21,9 +21,10 @@ threshold before paying for the FFT.
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
 screen takes the auto-ambiguity of the radiated pulse train, the signal the
-transmitter sends, measures its worst deviation from that model along the
-two lobe axis cuts, at a fixed OVERSAMPLE points per cell, and accepts the
-code when it stays within the fixed CONFORMANCE_DELTA.
+transmitter sends, sampled on the train's ``radiated_span`` (every other
+sample of the replica is zero), measures its worst deviation from that
+model along the two lobe axis cuts, at a fixed OVERSAMPLE points per cell,
+and accepts the code when it stays within the fixed CONFORMANCE_DELTA.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import CodeMatrix
 from .config import RadarParams
-from .waveform import ComplexSignal, evaluate_transmitted, synthesize_discrete
+from .waveform import ComplexSignal, evaluate_transmitted, radiated_span
 
 CONFORMANCE_DELTA = 0.05
 OVERSAMPLE = 8
@@ -202,31 +203,6 @@ def extend_surface(
     )
 
 
-def continuous_ambiguity(
-    x_samples: ComplexSignal,
-    y_code: CodeMatrix,
-    taus: np.ndarray,
-    nus: np.ndarray,
-    params: RadarParams,
-) -> np.ndarray:
-    """Riemann-sum ambiguity between a sampled signal and a radiated one.
-
-    A(tau, nu) ~= T_s sum_j x[j] y*(j T_s - tau) e^{-2 pi i nu j T_s}, where
-    y is the radiated pulse train of ``y_code`` (``evaluate_transmitted``),
-    over a tau x nu grid of shape (len(taus), len(nus)).  On integer grid
-    points this is T_s times the discrete surface, up to round-off.
-    """
-    n = params.frame_len
-    if len(x_samples) != n:
-        raise ValueError(f"x must have frame length {n}, got {len(x_samples)}")
-    t = np.arange(n) * params.T_s
-    shifted = t[None, :] - taus[:, None]  # (n_tau, NM)
-    y = evaluate_transmitted(y_code, params, shifted.ravel()).reshape(shifted.shape)
-    weighted = x_samples.samples[None, :] * np.conj(y)  # (n_tau, NM)
-    doppler = np.exp(-2j * np.pi * np.outer(t, nus))  # (NM, n_nu)
-    return params.T_s * (weighted @ doppler)
-
-
 def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
     """|sinc(num z / den)| and its derivative in z.
 
@@ -272,22 +248,31 @@ def sinc_conformance(code: CodeMatrix, params: RadarParams) -> tuple[float, bool
     """Score a code by its worst deviation from the sinc lobe model.
 
     Evaluates |A_ss| / |A_ss(0, 0)|, the normalized auto-ambiguity of the
-    radiated pulse train (the replica against ``evaluate_transmitted`` at
-    fractional shifts), along the two main-lobe axis cuts,
+    radiated pulse train, along the two main-lobe axis cuts,
     |tau| <= T_s M/N_f at nu = 0 and |nu| <= delta_f N/N_t at tau = 0, with
     ``OVERSAMPLE`` points per unit lag/bin, and returns (max deviation from
     the model over both cuts, deviation <= ``CONFORMANCE_DELTA``).  The cuts
     are where a skewed code betrays itself; the model says nothing useful
     about the lobe's corner regions, where every code carries ~0.1 of
     residual energy.
+
+    The replica x is zero outside ``radiated_span``, so the sums run over
+    the span's samples t_j only: one grid y[tau, j] = y(t_j - tau) from
+    ``evaluate_transmitted`` gives the tau-cut sum_j x[j] y*[tau, j], its
+    tau = 0 row is x, and the nu-cut is the DFT of |x|^2 at t_j.  Both cuts
+    are divided by the origin value, so the Riemann sum's T_s cancels.
     """
-    s = synthesize_discrete(code, params)
     n_ell = int(round(OVERSAMPLE * params.M / params.N_f))
     n_k = int(round(OVERSAMPLE * params.N / params.N_t))
     ell_grid = np.arange(-n_ell, n_ell + 1) / OVERSAMPLE  # T_s units
     k_grid = np.arange(-n_k, n_k + 1) / OVERSAMPLE  # delta_f units
-    tau_cut = continuous_ambiguity(s, code, ell_grid * params.T_s, np.zeros(1), params)[:, 0]
-    nu_cut = continuous_ambiguity(s, code, np.zeros(1), k_grid * params.delta_f, params)[0]
+    span = radiated_span(params)
+    t = np.arange(span.start, span.stop) * params.T_s
+    shifted = t[None, :] - ell_grid[:, None] * params.T_s  # (n_tau, span)
+    y = evaluate_transmitted(code, params, shifted.ravel()).reshape(shifted.shape)
+    x = y[n_ell]  # tau = 0: the replica on its span
+    tau_cut = np.conj(y) @ x
+    nu_cut = np.exp(-2j * np.pi * np.outer(k_grid * params.delta_f, t)) @ (x * np.conj(x))
     a0 = abs(nu_cut[n_k])
     dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - sinc_model(ell_grid, 0.0, params)))
     dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - sinc_model(0.0, k_grid, params)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -298,5 +299,18 @@ def sidecar_metadata(cfg: BenchConfig) -> dict:
     }
 
 
+def _json_value(value):
+    """``value`` with each non-finite float as the string ``float()`` reads
+    back (``"inf"``), which strict JSON (RFC 8259) can carry."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
 def write_sidecar(path: str | Path, cfg: BenchConfig) -> None:
-    Path(path).write_text(json.dumps(sidecar_metadata(cfg), indent=2) + "\n")
+    text = json.dumps(_json_value(sidecar_metadata(cfg)), indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")

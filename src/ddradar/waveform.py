@@ -10,15 +10,17 @@ so the whole pulse train occupies exactly [0, (N_t + 2) T_c) -- the
 receive-gate boundary L.  This radiated train is the package's one signal
 model: ``evaluate_transmitted`` computes it, the stored replica samples it at
 t = j T_s, the channel samples it at the delayed times, and the conformance
-screen reads its auto-ambiguity.  The independent term-by-term oracle for
-the replica, ``brute_synthesize``, and the untruncated analytic signal, the
-smooth oracle, live in the tests.
+screen reads its auto-ambiguity.  The oracles live in the tests: for the
+replica, the term-by-term ``brute_synthesize`` and the untruncated analytic
+signal; for the screen, ``continuous_ambiguity``, a full-frame evaluator.
 
 Outside its support the radiated train is exactly zero, so a frame is
 evaluated only on ``radiated_span``: the samples j with j T_s - t_d in
 [0, (N_t + 2) T_c), plus one guard sample on each side, clipped to the
 frame (at most 162 of 1024 samples at the paper geometry).  The replica
-(t_d = 0) and the echo both read this one rule; every other sample is zero.
+(t_d = 0) and the echo both read this one rule, and so does the conformance
+screen, which samples its shifted trains on the replica's span, where alone
+the replica is nonzero.
 """
 
 from __future__ import annotations

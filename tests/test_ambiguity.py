@@ -7,18 +7,28 @@ from hypothesis import given, settings, strategies as st
 from ddradar import (
     ChannelTruth,
     CodeMatrix,
+    RadarParams,
     add_noise,
     apply_channel,
     apply_receive_gating,
-    continuous_ambiguity,
     discrete_ambiguity,
+    evaluate_transmitted,
     make_params,
     random_code,
+    reference_bad_code,
+    reference_good_code,
     sinc_conformance,
     sinc_model,
     synthesize_discrete,
 )
-from ddradar.ambiguity import AmbiguitySurface, extend_surface, lag_peak_bounds, write_surface
+from ddradar.ambiguity import (
+    CONFORMANCE_DELTA,
+    OVERSAMPLE,
+    AmbiguitySurface,
+    extend_surface,
+    lag_peak_bounds,
+    write_surface,
+)
 from ddradar.estimator import SCREEN_MARGIN
 from ddradar.waveform import ComplexSignal
 
@@ -35,6 +45,31 @@ def direct_ambiguity(r, s, ells, n):
                     acc += r[j] * np.conj(s[jj]) * cmath.exp(-2j * cmath.pi * k * j / n)
             out[i, k] = acc
     return out
+
+
+def continuous_ambiguity(
+    x_samples: ComplexSignal,
+    y_code: CodeMatrix,
+    taus: np.ndarray,
+    nus: np.ndarray,
+    params: RadarParams,
+) -> np.ndarray:
+    """Riemann-sum ambiguity between a sampled signal and a radiated one.
+
+    A(tau, nu) ~= T_s sum_j x[j] y*(j T_s - tau) e^{-2 pi i nu j T_s}, where
+    y is the radiated pulse train of ``y_code`` (``evaluate_transmitted``),
+    over a tau x nu grid of shape (len(taus), len(nus)).  On integer grid
+    points this is T_s times the discrete surface, up to round-off.
+    """
+    n = params.frame_len
+    if len(x_samples) != n:
+        raise ValueError(f"x must have frame length {n}, got {len(x_samples)}")
+    t = np.arange(n) * params.T_s
+    shifted = t[None, :] - taus[:, None]  # (n_tau, NM)
+    y = evaluate_transmitted(y_code, params, shifted.ravel()).reshape(shifted.shape)
+    weighted = x_samples.samples[None, :] * np.conj(y)  # (n_tau, NM)
+    doppler = np.exp(-2j * np.pi * np.outer(t, nus))  # (NM, n_nu)
+    return params.T_s * (weighted @ doppler)
 
 
 def test_zero_lag_zero_bin_is_energy(p_default, s_paper):
@@ -289,6 +324,41 @@ def test_conformance_smoke_single_slot_code():
     code = CodeMatrix(np.array([[1, -1]]))
     score, _ = sinc_conformance(code, p)
     assert np.isfinite(score) and score >= 0
+
+
+def full_frame_conformance(code, p):
+    """The conformance score from the full-frame ``continuous_ambiguity`` cuts."""
+    s = synthesize_discrete(code, p)
+    n_ell = int(round(OVERSAMPLE * p.M / p.N_f))
+    n_k = int(round(OVERSAMPLE * p.N / p.N_t))
+    ell_grid = np.arange(-n_ell, n_ell + 1) / OVERSAMPLE
+    k_grid = np.arange(-n_k, n_k + 1) / OVERSAMPLE
+    tau_cut = continuous_ambiguity(s, code, ell_grid * p.T_s, np.zeros(1), p)[:, 0]
+    nu_cut = continuous_ambiguity(s, code, np.zeros(1), k_grid * p.delta_f, p)[0]
+    a0 = abs(nu_cut[n_k])
+    dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - sinc_model(ell_grid, 0.0, p)))
+    dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - sinc_model(0.0, k_grid, p)))
+    return float(max(dev_tau, dev_nu))
+
+
+CONFORMANCE_GEOMETRIES = [(64, 16, 8, 8), (64, 64, 8, 8), (16, 8, 2, 4), (32, 4, 4, 2), (4, 4, 1, 2)]
+REFERENCE_CODES = {"good": reference_good_code, "bad": reference_bad_code}
+
+
+@pytest.mark.parametrize(
+    "geometry,code_key",
+    [(g, seed) for g in CONFORMANCE_GEOMETRIES for seed in range(6)]
+    + [(g, key) for g in CONFORMANCE_GEOMETRIES[:2] for key in REFERENCE_CODES],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_span_conformance_matches_full_frame_oracle(geometry, code_key):
+    # the screen sums over radiated_span only; the oracle over the whole frame
+    p = make_params(*geometry, 1.0)
+    code = REFERENCE_CODES[code_key]() if code_key in REFERENCE_CODES else random_code(p, code_key)
+    score, ok = sinc_conformance(code, p)
+    oracle = full_frame_conformance(code, p)
+    assert abs(score - oracle) <= 1e-12 * oracle
+    assert ok == (oracle <= CONFORMANCE_DELTA)
 
 
 def test_extend_surface_matches_direct(p_default, good_code, s_paper):

@@ -194,6 +194,22 @@ def test_sidecar_metadata(tmp_path):
     assert sidecar_metadata(cfg)["trials"] == cfg.trials
 
 
+def test_sidecar_is_strict_json_with_infinite_settings(tmp_path):
+    # a noiseless SNR and theta = inf are written as "inf", which float() reads back
+    cfg = small_cfg(snr_db_list=(math.inf, 30.0), theta=math.inf)
+    path = tmp_path / "out.csv.meta.json"
+    write_sidecar(path, cfg)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+    meta = json.loads(path.read_text(), parse_constant=reject)
+    assert meta["snr_db_list"] == ["inf", 30.0]
+    assert meta["theta"] == "inf"
+    assert tuple(map(float, meta["snr_db_list"])) == cfg.snr_db_list
+    assert meta["conformance_score"] == sinc_conformance(cfg.code, cfg.params)[0]
+
+
 @pytest.mark.parametrize(
     "code", [random_code(SMALL, seed=1), reference_good_code(), reference_bad_code()]
 )
@@ -219,11 +235,27 @@ def test_summary_stage_costs():
     assert sinc2d.mean_refine_ms < 20 * coarse_ms
 
 
-def test_miss_counting():
-    # alpha = 0 forces the below-threshold fallback: flagged and still scored
+def test_miss_counting(monkeypatch):
+    # at -40 dB noise crosses the threshold in hundreds of cells and the
+    # strongest is not the target's: a wrong-cell miss, flagged and still
+    # scored (test_run_trial_fallback_matches_full_window_reference covers
+    # the below-threshold fallback)
+    found, coarse_stage = [], bench.coarse_stage
+
+    def spy(*args):
+        surface, detections = coarse_stage(*args)
+        found.append(detections)
+        return surface, detections
+
+    monkeypatch.setattr(bench, "coarse_stage", spy)
     cfg = small_cfg(trials=2)
     rec = run_trial(cfg, -40.0, 9)
-    assert all(out.miss for out in rec.outcomes.values())
+    [detections] = found
+    assert len(detections) > 0
+    det = detections[0]
+    assert (det.l_hat, det.k_hat) != (rec.l_d, rec.k_D)
+    for out in rec.outcomes.values():
+        assert out.miss and (out.l_hat, out.k_hat) == (det.l_hat, det.k_hat)
     assert np.isfinite(rec.outcomes["baseline"].err_delay)
 
 
