@@ -185,7 +185,8 @@ def extend_surface(
     ell_lo: int,
     ell_hi: int,
 ) -> AmbiguitySurface:
-    """Grow a surface to cover [ell_lo, ell_hi], computing only missing lags."""
+    """Grow a surface to cover [ell_lo, ell_hi], computing only missing lags.
+    The pipeline never does; the benchmark's traced mirror and test oracles do."""
     lo = min(ell_lo, surface.ell_min)
     hi = max(ell_hi, surface.ell_max)
     if lo == surface.ell_min and hi == surface.ell_max:

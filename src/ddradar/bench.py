@@ -8,14 +8,14 @@ regardless of the worker count.
 
 Errors are accounted in grid cells: delay error (l_hat + eps_hat) - t_d/T_s
 and the Doppler analogue.  The coarse stage is the estimator's
-``coarse_stage``, which computes the surface only on the lags whose bound
-can reach the threshold.  A trial whose coarse stage finds nothing above
-the threshold computes the full-window surface, falls back to its global
-argmax and is flagged as a miss, as is a trial whose coarse cell is not the
-true cell; missed trials still contribute their actual error, so the RMSE
-is unconditioned, and the miss rate is reported alongside.  A trial's
-``coarse_ms`` times the screen, the surface, detection and that fallback
-surface.
+``coarse_stage``: one surface on the lags whose bound can reach the
+threshold, widened by ``refine_window`` to every lag a refinement reads.  A
+trial that detects nothing computes that widened surface for the whole
+window, falls back to the argmax over the window's lags and is flagged as a
+miss, as is a trial whose coarse cell is not the true cell; missed trials
+still contribute their actual error, so the RMSE is unconditioned, and the
+miss rate is reported alongside.  A trial's ``coarse_ms`` times the screen,
+the surface, detection and that fallback surface.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -41,7 +42,7 @@ from .estimator import (
     SOLVER,
     Detection,
     coarse_stage,
-    extend_around,
+    refine_window,
     refiner,
 )
 from .waveform import ComplexSignal, synthesize_discrete
@@ -173,22 +174,22 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     t0 = time.perf_counter_ns()
     surface, detections = coarse_stage(r, s, cfg.theta, p, p.lag_window)
     if not detections:
-        surface = discrete_ambiguity(r, s, p.lag_window, p, norm=s.energy)
+        surface = discrete_ambiguity(r, s, refine_window(p.lag_window, p), p, norm=s.energy)
     coarse_ms = (time.perf_counter_ns() - t0) / 1e6
 
     if detections:
         det = detections[0]
         undetected = False
     else:
-        row, col = np.unravel_index(np.argmax(np.abs(surface.values)), surface.values.shape)
+        start = p.lag_window[0] - surface.ell_min  # the window's rows only
+        rows = surface.values[start : start + p.lag_window[1] - p.lag_window[0] + 1]
+        row, col = np.unravel_index(np.argmax(np.abs(rows)), rows.shape)
         det = Detection(
-            surface.ell_min + int(row),
+            p.lag_window[0] + int(row),
             surface.signed_bin(int(col)),
-            float(np.abs(surface.values[row, col])),
+            float(np.abs(rows[row, col])),
         )
         undetected = True
-
-    surface = extend_around(surface, r, s, [det])
 
     true_delay = truth.l_d + truth.eps_t
     true_doppler = truth.k_D + truth.eps_f
@@ -224,13 +225,15 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
 
 
 def run_trials(cfg: BenchConfig, snr_db: float) -> list[TrialRecord]:
-    """All trials at one SNR, in trial order, optionally on worker processes."""
+    """All trials at one SNR, in trial order, optionally on worker processes:
+    at most one per trial and per CPU, whatever ``cfg.workers`` asks for."""
     trial = functools.partial(run_trial, cfg, snr_db)
     seeds = range(cfg.seed, cfg.seed + cfg.trials)
-    if cfg.workers <= 1:
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if workers <= 1:
         return list(map(trial, seeds))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(trial, seeds, chunksize=max(1, cfg.trials // (4 * cfg.workers))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, seeds, chunksize=max(1, cfg.trials // (4 * workers))))
 
 
 def summarize(records: list[TrialRecord], method: str) -> RmseReport:

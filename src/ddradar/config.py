@@ -96,8 +96,8 @@ class RadarParams:
     def lobe_half_extents(self) -> tuple[int, int]:
         """Main-lobe half extents (floor(M/N_f) lags, floor(N/N_t) bins).
 
-        Suppression, the sinc fit patch and the surface extension around a
-        detection all read this one neighborhood.
+        Suppression, the sinc fit patch and the surface's margin of lags
+        (``estimator.refine_window``) all read this one neighborhood.
         """
         return (self.M // self.N_f, self.N // self.N_t)
 

@@ -1,14 +1,14 @@
 """Coarse threshold detection and fractional refinement.
 
 The coarse stage, ``coarse_stage``, bounds every lag of the window with
-``lag_peak_bounds`` and computes the normalized surface only from the first
-to the last lag whose bound can reach the threshold; no other lag has a
-cell above it, so the hits, their order and the detections are those of
-the full-window surface.  Detection lists every surface cell above the
-threshold, thinned by non-maximum suppression over one main-lobe extent so
-each target yields a single hit.  The surface is then grown to cover that
-same lobe half-extent of lags around every detection,
-``params.lobe_half_extents[0]``, whichever method refines.  Refinement
+``lag_peak_bounds``; the live lags run from the first to the last lag whose
+bound can reach the threshold, and no other lag has a cell above it.
+Detection lists every cell of the live lags above the threshold, thinned by
+non-maximum suppression over one main-lobe extent so each target yields a
+single hit; the hits, their order and the detections are those of the
+full-window surface.  Every detection lies on a live lag, so the one
+surface, on the live lags widened by the lobe half-extent
+(``refine_window``), holds every lag any refinement reads.  Refinement
 recovers the sub-cell offsets by one of the rows of ``REFINERS``:
 least-squares fitting the separable sinc lobe model to the magnitude patch
 around the peak (``sinc2d``), closed-form parabolic interpolation of the
@@ -42,7 +42,6 @@ from .ambiguity import (
     AmbiguitySurface,
     check_norm,
     discrete_ambiguity,
-    extend_surface,
     lag_peak_bounds,
     lobe_factors,
 )
@@ -155,6 +154,13 @@ def _check_threshold(theta: float) -> None:
         raise ValueError(f"threshold must be positive, got {theta}")
 
 
+def refine_window(lag_window: tuple[int, int], params: RadarParams) -> tuple[int, int]:
+    """``lag_window`` widened by the lobe half-extent of lags, the most any
+    refinement reads around a detection, clipped to +-(NM-1)."""
+    ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
+    return max(lag_window[0] - ext, -max_lag), min(lag_window[1] + ext, max_lag)
+
+
 def coarse_stage(
     r: ComplexSignal,
     s: ComplexSignal,
@@ -162,16 +168,17 @@ def coarse_stage(
     params: RadarParams,
     lag_window: tuple[int, int],
 ) -> tuple[AmbiguitySurface | None, list[Detection]]:
-    """The surface normalized by ``s.energy`` over the live lags of the
-    window, and its ``coarse_detect`` detections.
+    """The surface normalized by ``s.energy`` around the live lags of the
+    window, and the ``coarse_detect`` detections on the live lags.
 
     A lag is live unless its ``lag_peak_bounds`` bound B satisfies
-    B (1 + SCREEN_MARGIN) <= theta * norm; a NaN bound is live.  The
-    surface spans the first to the last live lag, so the hits, their order
-    and the detections equal those of the full-window surface, and
-    ``extend_around`` computes any further lag a refinement reads.  Every
-    input check of ``discrete_ambiguity`` and ``coarse_detect`` runs before
-    the screen.  Returns (None, []) when no lag is live.
+    B (1 + SCREEN_MARGIN) <= theta * norm; a NaN bound is live.  Detection
+    reads the first to the last live lag only, so the hits, their order and
+    the detections equal those of the full-window surface.  The surface
+    spans those lags widened by ``refine_window``, so it holds every lag a
+    refinement of a detection reads.  Every input check of
+    ``discrete_ambiguity`` and ``coarse_detect`` runs before the screen.
+    Returns (None, []) when no lag is live.
     """
     bounds = lag_peak_bounds(r, s, lag_window, params)
     norm = s.energy
@@ -180,10 +187,13 @@ def coarse_stage(
     live = np.flatnonzero(~(bounds * (1.0 + SCREEN_MARGIN) <= theta * norm))
     if live.size == 0:
         return None, []
-    ell_min = lag_window[0]
-    window = (ell_min + int(live[0]), ell_min + int(live[-1]))
-    surface = discrete_ambiguity(r, s, window, params, norm=norm)
-    return surface, coarse_detect(surface, theta, params)
+    first, last = lag_window[0] + int(live[0]), lag_window[0] + int(live[-1])
+    surface = discrete_ambiguity(r, s, refine_window((first, last), params), params, norm=norm)
+    start = first - surface.ell_min
+    live_rows = AmbiguitySurface(
+        surface.values[start : start + last - first + 1], first, params, norm=norm
+    )
+    return surface, coarse_detect(live_rows, theta, params)
 
 
 def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bool]:
@@ -329,21 +339,6 @@ def refiner(method: str):
     return refine
 
 
-def extend_around(
-    surface: AmbiguitySurface,
-    r: ComplexSignal,
-    s: ComplexSignal,
-    detections: list[Detection],
-) -> AmbiguitySurface:
-    """Grow the surface to the lobe half-extent of lags around every
-    detection, the most any refinement reads, clipped to +-(NM-1)."""
-    params = surface.params
-    ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
-    lo = max(min(d.l_hat for d in detections) - ext, -max_lag)
-    hi = min(max(d.l_hat for d in detections) + ext, max_lag)
-    return extend_surface(surface, r, s, lo, hi)
-
-
 def estimate(
     r: ComplexSignal,
     s: ComplexSignal,
@@ -357,14 +352,11 @@ def estimate(
 
     The surface is normalized by the replica energy so ``theta`` is read
     against a unit-peak auto-ambiguity.  The lag window defaults to the
-    detectability window; ``coarse_stage`` computes the surface on its live
-    lags only, and it is then grown to the lobe half-extent around the
-    detections, so no refinement reads past its edge.
+    detectability window; ``coarse_stage`` computes the one surface, on
+    the live lags widened by the lobe half-extent, so no refinement reads
+    past its edge.
     """
     refine = refiner(method)
     window = params.lag_window if lag_window is None else lag_window
     surface, detections = coarse_stage(r, s, theta, params, window)
-    if not detections:
-        return []
-    surface = extend_around(surface, r, s, detections)
     return [refine(surface, det, params) for det in detections]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -35,8 +36,9 @@ from ddradar.bench import (
     write_reports_csv,
     write_sidecar,
 )
+from ddradar.ambiguity import extend_surface
 from ddradar.codes import code_text, reference_bad_code, write_code
-from ddradar.estimator import REFINERS, SOLVER, extend_around, refiner
+from ddradar.estimator import REFINERS, SOLVER, refiner
 
 SMALL = make_params(16, 8, 2, 4, 1.0)
 PAPER = make_params(64, 16, 8, 8, 1.0)
@@ -86,7 +88,8 @@ def test_noiseless_trial_accuracy(p_default, good_code):
     assert abs(out.err_doppler) <= 0.07
 
 
-def test_worker_counts_agree():
+def test_worker_counts_agree(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a real pool of 3 on any host
     cfg1 = small_cfg(trials=12, workers=1)
     cfg2 = small_cfg(trials=12, workers=3)
     rec1 = run_trials(cfg1, 30.0)
@@ -119,13 +122,53 @@ def _trial_stats(rec):
     return dataclasses.replace(rec, coarse_ms=0.0, outcomes=outcomes)
 
 
-def test_read_replica_travels_to_workers():
+def test_read_replica_travels_to_workers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2 on any host
     cfg = small_cfg(trials=8, workers=2)
     cfg.replica  # cached before the config is pickled to the workers
     assert "replica" in pickle.loads(pickle.dumps(cfg)).__dict__
     serial = run_trials(dataclasses.replace(cfg, workers=1), 30.0)
     pooled = run_trials(cfg, 30.0)
     assert [_trial_stats(rec) for rec in pooled] == [_trial_stats(rec) for rec in serial]
+
+
+@pytest.mark.parametrize(
+    "workers,trials,cpus,made",
+    [
+        (10_000, 3, 8, [3, 1]),  # one process per trial at most
+        (10_000, 16, 4, [4, 1]),  # one per CPU at most
+        (3, 16, 8, [3, 1]),
+        (10_000, 16, None, []),  # an unknown CPU count runs serially
+        (2, 16, 1, []),
+    ],
+)
+def test_run_trials_caps_the_pool(monkeypatch, workers, trials, cpus, made):
+    # the pool's size and chunk size are recorded by a stand-in that runs
+    # the trials in this process, so the test starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            sizes.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = small_cfg(trials=trials, workers=workers)
+    records = run_trials(cfg, 30.0)
+    assert sizes == made
+    serial = run_trials(dataclasses.replace(cfg, workers=1), 30.0)
+    assert [_trial_stats(rec) for rec in records] == [_trial_stats(rec) for rec in serial]
+    assert sidecar_metadata(cfg)["workers"] == workers  # the sidecar keeps the request
 
 
 def test_sweep_report_grid():
@@ -262,13 +305,13 @@ def test_miss_counting(monkeypatch):
 @pytest.mark.parametrize("method", list(REFINERS))
 def test_run_trial_agrees_with_estimate(p_default, good_code, method, monkeypatch):
     """run_trial refines the strongest detection exactly as estimate does."""
-    frames, extend_around = [], bench.extend_around
+    frames, coarse_stage = [], bench.coarse_stage
 
-    def spy(surface, r, s, detections):
+    def spy(r, s, *args):
         frames.append((r, s))
-        return extend_around(surface, r, s, detections)
+        return coarse_stage(r, s, *args)
 
-    monkeypatch.setattr(bench, "extend_around", spy)
+    monkeypatch.setattr(bench, "coarse_stage", spy)
     cfg = BenchConfig(params=p_default, code=good_code, methods=(method,))
     for trial_seed in range(40, 45):
         out = run_trial(cfg, 30.0, trial_seed).outcomes[method]
@@ -280,7 +323,8 @@ def test_run_trial_agrees_with_estimate(p_default, good_code, method, monkeypatc
 
 
 def reference_run_trial(cfg, snr_db, trial_seed):
-    """``run_trial`` on the full-window surface, with no lag screen (oracle)."""
+    """``run_trial`` on the full-window surface, with no lag screen, grown
+    around the detection by a second pass (oracle)."""
     p = cfg.params
     refiners = [(method, refiner(method)) for method in cfg.methods]
     truth_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([trial_seed, 0])))
@@ -302,7 +346,10 @@ def reference_run_trial(cfg, snr_db, trial_seed):
             float(np.abs(surface.values[row, col])),
         )
         undetected = True
-    surface = extend_around(surface, r, s, [det])
+    ext, max_lag = p.lobe_half_extents[0], p.frame_len - 1
+    surface = extend_surface(
+        surface, r, s, max(det.l_hat - ext, -max_lag), min(det.l_hat + ext, max_lag)
+    )
     true_delay, true_doppler = truth.l_d + truth.eps_t, truth.k_D + truth.eps_f
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
     outcomes = {}

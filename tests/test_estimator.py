@@ -28,7 +28,7 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar import bench, estimator
-from ddradar.ambiguity import AmbiguitySurface, sinc_model
+from ddradar.ambiguity import AmbiguitySurface, extend_surface, sinc_model
 from ddradar.bench import BenchConfig, run_trial
 from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
 
@@ -358,7 +358,7 @@ def test_end_to_end_empty_detection(p_default, good_code, s_paper):
 
 
 def test_end_to_end_window_edge_detection(p_default, good_code, s_paper):
-    # detection at the lag-window edge forces on-demand extension
+    # a detection at the lag-window edge refines on lags outside the window
     l_edge = p_default.lag_window[0]
     truth = ChannelTruth.from_grid(l_edge, 0.0, 0, 0.0, 1.0 + 0j, p_default)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
@@ -390,15 +390,26 @@ def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper)
     assert est.method == "baseline"
 
 
+def extend_around(surface, r, s, detections):
+    """The surface grown to the lobe half-extent of lags around every
+    detection, clipped to +-(NM-1): the oracle's second surface pass."""
+    params = surface.params
+    ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
+    lo = max(min(d.l_hat for d in detections) - ext, -max_lag)
+    hi = min(max(d.l_hat for d in detections) + ext, max_lag)
+    return extend_surface(surface, r, s, lo, hi)
+
+
 def reference_estimate(r, s, theta, method, params, lag_window=None):
-    """``estimate`` on the full-window surface, with no lag screen (oracle)."""
+    """``estimate`` on the full-window surface, with no lag screen, grown
+    around the detections by a second pass (oracle)."""
     refine = estimator.refiner(method)
     window = params.lag_window if lag_window is None else lag_window
     surface = discrete_ambiguity(r, s, window, params, norm=s.energy)
     detections = coarse_detect(surface, theta, params)
     if not detections:
         return []
-    surface = estimator.extend_around(surface, r, s, detections)
+    surface = extend_around(surface, r, s, detections)
     return [refine(surface, det, params) for det in detections]
 
 
@@ -421,6 +432,7 @@ SCREEN_FRAMES = {
     "two-far-targets": ([(150, -0.1, 1, 0.4), (850, 0.2, -3, -0.3)], 30.0, 0.5, None),
     "window-edge": ([(128, 0.0, 0, 0.1)], 30.0, 0.5, None),
     "track-gate": ([(500, 0.2, -2, 0.3)], 20.0, 0.5, (495, 511)),
+    "gate-edge": ([(500, 0.2, -2, 0.3)], 20.0, 0.5, (500, 516)),
 }
 
 
@@ -433,7 +445,14 @@ def test_screened_estimate_matches_full_window(p_default, good_code, s_paper, fr
         want = reference_estimate(r, s_paper, theta, method, p_default, lag_window=window)
         assert want, "the frame must detect something"
         assert estimate(r, s_paper, theta, method, p_default, lag_window=window) == want
-    surface, _ = estimator.coarse_stage(r, s_paper, theta, p_default, window or p_default.lag_window)
+    surface, detections = estimator.coarse_stage(
+        r, s_paper, theta, p_default, window or p_default.lag_window
+    )
+    # the one surface holds every lag a refinement of a detection reads
+    ext, max_lag = p_default.M // p_default.N_f, p_default.frame_len - 1
+    for d in detections:
+        assert surface.contains_lag(max(d.l_hat - ext, -max_lag))
+        assert surface.contains_lag(min(d.l_hat + ext, max_lag))
     if frame in ("30dB", "noiseless", "window-edge"):
         assert surface.values.shape[0] < 200  # of 769 lags: the screen does trim
 
