@@ -10,7 +10,8 @@ outside the frame read zero), multiplied by the echo into a single
 (n_lags, N M) array, transformed by one batched FFT in place, and, when a
 normalization constant is given, scaled by its reciprocal in place.  A
 positive true Doppler lands in a low positive bin; bins above N M / 2 are
-read as negative frequencies.
+read as negative frequencies.  Every |A| the receiver reads is
+``AmbiguitySurface.magnitude``, computed once and shared by ``rows``.
 
 No cell of lag ell can exceed B[ell] = sum_j |r[j]| |s[j - ell]|, the l1
 norm of that lag's product row (triangle inequality).  ``lag_peak_bounds``
@@ -29,6 +30,7 @@ and accepts the code when it stays within the fixed CONFORMANCE_DELTA.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,22 @@ class AmbiguitySurface:
 
     def contains_lag(self, ell: int) -> bool:
         return self.ell_min <= ell <= self.ell_max
+
+    @functools.cached_property
+    def magnitude(self) -> np.ndarray:
+        """|A| = np.abs(values), computed on first read, read-only."""
+        mag = np.abs(self.values)
+        mag.setflags(write=False)
+        return mag
+
+    def rows(self, ell_lo: int, ell_hi: int) -> "AmbiguitySurface":
+        """Lags [ell_lo, ell_hi] as a surface sharing their ``values`` and ``magnitude`` rows."""
+        if not (self.contains_lag(ell_lo) and self.contains_lag(ell_hi) and ell_lo <= ell_hi):
+            raise ValueError(f"lags [{ell_lo}, {ell_hi}] outside [{self.ell_min}, {self.ell_max}]")
+        start, stop = ell_lo - self.ell_min, ell_hi - self.ell_min + 1
+        sub = AmbiguitySurface(self.values[start:stop], ell_lo, self.params, norm=self.norm)
+        sub.__dict__["magnitude"] = self.magnitude[start:stop]
+        return sub
 
     def normalized(self, a0: float) -> "AmbiguitySurface":
         """Scale by the auto-ambiguity peak A_ss[0,0] = signal energy."""
@@ -199,9 +217,7 @@ def extend_surface(
     if hi > surface.ell_max:
         window = (surface.ell_max + 1, hi)
         blocks.append(discrete_ambiguity(r, s, window, surface.params, norm=surface.norm).values)
-    return AmbiguitySurface(
-        np.concatenate(blocks, axis=0), lo, surface.params, norm=surface.norm
-    )
+    return AmbiguitySurface(np.concatenate(blocks), lo, surface.params, norm=surface.norm)
 
 
 def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +298,7 @@ def sinc_conformance(code: CodeMatrix, params: RadarParams) -> tuple[float, bool
 
 
 def write_surface(path: str | Path, surface: AmbiguitySurface) -> None:
-    """Dump a surface as CSV rows ``ell,k,re,im,abs`` (k signed)."""
+    """Dump a surface as CSV rows ``ell,k,re,im,abs`` (k signed, abs = ``magnitude``)."""
     with open(path, "w") as fh:
         fh.write("ell,k,re,im,abs\n")
         for row, ell in enumerate(range(surface.ell_min, surface.ell_max + 1)):
@@ -290,5 +306,5 @@ def write_surface(path: str | Path, surface: AmbiguitySurface) -> None:
                 v = surface.values[row, col]
                 fh.write(
                     f"{ell},{surface.signed_bin(col)},{float(v.real)!r},"
-                    f"{float(v.imag)!r},{float(abs(v))!r}\n"
+                    f"{float(v.imag)!r},{float(surface.magnitude[row, col])!r}\n"
                 )

@@ -181,13 +181,10 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
         det = detections[0]
         undetected = False
     else:
-        start = p.lag_window[0] - surface.ell_min  # the window's rows only
-        rows = surface.values[start : start + p.lag_window[1] - p.lag_window[0] + 1]
-        row, col = np.unravel_index(np.argmax(np.abs(rows)), rows.shape)
+        mag = surface.rows(*p.lag_window).magnitude  # the window's rows only
+        row, col = np.unravel_index(np.argmax(mag), mag.shape)
         det = Detection(
-            p.lag_window[0] + int(row),
-            surface.signed_bin(int(col)),
-            float(np.abs(rows[row, col])),
+            p.lag_window[0] + int(row), surface.signed_bin(int(col)), float(mag[row, col])
         )
         undetected = True
 

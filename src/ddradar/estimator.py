@@ -8,7 +8,8 @@ non-maximum suppression over one main-lobe extent so each target yields a
 single hit; the hits, their order and the detections are those of the
 full-window surface.  Every detection lies on a live lag, so the one
 surface, on the live lags widened by the lobe half-extent
-(``refine_window``), holds every lag any refinement reads.  Refinement
+(``refine_window``), holds every lag any refinement reads; detection and
+every refiner read |A| from its one cached ``magnitude``.  Refinement
 recovers the sub-cell offsets by one of the rows of ``REFINERS``:
 least-squares fitting the separable sinc lobe model to the magnitude patch
 around the peak (``sinc2d``), closed-form parabolic interpolation of the
@@ -121,7 +122,7 @@ def coarse_detect(
     descending magnitude order; an empty list means nothing crossed theta.
     """
     _check_threshold(theta)
-    mag = np.abs(surface.values).ravel()
+    mag = surface.magnitude.ravel()
     nbins = surface.n_bins
     # Row-major flat indices, the order the 2-D np.nonzero gives, found
     # without its per-axis index pass over the whole mask.
@@ -189,11 +190,7 @@ def coarse_stage(
         return None, []
     first, last = lag_window[0] + int(live[0]), lag_window[0] + int(live[-1])
     surface = discrete_ambiguity(r, s, refine_window((first, last), params), params, norm=norm)
-    start = first - surface.ell_min
-    live_rows = AmbiguitySurface(
-        surface.values[start : start + last - first + 1], first, params, norm=norm
-    )
-    return surface, coarse_detect(live_rows, theta, params)
+    return surface, coarse_detect(surface.rows(first, last), theta, params)
 
 
 def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bool]:
@@ -211,18 +208,12 @@ def refine_quadratic(surface: AmbiguitySurface, det: Detection) -> Estimate:
             f"stencil lags {det.l_hat}+-1 outside surface "
             f"[{surface.ell_min}, {surface.ell_max}]"
         )
-    values = surface.values
-    row = det.l_hat - surface.ell_min
-    col = det.k_hat % surface.n_bins
-    col_lo = (col - 1) % surface.n_bins
-    col_hi = (col + 1) % surface.n_bins
-    center = abs(values[row, col])
-    eps_t, degen_t = _stencil_offset(
-        abs(values[row - 1, col]), center, abs(values[row + 1, col])
-    )
-    eps_f, degen_f = _stencil_offset(
-        abs(values[row, col_lo]), center, abs(values[row, col_hi])
-    )
+    mag = surface.magnitude
+    row, col = det.l_hat - surface.ell_min, det.k_hat % surface.n_bins
+    col_lo, col_hi = (col - 1) % surface.n_bins, (col + 1) % surface.n_bins
+    center = mag[row, col]
+    eps_t, degen_t = _stencil_offset(mag[row - 1, col], center, mag[row + 1, col])
+    eps_f, degen_f = _stencil_offset(mag[row, col_lo], center, mag[row, col_hi])
     return Estimate(det, eps_t, eps_f, center, "quadratic", degenerate=degen_t or degen_f)
 
 
@@ -231,17 +222,13 @@ def _fit_patch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude patch and its (lag, bin) offsets around a detection."""
     r_ell, r_k = surface.params.lobe_half_extents
-    ell_off = np.array(
-        [
-            d
-            for d in range(-r_ell, r_ell + 1)
-            if surface.contains_lag(det.l_hat + d)
-        ]
-    )
+    # the lags within r_ell of the detection that the surface holds
+    lo, hi = max(-r_ell, surface.ell_min - det.l_hat), min(r_ell, surface.ell_max - det.l_hat)
+    ell_off = np.arange(lo, hi + 1)
     k_off = np.arange(-r_k, r_k + 1)
     rows = (det.l_hat + ell_off) - surface.ell_min
     cols = (det.k_hat + k_off) % surface.n_bins
-    patch = np.abs(surface.values[np.ix_(rows, cols)])
+    patch = surface.magnitude[np.ix_(rows, cols)]
     return patch, ell_off, k_off
 
 

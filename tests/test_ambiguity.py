@@ -374,6 +374,24 @@ def test_extend_surface_matches_direct(p_default, good_code, s_paper):
     assert np.array_equal(grown_norm.values, direct.normalized(s_paper.energy).values)
 
 
+def test_rows_share_the_surface_magnitude(p_default, good_code, s_paper):
+    truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
+    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    surf = discrete_ambiguity(r, s_paper, (290, 312), p_default, norm=s_paper.energy)
+    assert np.array_equal(surf.magnitude, np.abs(surf.values))
+    assert surf.magnitude is surf.magnitude  # computed once
+    assert not surf.magnitude.flags.writeable
+    sub = surf.rows(295, 300)
+    assert (sub.ell_min, sub.ell_max, sub.norm) == (295, 300, surf.norm)
+    assert np.shares_memory(sub.values, surf.values)
+    assert np.shares_memory(sub.magnitude, surf.magnitude)
+    assert np.array_equal(sub.values, surf.values[5:11])
+    assert np.array_equal(sub.magnitude, surf.magnitude[5:11])
+    for lo, hi in [(289, 300), (300, 313), (301, 300)]:
+        with pytest.raises(ValueError):
+            surf.rows(lo, hi)
+
+
 def test_surface_csv_format(tmp_path, p_default, s_paper):
     surf = discrete_ambiguity(s_paper, s_paper, (0, 1), p_default)
     path = tmp_path / "surf.csv"

@@ -28,7 +28,7 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar import bench, estimator
-from ddradar.ambiguity import AmbiguitySurface, extend_surface, sinc_model
+from ddradar.ambiguity import AmbiguitySurface, extend_surface, sinc_model, write_surface
 from ddradar.bench import BenchConfig, run_trial
 from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
 
@@ -457,6 +457,28 @@ def test_screened_estimate_matches_full_window(p_default, good_code, s_paper, fr
         assert surface.values.shape[0] < 200  # of 769 lags: the screen does trim
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_one_magnitude_for_detection_refinement_and_dump(
+    p_default, good_code, s_paper, tmp_path, seed
+):
+    # |A| has one definition, np.abs of the surface's values: a quadratic
+    # estimate's gain is its detection's peak, and the surface dump's abs
+    # column is that array, bit for bit.  Numpy's scalar abs differs from
+    # it by one ulp on about a third of the cells of a -10 dB frame.
+    truth = bench.draw_truth(BenchConfig(p_default, good_code), np.random.default_rng(seed))
+    r = echo(good_code, p_default, [truth], -10.0, seed=seed)
+    estimates = estimate(r, s_paper, 0.28, "quadratic", p_default)
+    assert len(estimates) > 10
+    for est in estimates:
+        assert est.alpha == est.detection.peak_mag
+    l_hat = estimates[0].detection.l_hat
+    surf = discrete_ambiguity(r, s_paper, (l_hat - 1, l_hat + 1), p_default)
+    path = tmp_path / "surf.csv"
+    write_surface(path, surf)
+    dumped = [float(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[1:]]
+    assert np.array_equal(np.array(dumped), np.abs(surf.values).ravel())
+
+
 def test_screened_estimate_at_theta_equal_to_a_cell_magnitude(p_default, good_code, s_paper):
     # theta exactly at a computed |A| and one ulp either side: the cell
     # flips between hit and miss, and the screen must not move with it
@@ -595,15 +617,17 @@ def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
     p_default, good_code, monkeypatch
 ):
     # the line search stalls at the objective's round-off floor: scipy flags
-    # the exit, yet the returned point is first-order stationary
+    # the exit, yet the returned point is first-order stationary.  Such exits
+    # hang on the last bits of the patch, so the case is one of several found
+    # by scanning random 20 dB fits at lag 303.
     truth = ChannelTruth.from_grid(
-        303, 0.21987556259072877, -3, 0.07391214301071419, 1.0 + 0j, p_default
+        303, 0.3820420846474505, -8, -0.08294855352595087, 1.0 + 0j, p_default
     )
     surf, _, _ = make_channel_surface(
-        good_code, p_default, truth, snr_db=20.0, seed=103, window=(299, 307)
+        good_code, p_default, truth, snr_db=20.0, seed=196, window=(299, 307)
     )
     results = _spy_minimize(monkeypatch)
-    est = refine_sinc2d(surf, Detection(303, -3, 1.0), p_default)
+    est = refine_sinc2d(surf, Detection(303, -8, 1.0), p_default)
     (result,) = results
     assert not result.success and "ABNORMAL" in result.message
     assert np.max(np.abs(result.jac)) < 1e-6
