@@ -12,6 +12,8 @@ normalization constant is given, scaled by its reciprocal in place.  A
 positive true Doppler lands in a low positive bin; bins above N M / 2 are
 read as negative frequencies.  Every |A| the receiver reads is
 ``AmbiguitySurface.magnitude``, computed once and shared by ``rows``.
+Outside their own tests, ``AmbiguitySurface.normalized`` and ``extend_surface``
+serve only the benchmark's traced mirror; ROADMAP item 1 deletes them.
 
 No cell of lag ell can exceed B[ell] = sum_j |r[j]| |s[j - ell]|, the l1
 norm of that lag's product row (triangle inequality).  ``lag_peak_bounds``
@@ -87,7 +89,7 @@ class AmbiguitySurface:
         return sub
 
     def normalized(self, a0: float) -> "AmbiguitySurface":
-        """Scale by the auto-ambiguity peak A_ss[0,0] = signal energy."""
+        """Scale by A_ss[0,0] = signal energy; only tests and perfbench's mirror call it."""
         check_norm(a0)
         return AmbiguitySurface(self.values / a0, self.ell_min, self.params, norm=a0)
 
@@ -144,13 +146,12 @@ def discrete_ambiguity(
 ) -> AmbiguitySurface:
     """FFT-based cross-ambiguity over an inclusive window of integer lags.
 
-    With ``norm`` (the A_ss[0,0] that :meth:`AmbiguitySurface.normalized`
-    takes) the float64 view of the surface is multiplied by ``1.0 / norm``
-    in place.  numpy divides a complex array by a real scalar as
-    ``(a + b*0) * (1/norm)`` and ``(b - a*0) * (1/norm)``, so every value
-    equals ``discrete_ambiguity(...).normalized(norm)``, which keeps the
-    complex division as the oracle, and every |A| is bit-identical; only an
-    exactly zero part can come out with the other sign.
+    With ``norm`` (A_ss[0,0], the replica energy) the float64 view is scaled
+    by ``1.0 / norm`` in place.  numpy divides a complex array by a real
+    scalar as ``(a + b*0) * (1/norm)`` and ``(b - a*0) * (1/norm)``, so every
+    value equals ``values / norm``, every |A| bit for bit, and only an exactly
+    zero part can flip sign.  The receiver computes every surface by this one
+    call, and so do the tests outside the contract tests of ``normalized``.
     """
     _check_window(r, s, lag_window, params)
     if norm is not None:
@@ -203,8 +204,7 @@ def extend_surface(
     ell_lo: int,
     ell_hi: int,
 ) -> AmbiguitySurface:
-    """Grow a surface to cover [ell_lo, ell_hi], computing only missing lags.
-    The pipeline never does; the benchmark's traced mirror and test oracles do."""
+    """Grow to [ell_lo, ell_hi] by the missing lags; only a test and perfbench's mirror call it."""
     lo = min(ell_lo, surface.ell_min)
     hi = max(ell_hi, surface.ell_max)
     if lo == surface.ell_min and hi == surface.ell_max:

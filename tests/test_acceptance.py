@@ -37,6 +37,7 @@ REFERENCE_RMSE = {
     "sinc2d": (0.0061, 0.0676),
     "quadratic": (0.0198, 0.1342),
 }
+RMSE_BAND = 3.0  # criterion 4 accepts an RMSE within this factor of its reference
 BENCH_SEED = 42
 BENCH_TRIALS = 1000
 
@@ -151,11 +152,11 @@ def test_criterion_4_rmse_reproduction(rmse_run):
     assert elapsed < 600.0
     for method, (ref_delay, ref_doppler) in REFERENCE_RMSE.items():
         rep = reports[method]
-        assert ref_delay / 3 <= rep.rmse_delay <= ref_delay * 3, (
-            f"{method} delay RMSE {rep.rmse_delay:.4f} outside 3x of {ref_delay}"
+        assert ref_delay / RMSE_BAND <= rep.rmse_delay <= ref_delay * RMSE_BAND, (
+            f"{method} delay RMSE {rep.rmse_delay:.4f} outside {RMSE_BAND:g}x of {ref_delay}"
         )
-        assert ref_doppler / 3 <= rep.rmse_doppler <= ref_doppler * 3, (
-            f"{method} Doppler RMSE {rep.rmse_doppler:.4f} outside 3x of {ref_doppler}"
+        assert ref_doppler / RMSE_BAND <= rep.rmse_doppler <= ref_doppler * RMSE_BAND, (
+            f"{method} Doppler RMSE {rep.rmse_doppler:.4f} outside {RMSE_BAND:g}x of {ref_doppler}"
         )
     sinc, quad = reports["sinc2d"], reports["quadratic"]
     assert sinc.rmse_delay < quad.rmse_delay
@@ -205,7 +206,7 @@ def test_criterion_6_relative_stage_cost(rmse_run):
 def _random_junk_surface(rng, p, n_lags=5):
     mags = rng.random((n_lags, p.frame_len))
     phases = np.exp(2j * np.pi * rng.random((n_lags, p.frame_len)))
-    return AmbiguitySurface(mags * phases, 300, p, norm=1.0)
+    return AmbiguitySurface(mags * phases, 300, p)
 
 
 def test_criterion_7_property_suites():
@@ -243,7 +244,7 @@ def test_criterion_7_property_suites():
         for i, dl in enumerate((-1, 0, 1)):
             values[i, 0] = -a * (dl - eps) ** 2 + c
         values[1, 1] = values[1, n - 1] = 0.1
-        surf = AmbiguitySurface(values, 299, p_default, norm=1.0)
+        surf = AmbiguitySurface(values, 299, p_default)
         est = refine_quadratic(surf, Detection(300, 0, 1.0))
         assert abs(est.eps_t - eps) <= 1e-12
 
@@ -271,14 +272,12 @@ def test_criterion_7_property_suites():
         r = apply_channel(code, p_default, truth)
         r = add_noise(r, 25.0, case, p_default, s.energy)
         r = apply_receive_gating(r, p_default)
-        surf = discrete_ambiguity(
-            r, s, (truth.l_d - 2, truth.l_d + 2), p_default
-        ).normalized(s.energy)
+        surf = discrete_ambiguity(r, s, (truth.l_d - 2, truth.l_d + 2), p_default, norm=s.energy)
         det = Detection(truth.l_d, truth.k_D, 1.0)
         base = refine_sinc2d(surf, det, p_default)
         for _ in range(10):
             gamma = float(10.0 ** rng.uniform(-4, 4))
-            scaled = AmbiguitySurface(surf.values * gamma, surf.ell_min, p_default, norm=1.0)
+            scaled = AmbiguitySurface(surf.values * gamma, surf.ell_min, p_default)
             est = refine_sinc2d(scaled, det, p_default)
             assert est.eps_t == pytest.approx(base.eps_t, abs=1e-7)
             assert est.eps_f == pytest.approx(base.eps_f, abs=1e-7)

@@ -2,7 +2,6 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ddradar import (
     ChannelTruth,
@@ -201,19 +200,6 @@ def test_sinc_model_values(p_default):
     assert sinc_model(1.0, 4.0, p_default) == pytest.approx((2 / np.pi) ** 2, rel=1e-12)
 
 
-@settings(max_examples=200)
-@given(ell=st.floats(-3, 3), k=st.floats(-10, 10))
-def test_sinc_model_symmetry_separability(ell, k):
-    p = make_params(64, 16, 8, 8, 1.0)
-    v = sinc_model(ell, k, p)
-    assert 0.0 <= v <= 1.0
-    assert v == pytest.approx(sinc_model(-ell, k, p), abs=1e-14)
-    assert v == pytest.approx(sinc_model(ell, -k, p), abs=1e-14)
-    assert v == pytest.approx(
-        sinc_model(ell, 0.0, p) * sinc_model(0.0, k, p), abs=1e-13
-    )
-
-
 def test_sinc_model_broadcasts(p_default):
     ell = np.linspace(-2.0, 2.0, 9)
     k = np.linspace(-8.0, 8.0, 13)
@@ -228,14 +214,6 @@ def test_sinc_model_nulls(p_default):
     for mult in (1, 2, 3):
         assert sinc_model(mult * p_default.M / p_default.N_f, 0.3, p_default) == pytest.approx(0.0, abs=1e-12)
         assert sinc_model(0.7, mult * p_default.N / p_default.N_t, p_default) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_peak_bound_on_auto_surfaces():
-    p = make_params(8, 4, 2, 2, 1.0)
-    for seed in range(10):
-        s = synthesize_discrete(random_code(p, seed), p)
-        surf = discrete_ambiguity(s, s, (-(p.frame_len - 1), p.frame_len - 1), p)
-        assert np.max(np.abs(surf.values)) <= s.energy * (1 + 1e-12)
 
 
 def direct_bounds(r, s, ells, n):

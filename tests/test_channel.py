@@ -1,8 +1,8 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ddradar import (
     ChannelTruth,
@@ -48,15 +48,18 @@ def h_matrix_received(signal, truth, params):
     return ComplexSignal(truth.alpha * (H @ signal.samples[: params.L]))
 
 
-@given(td_cells=st.floats(128.0, 896.0), fd_cells=st.floats(-512.0, 512.0))
-def test_decomposition_fractions_bounded(td_cells, fd_cells):
-    p = make_params(64, 16, 8, 8, 1.0)
-    truth = ChannelTruth.from_delay_doppler(
-        td_cells * p.T_s, fd_cells * p.delta_f, 1.0, p
-    )
-    assert abs(truth.eps_t) <= 0.5 + 1e-9
-    assert abs(truth.eps_f) <= 0.5 + 1e-9
-    assert truth.l_d + truth.eps_t == pytest.approx(td_cells, abs=1e-6)
+def test_decomposition_fractions_bounded(p_default):
+    # delay in [128, 896] T_s, Doppler in [-512, 512] delta_f: the range ends
+    # and half-cell ties, then 200 seeded draws
+    edges = itertools.product((128.0, 128.5, 511.5, 896.0), (-512.0, -0.5, 0.0, 3.5, 512.0))
+    draws = np.random.default_rng(0).uniform((128.0, -512.0), (896.0, 512.0), (200, 2))
+    for td_cells, fd_cells in itertools.chain(edges, draws):
+        truth = ChannelTruth.from_delay_doppler(
+            td_cells * p_default.T_s, fd_cells * p_default.delta_f, 1.0, p_default
+        )
+        assert abs(truth.eps_t) <= 0.5 + 1e-9
+        assert abs(truth.eps_f) <= 0.5 + 1e-9
+        assert truth.l_d + truth.eps_t == pytest.approx(td_cells, abs=1e-6)
 
 
 def test_decomposition_ties_round_half_even(p_default):
@@ -263,12 +266,15 @@ def test_gating_idempotent(p_default, s_paper):
     assert np.array_equal(once.samples, twice.samples)
 
 
-@settings(max_examples=25)
-@given(eps=st.floats(-0.6, 0.6))
-def test_channel_truth_rejects_bad_fractions(eps):
-    p = make_params(64, 16, 8, 8, 1.0)
-    if abs(eps) > 0.5 + 1e-12:
-        with pytest.raises(ValueError, match="fractional parts"):
-            ChannelTruth.from_grid(300, eps, 0, 0.0, 1.0, p)
-    else:
-        ChannelTruth.from_grid(300, eps, 0, 0.0, 1.0, p)
+def test_channel_truth_rejects_bad_fractions(p_default):
+    # each edge value with both signs: 1/2, the widest accepted fraction,
+    # one ulp past it and 0.6; then 25 seeded draws in [-0.6, 0.6]
+    widest = 0.5 + 1e-12
+    edges = np.array([0.0, 0.5, widest, np.nextafter(widest, 1.0), 0.6])
+    draws = np.random.default_rng(0).uniform(-0.6, 0.6, 25)
+    for eps in np.concatenate([edges, -edges, draws]):
+        if abs(eps) > widest:
+            with pytest.raises(ValueError, match="fractional parts"):
+                ChannelTruth.from_grid(300, eps, 0, 0.0, 1.0, p_default)
+        else:
+            ChannelTruth.from_grid(300, eps, 0, 0.0, 1.0, p_default)

@@ -1,10 +1,10 @@
+import itertools
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from ddradar import ParameterError, load_params, make_params, reference_good_code
 from ddradar.bench import load_sweep
@@ -51,18 +51,21 @@ def test_parameter_violations(kwargs, match):
         make_params(**kwargs)
 
 
-@given(
-    n=st.integers(4, 256),
-    m=st.sampled_from([2, 4, 8, 16, 32, 64]),
-    t_c=st.floats(1e-9, 1e3),
-)
-def test_unit_round_trips(n, m, t_c):
-    n_t = max(1, min(n - 2, n // 8))
-    n_f = min(m, 8)
-    p = make_params(n, m, n_t, n_f, t_c)
-    assert 1.0 / (p.T_s * p.M) == pytest.approx(p.F_c, rel=1e-12)
-    assert 1.0 / (p.N * p.M * p.T_s) == pytest.approx(p.delta_f, rel=1e-12)
-    assert p.N_t * p.M <= p.L <= p.frame_len
+def test_unit_round_trips():
+    # N in [4, 256], M a power of two in [2, 64], T_c in [1e-9, 1e3]: every
+    # M at both ends of N and T_c, then 100 seeded draws, T_c log-uniform
+    ms = (2, 4, 8, 16, 32, 64)
+    edges = itertools.product((4, 256), ms, (1e-9, 1e3))
+    rng = np.random.default_rng(0)
+    draws = zip(rng.integers(4, 257, 100), rng.choice(ms, 100), 10 ** rng.uniform(-9, 3, 100))
+    for n, m, t_c in itertools.chain(edges, draws):
+        n, m = int(n), int(m)
+        n_t = max(1, min(n - 2, n // 8))
+        n_f = min(m, 8)
+        p = make_params(n, m, n_t, n_f, float(t_c))
+        assert 1.0 / (p.T_s * p.M) == pytest.approx(p.F_c, rel=1e-12)
+        assert 1.0 / (p.N * p.M * p.T_s) == pytest.approx(p.delta_f, rel=1e-12)
+        assert p.N_t * p.M <= p.L <= p.frame_len
 
 
 def test_ts_strictly_decreases_with_m():

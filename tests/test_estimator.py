@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -8,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ddradar import (
@@ -28,19 +28,26 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar import bench, estimator
-from ddradar.ambiguity import AmbiguitySurface, extend_surface, sinc_model, write_surface
-from ddradar.bench import BenchConfig, run_trial
+from ddradar.ambiguity import AmbiguitySurface, sinc_model, write_surface
+from ddradar.bench import BenchConfig
 from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
 
 
-def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):
+def echo(code, params, truths, snr_db=None, seed=0):
+    """Gated echo of one or more targets, with noise unless snr_db is None."""
     s = synthesize_discrete(code, params)
-    r = apply_channel(code, params, truth)
+    samples = sum(apply_channel(code, params, truth).samples for truth in truths)
+    r = ComplexSignal(samples)
     if snr_db is not None:
         r = add_noise(r, snr_db, seed, params, ref_energy=s.energy)
-    r = apply_receive_gating(r, params)
-    window = window or params.lag_window
-    return discrete_ambiguity(r, s, window, params).normalized(s.energy), r, s
+    return apply_receive_gating(r, params)
+
+
+def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):
+    """The surface of one target's echo, built as the receiver builds it."""
+    s = synthesize_discrete(code, params)
+    r = echo(code, params, [truth], snr_db, seed)
+    return discrete_ambiguity(r, s, window or params.lag_window, params, norm=s.energy)
 
 
 def synthetic_model_surface(params, l0, k0, eps_t, eps_f, alpha):
@@ -51,7 +58,7 @@ def synthetic_model_surface(params, l0, k0, eps_t, eps_f, alpha):
     for i, dl in enumerate(range(-r_ell, r_ell + 1)):
         for dk in range(-r_k, r_k + 1):
             values[i, (k0 + dk) % n] = alpha * sinc_model(dl - eps_t, dk - eps_f, params)
-    return AmbiguitySurface(values, l0 - r_ell, params, norm=1.0)
+    return AmbiguitySurface(values, l0 - r_ell, params)
 
 
 def fit_residual(surface, det, params, eps_t, eps_f):
@@ -70,7 +77,7 @@ def central_difference(fun, x, h=1e-6):
 
 def test_coarse_detect_single_target(p_default, good_code):
     truth = ChannelTruth.from_grid(200, 0.0, 3, 0.0, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(good_code, p_default, truth)
+    surf = make_channel_surface(good_code, p_default, truth)
     dets = coarse_detect(surf, 0.5, p_default)
     assert len(dets) == 1
     assert (dets[0].l_hat, dets[0].k_hat) == (200, 3)
@@ -79,18 +86,15 @@ def test_coarse_detect_single_target(p_default, good_code):
 
 def test_coarse_detect_pure_noise_is_empty(p_default, good_code):
     truth = ChannelTruth.from_grid(300, 0.0, 0, 0.0, 0.0 + 0j, p_default)  # alpha = 0
-    surf, _, _ = make_channel_surface(good_code, p_default, truth, snr_db=0.0, seed=99)
+    surf = make_channel_surface(good_code, p_default, truth, snr_db=0.0, seed=99)
     assert coarse_detect(surf, 0.9, p_default) == []
 
 
-def test_coarse_detect_two_separated_targets(p_default, good_code):
-    s = synthesize_discrete(good_code, p_default)
+def test_coarse_detect_two_separated_targets(p_default, good_code, s_paper):
     t1 = ChannelTruth.from_grid(250, 0.0, -6, 0.0, 1.0 + 0j, p_default)
     t2 = ChannelTruth.from_grid(600, 0.0, 5, 0.0, 0.8 + 0j, p_default)
-    r1 = apply_channel(good_code, p_default, t1)
-    r2 = apply_channel(good_code, p_default, t2)
-    both = apply_receive_gating(ComplexSignal(r1.samples + r2.samples), p_default)
-    surf = discrete_ambiguity(both, s, p_default.lag_window, p_default).normalized(s.energy)
+    both = echo(good_code, p_default, [t1, t2])
+    surf = discrete_ambiguity(both, s_paper, p_default.lag_window, p_default, norm=s_paper.energy)
     dets = coarse_detect(surf, 0.5, p_default)
     assert len(dets) == 2
     assert (dets[0].l_hat, dets[0].k_hat) == (250, -6)
@@ -101,7 +105,7 @@ def test_coarse_detect_two_separated_targets(p_default, good_code):
 def test_coarse_detect_suppresses_main_lobe(p_default, good_code):
     # several main-lobe cells cross theta = 0.5 but must collapse to one hit
     truth = ChannelTruth.from_grid(400, 0.4, 2, 0.4, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(good_code, p_default, truth)
+    surf = make_channel_surface(good_code, p_default, truth)
     crossings = int(np.sum(np.abs(surf.values) > 0.5))
     assert crossings > 3
     dets = coarse_detect(surf, 0.5, p_default)
@@ -154,9 +158,7 @@ def test_coarse_detect_matches_nonzero_oracle_on_clutter(p_default, good_code, s
     for i in range(20):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, i])))
         truth = bench.draw_truth(cfg, rng)
-        r = apply_channel(good_code, p_default, truth)
-        r = add_noise(r, -10.0, int(rng.integers(2**32)), p_default, ref_energy=s_paper.energy)
-        r = apply_receive_gating(r, p_default)
+        r = echo(good_code, p_default, [truth], -10.0, seed=int(rng.integers(2**32)))
         surf = discrete_ambiguity(r, s_paper, p_default.lag_window, p_default, norm=s_paper.energy)
         dets = coarse_detect(surf, 0.28, p_default)
         assert dets == reference_coarse_detect(surf, 0.28, p_default)
@@ -173,7 +175,7 @@ def test_coarse_detect_matches_nonzero_oracle_on_ties(p_default):
     cols = rng.integers(0, 3 * p_default.N, size=120)
     values[rows, cols] = 0.75 * np.array([1, -1, 1j, -1j])[rng.integers(0, 4, size=120)]
     values[rows[::5], cols[::5]] = 0.9
-    surf = AmbiguitySurface(values, -5, p_default, norm=1.0)
+    surf = AmbiguitySurface(values, -5, p_default)
     for level in (0.75, 0.9):
         tied_rows = np.nonzero(np.abs(surf.values) == level)[0]
         assert np.unique(tied_rows).size > 5
@@ -195,30 +197,27 @@ def test_quadratic_worked_example(p_default):
     values = np.zeros((3, n), dtype=complex)
     values[:, 0] = [0.2, 1.0, 0.6]
     values[1, 1] = values[1, n - 1] = 0.5
-    surf = AmbiguitySurface(values, 299, p_default, norm=1.0)
+    surf = AmbiguitySurface(values, 299, p_default)
     est = refine_quadratic(surf, Detection(300, 0, 1.0))
     assert est.eps_t == pytest.approx(1 / 6, rel=1e-12)
     assert est.eps_f == 0.0
     assert est.alpha == pytest.approx(1.0)
 
 
-@settings(max_examples=200)
-@given(
-    a=st.floats(0.01, 5.0),
-    c_extra=st.floats(0.01, 3.0),
-    eps=st.floats(-0.499, 0.499),
-)
-def test_quadratic_exact_on_parabolas(a, c_extra, eps):
-    p = make_params(64, 16, 8, 8, 1.0)
-    c = a * (1 + abs(eps)) ** 2 + c_extra  # keep all stencil values positive
-    n = p.frame_len
-    values = np.zeros((3, n), dtype=complex)
-    for i, dl in enumerate((-1, 0, 1)):
-        values[i, 0] = -a * (dl - eps) ** 2 + c
-    values[1, 1] = values[1, n - 1] = max(0.0, -a * (1 - 0) ** 2 + c - 1e-3)
-    surf = AmbiguitySurface(values, 299, p, norm=1.0)
-    est = refine_quadratic(surf, Detection(300, 0, 1.0))
-    assert est.eps_t == pytest.approx(eps, abs=1e-12)
+def test_quadratic_exact_on_parabolas(p_default):
+    # curvature a in [0.01, 5], headroom c_extra in [0.01, 3], offset eps in
+    # [-0.499, 0.499]: every corner with eps = 0 too, then 200 seeded draws
+    corners = itertools.product((0.01, 5.0), (0.01, 3.0), (-0.499, 0.0, 0.499))
+    draws = np.random.default_rng(2).uniform((0.01, 0.01, -0.499), (5.0, 3.0, 0.499), (200, 3))
+    n = p_default.frame_len
+    for a, c_extra, eps in itertools.chain(corners, draws):
+        c = a * (1 + abs(eps)) ** 2 + c_extra  # keep all stencil values positive
+        values = np.zeros((3, n), dtype=complex)
+        for i, dl in enumerate((-1, 0, 1)):
+            values[i, 0] = -a * (dl - eps) ** 2 + c
+        values[1, 1] = values[1, n - 1] = max(0.0, -a * (1 - 0) ** 2 + c - 1e-3)
+        est = refine_quadratic(AmbiguitySurface(values, 299, p_default), Detection(300, 0, 1.0))
+        assert est.eps_t == pytest.approx(eps, abs=1e-12)
 
 
 def test_quadratic_degenerate_stencil_flagged(p_default):
@@ -226,7 +225,7 @@ def test_quadratic_degenerate_stencil_flagged(p_default):
     values = np.zeros((3, n), dtype=complex)
     values[:, 0] = [1.0, 1.0, 1.0]  # flat: denominator 0
     values[1, 1] = values[1, n - 1] = 0.2
-    surf = AmbiguitySurface(values, 299, p_default, norm=1.0)
+    surf = AmbiguitySurface(values, 299, p_default)
     est = refine_quadratic(surf, Detection(300, 0, 1.0))
     assert est.eps_t == 0.0
     assert est.degenerate
@@ -249,7 +248,7 @@ def test_sinc_fit_recovers_planted_model(p_default):
 
 def test_sinc_fit_noiseless_fractional_channel(p_default, good_code):
     truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(
+    surf = make_channel_surface(
         good_code, p_default, truth, window=(296, 304)
     )
     est = refine_sinc2d(surf, Detection(300, 2, 1.0), p_default)
@@ -259,13 +258,13 @@ def test_sinc_fit_noiseless_fractional_channel(p_default, good_code):
 
 def test_sinc_fit_scale_invariance(p_default, good_code):
     truth = ChannelTruth.from_grid(420, -0.3, 4, 0.15, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(
+    surf = make_channel_surface(
         good_code, p_default, truth, snr_db=25.0, seed=3, window=(416, 424)
     )
     det = Detection(420, 4, 1.0)
     base = refine_sinc2d(surf, det, p_default)
     for gamma in (1e-3, 7.3, 1e4):
-        scaled = AmbiguitySurface(surf.values * gamma, surf.ell_min, p_default, norm=1.0)
+        scaled = AmbiguitySurface(surf.values * gamma, surf.ell_min, p_default)
         est = refine_sinc2d(scaled, det, p_default)
         # identical up to solver round-off in the peak-normalized patch
         assert est.eps_t == pytest.approx(base.eps_t, abs=1e-7)
@@ -278,7 +277,7 @@ def test_sinc_fit_monotone_vs_zero_offsets(p_default, good_code):
         truth = ChannelTruth.from_grid(
             350 + 10 * seed, 0.37, -3, -0.22, 1.0 + 0j, p_default
         )
-        surf, _, _ = make_channel_surface(
+        surf = make_channel_surface(
             good_code, p_default, truth, snr_db=10.0, seed=seed,
             window=(truth.l_d - 4, truth.l_d + 4),
         )
@@ -294,7 +293,7 @@ def test_estimates_are_clamped(p_default, good_code):
     n = p_default.frame_len
     for _ in range(20):
         values = rng.random((5, n)) * np.exp(2j * np.pi * rng.random((5, n)))
-        surf = AmbiguitySurface(values, 298, p_default, norm=1.0)
+        surf = AmbiguitySurface(values, 298, p_default)
         det = Detection(300, int(rng.integers(-8, 9)), 1.0)
         for est in (
             refine_quadratic(surf, det),
@@ -322,7 +321,7 @@ def test_end_to_end_integer_truth_small_bias(good_code):
     p = make_params(60, 20, 8, 8, 1.0)
     s = synthesize_discrete(good_code, p)
     truth = ChannelTruth.from_grid(600, 0.0, 3, 0.0, 1.0 + 0j, p)
-    r = apply_receive_gating(apply_channel(good_code, p, truth), p)
+    r = echo(good_code, p, [truth])
     for method in ("sinc2d", "quadratic"):
         ests = estimate(r, s, 0.5, method, p)
         assert len(ests) == 1
@@ -336,7 +335,7 @@ def test_end_to_end_integer_truth_paper_geometry(p_default, good_code, s_paper):
     # at (64, 16) the fit grid edge rides the model nulls: the quadratic
     # stays exact while the sinc fit carries the code's mismatch floor
     truth = ChannelTruth.from_grid(200, 0.0, 3, 0.0, 1.0 + 0j, p_default)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     quad = estimate(r, s_paper, 0.5, "quadratic", p_default)[0]
     assert abs(quad.eps_t) <= 1e-4 and abs(quad.eps_f) <= 1e-4
     sinc = estimate(r, s_paper, 0.5, "sinc2d", p_default)[0]
@@ -345,7 +344,7 @@ def test_end_to_end_integer_truth_paper_geometry(p_default, good_code, s_paper):
 
 def test_end_to_end_fractional(p_default, good_code, s_paper):
     truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     est = estimate(r, s_paper, 0.5, "sinc2d", p_default)[0]
     assert abs(est.delay_cells - 300.25) <= 0.02
     assert abs(est.doppler_cells - 2.25) <= 0.07
@@ -353,7 +352,7 @@ def test_end_to_end_fractional(p_default, good_code, s_paper):
 
 def test_end_to_end_empty_detection(p_default, good_code, s_paper):
     truth = ChannelTruth.from_grid(300, 0.0, 0, 0.0, 0.0 + 0j, p_default)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     assert estimate(r, s_paper, 0.5, "sinc2d", p_default) == []
 
 
@@ -361,28 +360,24 @@ def test_end_to_end_window_edge_detection(p_default, good_code, s_paper):
     # a detection at the lag-window edge refines on lags outside the window
     l_edge = p_default.lag_window[0]
     truth = ChannelTruth.from_grid(l_edge, 0.0, 0, 0.0, 1.0 + 0j, p_default)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     for method in ("sinc2d", "quadratic"):
         ests = estimate(r, s_paper, 0.5, method, p_default)
         assert ests and ests[0].detection.l_hat == l_edge
 
 
-def test_estimate_rejects_unknown_method(p_default, good_code, s_paper, monkeypatch):
+def test_estimate_rejects_unknown_method(p_default, s_paper, monkeypatch):
     def no_surface(*args, **kwargs):
         raise AssertionError("surface computed before the method was looked up")
 
-    for module in (estimator, bench):
-        monkeypatch.setattr(module, "discrete_ambiguity", no_surface)
+    monkeypatch.setattr(estimator, "discrete_ambiguity", no_surface)
     with pytest.raises(ValueError, match="unknown method 'cubic'"):
         estimate(s_paper, s_paper, 0.5, "cubic", p_default)
-    cfg = BenchConfig(params=p_default, code=good_code, methods=("cubic",))
-    with pytest.raises(ValueError, match="unknown method 'cubic'"):
-        run_trial(cfg, 30.0, 1)
 
 
 def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper):
     truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     (est,) = estimate(r, s_paper, 0.5, "baseline", p_default)
     assert (est.detection.l_hat, est.detection.k_hat) == (300, 2)
     assert (est.eps_t, est.eps_f) == (0.0, 0.0)
@@ -390,37 +385,20 @@ def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper)
     assert est.method == "baseline"
 
 
-def extend_around(surface, r, s, detections):
-    """The surface grown to the lobe half-extent of lags around every
-    detection, clipped to +-(NM-1): the oracle's second surface pass."""
-    params = surface.params
-    ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
-    lo = max(min(d.l_hat for d in detections) - ext, -max_lag)
-    hi = min(max(d.l_hat for d in detections) + ext, max_lag)
-    return extend_surface(surface, r, s, lo, hi)
-
-
 def reference_estimate(r, s, theta, method, params, lag_window=None):
-    """``estimate`` on the full-window surface, with no lag screen, grown
-    around the detections by a second pass (oracle)."""
+    """``estimate`` with no lag screen (oracle): detection on one surface
+    over the whole window, refinement on one surface over that window
+    widened by the lobe half-extent of lags, clipped to +-(NM-1)."""
     refine = estimator.refiner(method)
-    window = params.lag_window if lag_window is None else lag_window
-    surface = discrete_ambiguity(r, s, window, params, norm=s.energy)
-    detections = coarse_detect(surface, theta, params)
+    lo, hi = params.lag_window if lag_window is None else lag_window
+    detected = discrete_ambiguity(r, s, (lo, hi), params, norm=s.energy)
+    detections = coarse_detect(detected, theta, params)
     if not detections:
         return []
-    surface = extend_around(surface, r, s, detections)
+    ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
+    wide = (max(lo - ext, -max_lag), min(hi + ext, max_lag))
+    surface = discrete_ambiguity(r, s, wide, params, norm=s.energy)
     return [refine(surface, det, params) for det in detections]
-
-
-def echo(code, params, truths, snr_db=None, seed=0):
-    """Gated echo of one or more targets, with noise unless snr_db is None."""
-    s = synthesize_discrete(code, params)
-    samples = sum(apply_channel(code, params, truth).samples for truth in truths)
-    r = ComplexSignal(samples)
-    if snr_db is not None:
-        r = add_noise(r, snr_db, seed, params, ref_energy=s.energy)
-    return apply_receive_gating(r, params)
 
 
 SCREEN_FRAMES = {
@@ -541,7 +519,7 @@ def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
 def test_sinc_fit_gradient_matches_central_difference(p_default, good_code, window, ell_off):
     rng = np.random.default_rng(5)
     truth = ChannelTruth.from_grid(300, 0.31, 2, -0.27, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(
+    surf = make_channel_surface(
         good_code, p_default, truth, snr_db=15.0, seed=2, window=window
     )
     y, offsets, k_off = _fit_patch(surf, Detection(300, 2, 1.0))
@@ -582,7 +560,7 @@ def test_sinc_fit_matches_finite_difference_solver(p_default, good_code, seed):
     l_d, k_d = 300 + 7 * seed, int(rng.integers(-20, 21))
     eps_t, eps_f = rng.uniform(-0.45, 0.45, size=2)
     truth = ChannelTruth.from_grid(l_d, eps_t, k_d, eps_f, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(
+    surf = make_channel_surface(
         good_code, p_default, truth, snr_db=float(rng.uniform(10, 30)), seed=seed,
         window=(l_d - 4, l_d + 4),
     )
@@ -623,7 +601,7 @@ def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
     truth = ChannelTruth.from_grid(
         303, 0.3820420846474505, -8, -0.08294855352595087, 1.0 + 0j, p_default
     )
-    surf, _, _ = make_channel_surface(
+    surf = make_channel_surface(
         good_code, p_default, truth, snr_db=20.0, seed=196, window=(299, 307)
     )
     results = _spy_minimize(monkeypatch)
@@ -636,7 +614,7 @@ def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
 
 def test_sinc_fit_stopped_by_maxiter_is_not_converged(p_default, good_code, monkeypatch):
     truth = ChannelTruth.from_grid(300, 0.31, 2, -0.27, 1.0 + 0j, p_default)
-    surf, _, _ = make_channel_surface(
+    surf = make_channel_surface(
         good_code, p_default, truth, snr_db=15.0, seed=2, window=(296, 304)
     )
     det = Detection(300, 2, 1.0)
