@@ -53,7 +53,7 @@ class AmbiguitySurface:
 
     values: np.ndarray  # shape (n_lags, N*M)
     ell_min: int
-    params: RadarParams
+    params: RadarParams  # only extend_surface reads it; the receiver passes params itself
     norm: float | None = None  # A_ss[0,0] when the surface has been normalized
 
     def __post_init__(self):

@@ -15,7 +15,9 @@ least-squares fitting the separable sinc lobe model to the magnitude patch
 around the peak (``sinc2d``), closed-form parabolic interpolation of the
 two 3-point stencils through the peak (``quadratic``), or leaving the
 offsets at zero (``baseline``).  Each row returns an ``Estimate`` in cells
-of T_s and delta_f.
+of T_s and delta_f.  At the surface's edge every row reads the lags it
+holds: a stencil reaching past them leaves its axis degenerate (offset 0),
+as a flat one does; only a detection off the surface raises ValueError.
 
 The sinc fit eliminates the amplitude in closed form: for fixed offsets the
 optimal gain is alpha = max(0, sum(y m) / sum(m^2)), leaving a 2-variable
@@ -58,7 +60,8 @@ DEFAULT_THRESHOLD = 0.5
 # bound's own sum and of the 1/norm scaling, so a dropped lag has no
 # computed cell above theta.
 SCREEN_MARGIN = 1e-9
-_FIT_BOUNDS = ((-0.5, 0.5), (-0.5, 0.5))
+_CELL_BOX = (-0.5, 0.5)  # every offset is clamped to it; the sinc fit searches it
+_FIT_BOUNDS = (_CELL_BOX, _CELL_BOX)
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
 # read them from here.  ``stationary_tol`` decides both the seed skip and
 # ``Estimate.converged``, by the one rule ``_stationary``.
@@ -86,6 +89,7 @@ class Estimate:
     """A refined detection: offsets in cells clamped to [-1/2, 1/2], gain >= 0.
 
     A NaN offset or gain, the mark of a failed refinement, is kept as NaN.
+    ``degenerate``: a ``quadratic`` stencil was flat or clipped by the surface.
     """
 
     detection: Detection
@@ -99,8 +103,9 @@ class Estimate:
     def __post_init__(self):
         # The value goes first: max and min keep their first argument when
         # no comparison holds, so a NaN passes through both unclamped.
-        object.__setattr__(self, "eps_t", min(max(float(self.eps_t), -0.5), 0.5))
-        object.__setattr__(self, "eps_f", min(max(float(self.eps_f), -0.5), 0.5))
+        lo, hi = _CELL_BOX
+        object.__setattr__(self, "eps_t", min(max(float(self.eps_t), lo), hi))
+        object.__setattr__(self, "eps_f", min(max(float(self.eps_f), lo), hi))
         object.__setattr__(self, "alpha", max(float(self.alpha), 0.0))
 
     @property
@@ -157,7 +162,8 @@ def _check_threshold(theta: float) -> None:
 
 def refine_window(lag_window: tuple[int, int], params: RadarParams) -> tuple[int, int]:
     """``lag_window`` widened by the lobe half-extent of lags, the most any
-    refinement reads around a detection, clipped to +-(NM-1)."""
+    refinement reads around a detection, clipped to +-(NM-1); at a clipped
+    end the refiners read only the lags it holds (module docstring)."""
     ext, max_lag = params.lobe_half_extents[0], params.frame_len - 1
     return max(lag_window[0] - ext, -max_lag), min(lag_window[1] + ext, max_lag)
 
@@ -202,26 +208,27 @@ def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bo
 
 
 def refine_quadratic(surface: AmbiguitySurface, det: Detection) -> Estimate:
-    """Closed-form fractional offsets from the five-point stencil at the peak."""
-    if not (surface.contains_lag(det.l_hat - 1) and surface.contains_lag(det.l_hat + 1)):
-        raise ValueError(
-            f"stencil lags {det.l_hat}+-1 outside surface "
-            f"[{surface.ell_min}, {surface.ell_max}]"
-        )
+    """Closed-form fractional offsets from the five-point stencil at the peak;
+    a stencil flat or clipped by the surface leaves its axis degenerate."""
+    if not surface.contains_lag(det.l_hat):
+        raise ValueError(f"detection lag {det.l_hat} outside [{surface.ell_min}, {surface.ell_max}]")
     mag = surface.magnitude
     row, col = det.l_hat - surface.ell_min, det.k_hat % surface.n_bins
     col_lo, col_hi = (col - 1) % surface.n_bins, (col + 1) % surface.n_bins
     center = mag[row, col]
-    eps_t, degen_t = _stencil_offset(mag[row - 1, col], center, mag[row + 1, col])
+    if 0 < row < mag.shape[0] - 1:
+        eps_t, degen_t = _stencil_offset(mag[row - 1, col], center, mag[row + 1, col])
+    else:
+        eps_t, degen_t = 0.0, True
     eps_f, degen_f = _stencil_offset(mag[row, col_lo], center, mag[row, col_hi])
     return Estimate(det, eps_t, eps_f, center, "quadratic", degenerate=degen_t or degen_f)
 
 
 def _fit_patch(
-    surface: AmbiguitySurface, det: Detection
+    surface: AmbiguitySurface, det: Detection, params: RadarParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude patch and its (lag, bin) offsets around a detection."""
-    r_ell, r_k = surface.params.lobe_half_extents
+    r_ell, r_k = params.lobe_half_extents
     # the lags within r_ell of the detection that the surface holds
     lo, hi = max(-r_ell, surface.ell_min - det.l_hat), min(r_ell, surface.ell_max - det.l_hat)
     ell_off = np.arange(lo, hi + 1)
@@ -256,19 +263,16 @@ def _sinc_fit(
 def refine_sinc2d(
     surface: AmbiguitySurface, det: Detection, params: RadarParams
 ) -> Estimate:
-    """Least-squares fit of the sinc lobe model over the main-lobe patch."""
-    patch, ell_off, k_off = _fit_patch(surface, det)
+    """Least-squares fit of the sinc lobe model over the main-lobe patch,
+    seeded with ``refine_quadratic``."""
+    quad = refine_quadratic(surface, det)
+    x0 = np.array([quad.eps_t, quad.eps_f])
+    patch, ell_off, k_off = _fit_patch(surface, det, params)
     peak = float(patch.max())
     y = patch / peak
 
     def fit(x):
         return _sinc_fit(x, y, ell_off, k_off, params)
-
-    try:
-        quad = refine_quadratic(surface, det)
-        x0 = np.array([quad.eps_t, quad.eps_f])
-    except ValueError:  # stencil clipped at the surface edge
-        x0 = np.zeros(2)
 
     seed_fit = fit(x0)
     if _stationary(x0, seed_fit[1]):
@@ -278,7 +282,7 @@ def refine_sinc2d(
         result = minimize(
             lambda x: fit(x)[:2],
             x0,
-            method="L-BFGS-B",
+            method=SOLVER["kind"],
             jac=True,
             bounds=_FIT_BOUNDS,
             options={k: SOLVER[k] for k in ("ftol", "gtol", "maxiter")},
@@ -315,15 +319,11 @@ def refiner(method: str):
     """The ``REFINERS`` row for ``method``; ValueError for an unknown name.
     Looking up ``sinc2d`` imports scipy's solver, before any timed refinement;
     a run that fits no sinc never loads scipy."""
-    try:
-        refine = REFINERS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {tuple(REFINERS)}"
-        ) from None
+    if method not in REFINERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(REFINERS)}")
     if method == "sinc2d":
         import scipy.optimize  # noqa: F401
-    return refine
+    return REFINERS[method]
 
 
 def estimate(

@@ -10,6 +10,7 @@ import pytest
 
 from ddradar import (
     BenchConfig,
+    ChannelTruth,
     Detection,
     add_noise,
     apply_channel,
@@ -367,6 +368,30 @@ def test_run_trial_matches_full_window_reference(snr_db):
     cfg = BenchConfig(params=PAPER, code=reference_good_code(), seed=42)
     for trial_seed in range(42, 242):
         rec = run_trial(cfg, snr_db, trial_seed)
+        assert untimed(rec) == reference_run_trial(cfg, snr_db, trial_seed)
+
+
+@pytest.mark.parametrize("l_d,eps_t", [(128, 0.0), (128, 0.3), (896, -0.2), (896, 0.0)])
+@pytest.mark.parametrize("snr_db", [30.0, 0.0])
+def test_run_trial_matches_full_window_reference_at_the_window_edge(
+    monkeypatch, snr_db, l_d, eps_t
+):
+    # a target on the window's first or last lag is refined on lags past the
+    # window, so the surface must reach the whole lobe half-extent beyond it
+    # (the uniform draw keeps l_d off those lags)
+    draw = draw_truth
+
+    def placed(cfg, rng):
+        truth = draw(cfg, rng)
+        return ChannelTruth.from_grid(l_d, eps_t, truth.k_D, truth.eps_f, 1.0 + 0j, cfg.params)
+
+    monkeypatch.setattr(bench, "draw_truth", placed)
+    monkeypatch.setitem(globals(), "draw_truth", placed)
+    cfg = BenchConfig(params=PAPER, code=reference_good_code(), seed=42)
+    assert PAPER.lag_window == (128, 896)
+    for trial_seed in range(42, 52):
+        rec = run_trial(cfg, snr_db, trial_seed)
+        assert (rec.l_d, rec.eps_t) == (l_d, eps_t)
         assert untimed(rec) == reference_run_trial(cfg, snr_db, trial_seed)
 
 

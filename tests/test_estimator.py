@@ -30,7 +30,7 @@ from ddradar import (
 from ddradar import bench, estimator
 from ddradar.ambiguity import AmbiguitySurface, sinc_model, write_surface
 from ddradar.bench import BenchConfig
-from ddradar.estimator import _FIT_BOUNDS, SOLVER, _fit_patch, _sinc_fit
+from ddradar.estimator import _FIT_BOUNDS, REFINERS, SOLVER, _fit_patch, _sinc_fit
 
 
 def echo(code, params, truths, snr_db=None, seed=0):
@@ -63,7 +63,7 @@ def synthetic_model_surface(params, l0, k0, eps_t, eps_f, alpha):
 
 def fit_residual(surface, det, params, eps_t, eps_f):
     """Objective of the sinc fit, recomputed independently of the estimator."""
-    y, ell_off, k_off = _fit_patch(surface, det)
+    y, ell_off, k_off = _fit_patch(surface, det, params)
     y = y / y.max()
     m = sinc_model(ell_off[:, None] - eps_t, k_off[None, :] - eps_f, params)
     alpha = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
@@ -231,10 +231,22 @@ def test_quadratic_degenerate_stencil_flagged(p_default):
     assert est.degenerate
 
 
-def test_quadratic_requires_stencil_lags(p_default):
-    surf = synthetic_model_surface(p_default, 300, 0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="stencil"):
-        refine_quadratic(surf, Detection(300 - 2, 0, 1.0))
+def test_quadratic_stencil_clipped_by_the_surface_is_degenerate(p_default):
+    # on the surface's first or last lag the lag stencil reaches past it: that
+    # axis is degenerate, as a flat stencil is, and the Doppler axis still
+    # fits; every row of this surface has the same Doppler profile
+    surf = synthetic_model_surface(p_default, 300, 0, 0.3, -0.2, 1.0)
+    inner = refine_quadratic(surf, Detection(300, 0, 1.0))
+    assert not inner.degenerate and inner.eps_f != 0.0
+    for ell in (surf.ell_min, surf.ell_max):
+        est = refine_quadratic(surf, Detection(ell, 0, 1.0))
+        assert est.eps_t == 0.0 and est.degenerate
+        assert est.eps_f == pytest.approx(inner.eps_f, rel=1e-12)
+        assert np.isfinite(refine_sinc2d(surf, Detection(ell, 0, 1.0), p_default).eps_t)
+    for ell in (surf.ell_min - 1, surf.ell_max + 1):
+        for refine in REFINERS["quadratic"], REFINERS["sinc2d"]:
+            with pytest.raises(ValueError, match=rf"^detection lag {ell} outside \[298, 302\]$"):
+                refine(surf, Detection(ell, 0, 1.0), p_default)
 
 
 def test_sinc_fit_recovers_planted_model(p_default):
@@ -364,6 +376,30 @@ def test_end_to_end_window_edge_detection(p_default, good_code, s_paper):
     for method in ("sinc2d", "quadratic"):
         ests = estimate(r, s_paper, 0.5, method, p_default)
         assert ests and ests[0].detection.l_hat == l_edge
+
+
+@pytest.mark.parametrize("end", ["last", "first"])
+def test_estimate_at_the_frame_end_lag(p_default, s_paper, end):
+    # lag +-(NM-1) holds one product r[j] s*[j -+ (NM-1)], so every refiner
+    # reads a surface clipped at the frame: the quadratic lag axis is
+    # degenerate and the sinc patch keeps the lags inside the frame.  The
+    # last lag pairs the echo's last sample with the replica's first; the
+    # first lag needs a replica dense up to the frame's last sample.
+    n = p_default.frame_len
+    if end == "last":
+        r, s, ell = ComplexSignal(np.eye(n)[n - 1]), s_paper, n - 1
+    else:
+        rng = np.random.default_rng(23)
+        dense = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        r, s, ell = ComplexSignal(dense[0]), ComplexSignal(dense[1]), -(n - 1)
+    product = abs(r.samples[max(ell, 0)] * s.samples[max(-ell, 0)])
+    theta = 0.5 * product / s.energy
+    for method in REFINERS:
+        want = reference_estimate(r, s, theta, method, p_default, lag_window=(ell, ell))
+        assert want and all(est.detection.l_hat == ell for est in want)
+        assert estimate(r, s, theta, method, p_default, lag_window=(ell, ell)) == want
+        if method == "quadratic":
+            assert all(est.eps_t == 0.0 and est.degenerate for est in want)
 
 
 def test_estimate_rejects_unknown_method(p_default, s_paper, monkeypatch):
@@ -522,7 +558,7 @@ def test_sinc_fit_gradient_matches_central_difference(p_default, good_code, wind
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=15.0, seed=2, window=window
     )
-    y, offsets, k_off = _fit_patch(surf, Detection(300, 2, 1.0))
+    y, offsets, k_off = _fit_patch(surf, Detection(300, 2, 1.0), p_default)
     assert list(offsets) == ell_off
     y = y / y.max()
     for x in rng.uniform(-0.5, 0.5, size=(50, 2)):
@@ -657,13 +693,24 @@ print("scipy" in sys.modules)
 """
 
 
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter with ``src`` on the path."""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    ).stdout
+
+
 def test_scipy_loads_only_with_the_sinc2d_refiner():
     """A fresh interpreter that runs a quadratic ``estimate`` never imports
     scipy; looking up the sinc2d refiner does."""
-    src = str(Path(estimator.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE],
-        capture_output=True, text=True, check=True, timeout=120, env=env,
-    ).stdout.split()
-    assert out == ["False", "True"]
+    assert run_fresh(_SCIPY_PROBE).split() == ["False", "True"]
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    (line,) = run_fresh(code).splitlines()
+    assert line.startswith("300 2 ")
