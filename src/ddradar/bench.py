@@ -6,10 +6,10 @@ keyed by ``seed + trial_index`` and all randomness flows through Philox
 streams derived from that key, so a sweep is reproducible sample-for-sample
 regardless of the worker count.
 
-Errors are accounted in grid cells: delay error (l_hat + eps_hat) - t_d/T_s
-and the Doppler analogue.  The coarse stage is the estimator's
-``coarse_stage``: one surface on the lags whose bound can reach the
-threshold, widened by ``refine_window`` to every lag a refinement reads.  A
+Errors are accounted in grid cells: delay error (l_hat + eps_hat) - delay,
+both in samples, and the Doppler analogue in bins.  The coarse stage is the
+estimator's ``coarse_stage``: one surface on the lags whose bound can reach
+the threshold, widened by ``refine_window`` to every lag a refinement reads.  A
 trial that detects nothing computes that widened surface for the whole
 window, falls back to the argmax over the window's lags and is flagged as a
 miss, as is a trial whose coarse cell is not the true cell; missed trials
@@ -155,7 +155,7 @@ def draw_truth(cfg: BenchConfig, rng: np.random.Generator) -> ChannelTruth:
     k_D = int(rng.integers(-k_max, k_max + 1))
     eps_t = float(rng.uniform(-0.5, 0.5))
     eps_f = float(rng.uniform(-0.5, 0.5))
-    return ChannelTruth.from_grid(l_d, eps_t, k_D, eps_f, 1.0 + 0j, p)
+    return ChannelTruth(l_d + eps_t, k_D + eps_f)
 
 
 def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
@@ -188,8 +188,6 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
         )
         undetected = True
 
-    true_delay = truth.l_d + truth.eps_t
-    true_doppler = truth.k_D + truth.eps_f
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
 
     outcomes = {}
@@ -203,8 +201,8 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
             k_hat=det.k_hat,
             eps_t=est.eps_t,
             eps_f=est.eps_f,
-            err_delay=est.delay_cells - true_delay,
-            err_doppler=est.doppler_cells - true_doppler,
+            err_delay=est.delay_cells - truth.delay,
+            err_doppler=est.doppler_cells - truth.doppler,
             miss=miss,
             refine_ms=refine_ms,
         )

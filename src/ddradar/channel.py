@@ -1,15 +1,17 @@
 """Single-target channel: fractional delay, Doppler shift, attenuation, noise.
 
-The main path samples the analytic transmitted pulse train directly,
+A target is a delay in samples (cells of T_s) and a Doppler in bins (cells
+of delta_f).  The main path samples the analytic transmitted pulse train
+directly,
 
-    r[j] = alpha * s(j T_s - t_d) * e^{+2 pi i f_D j T_s},
+    r[j] = alpha * s((j - delay) T_s) * e^{+2 pi i (doppler delta_f) j T_s},
 
 with s the windowed pulse train the transmitter actually radiates, so an
 integer-sample delay reduces to an exact shift of the stored replica.  The
 pulse train and the Doppler factor are evaluated only on the echo's
-``waveform.radiated_span`` (the samples j with j T_s - t_d in
-[0, (N_t + 2) T_c), plus one guard sample each side); every other sample
-of the frame is zero, as the full-frame evaluation gives.
+``waveform.radiated_span`` (the samples j with j - delay in [0, L),
+L = (N_t + 2) M, plus one guard sample each side); every other sample of
+the frame is zero, as the full-frame evaluation gives.
 """
 
 from __future__ import annotations
@@ -26,69 +28,44 @@ from .waveform import ComplexSignal, evaluate_transmitted, radiated_span
 
 @dataclass(frozen=True)
 class ChannelTruth:
-    """Ground-truth delay t_d (s), Doppler f_D (Hz), complex gain alpha,
-    plus the grid decomposition t_d = (l_d + eps_t) T_s, f_D = (k_D + eps_f) delta_f.
+    """Ground truth: delay in cells of T_s, Doppler in cells of delta_f,
+    complex gain alpha.
 
-    Rounding to the nearest grid cell breaks ties toward even integers, so
-    |eps_t|, |eps_f| <= 1/2 always.
+    The grid decomposition delay = l_d + eps_t, doppler = k_D + eps_f
+    rounds to the nearest cell, ties to even, so |eps_t|, |eps_f| <= 1/2;
+    the subtraction is exact, so l_d + eps_t == delay.
     """
 
-    t_d: float
-    f_D: float
-    alpha: complex
-    l_d: int
-    eps_t: float
-    k_D: int
-    eps_f: float
+    delay: float
+    doppler: float
+    alpha: complex = 1.0
 
     def __post_init__(self):
-        if not abs(self.eps_t) <= 0.5 + 1e-12 or not abs(self.eps_f) <= 0.5 + 1e-12:
+        if not (math.isfinite(self.delay) and math.isfinite(self.doppler)):
             raise ValueError(
-                f"fractional parts must lie in [-1/2, 1/2], got "
-                f"eps_t={self.eps_t}, eps_f={self.eps_f}"
+                f"delay and Doppler must be finite, got delay={self.delay}, doppler={self.doppler}"
             )
 
-    @classmethod
-    def from_delay_doppler(
-        cls, t_d: float, f_D: float, alpha: complex, params: RadarParams
-    ) -> "ChannelTruth":
-        if not (math.isfinite(t_d) and math.isfinite(f_D)):
-            raise ValueError(f"delay and Doppler must be finite, got t_d={t_d}, f_D={f_D}")
-        l_d = int(np.rint(t_d / params.T_s))  # round-half-even
-        k_D = int(np.rint(f_D / params.delta_f))
-        return cls(
-            t_d=t_d,
-            f_D=f_D,
-            alpha=alpha,
-            l_d=l_d,
-            eps_t=t_d / params.T_s - l_d,
-            k_D=k_D,
-            eps_f=f_D / params.delta_f - k_D,
-        )
+    @property
+    def l_d(self) -> int:
+        return round(self.delay)
 
-    @classmethod
-    def from_grid(
-        cls,
-        l_d: int,
-        eps_t: float,
-        k_D: int,
-        eps_f: float,
-        alpha: complex,
-        params: RadarParams,
-    ) -> "ChannelTruth":
-        return cls(
-            t_d=(l_d + eps_t) * params.T_s,
-            f_D=(k_D + eps_f) * params.delta_f,
-            alpha=alpha,
-            l_d=l_d,
-            eps_t=eps_t,
-            k_D=k_D,
-            eps_f=eps_f,
-        )
+    @property
+    def eps_t(self) -> float:
+        return self.delay - self.l_d
+
+    @property
+    def k_D(self) -> int:
+        return round(self.doppler)
+
+    @property
+    def eps_f(self) -> float:
+        return self.doppler - self.k_D
 
     def in_window(self, params: RadarParams) -> bool:
         """True when the delay falls in the monostatic detectability window."""
-        return params.N_t * params.T_c <= self.t_d <= (params.N - params.N_t) * params.T_c
+        lo, hi = params.lag_window
+        return lo <= self.delay <= hi
 
 
 def apply_channel(
@@ -97,14 +74,14 @@ def apply_channel(
     """Noiseless received frame for a single target."""
     if not truth.in_window(params):
         raise ValueError(
-            f"delay t_d={truth.t_d} outside detectability window "
-            f"[{params.N_t * params.T_c}, {(params.N - params.N_t) * params.T_c}]"
+            f"delay {truth.delay} T_s outside detectability window {list(params.lag_window)}"
         )
-    span = radiated_span(params, truth.t_d)
+    t_d, f_D = truth.delay * params.T_s, truth.doppler * params.delta_f
+    span = radiated_span(params, truth.delay)
     t = np.arange(span.start, span.stop) * params.T_s
-    echo = evaluate_transmitted(code, params, t - truth.t_d)
+    echo = evaluate_transmitted(code, params, t - t_d)
     r = np.zeros(params.frame_len, dtype=np.complex128)
-    r[span] = truth.alpha * echo * np.exp(2j * np.pi * truth.f_D * t)
+    r[span] = truth.alpha * echo * np.exp(2j * np.pi * f_D * t)
     return ComplexSignal(r)
 
 

@@ -176,9 +176,7 @@ def _cmd_simulate(args) -> int:
     params = _resolve_params(args)
     code = read_code(args.code, params)
     seed = _resolve_seed(args)
-    truth = ChannelTruth.from_delay_doppler(
-        args.delay * params.T_s, args.doppler * params.delta_f, 1.0 + 0j, params
-    )
+    truth = ChannelTruth(args.delay, args.doppler)
     s = synthesize_discrete(code, params)
     r = apply_channel(code, params, truth)
     r = add_noise(r, args.snr_db, seed, params, ref_energy=s.energy)

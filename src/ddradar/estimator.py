@@ -60,6 +60,16 @@ DEFAULT_THRESHOLD = 0.5
 # bound's own sum and of the 1/norm scaling, so a dropped lag has no
 # computed cell above theta.
 SCREEN_MARGIN = 1e-9
+# A quadratic stencil is flat, and its axis degenerate, when its curvature
+# 4c - 2(m + p) is at most this fraction of its center magnitude c.  Each
+# magnitude carries the FFT's rounding, of order log2(NM) eps times the
+# row's l1 norm, at most |r| / |s| on the normalized surface (see
+# SCREEN_MARGIN).  A detected peak has c > theta, so at the paper's
+# NM = 1024 with |r| <= 10 |s| and theta >= 0.25 that rounding, and the
+# curvature of a stencil flat up to it, stays below about 1e-13 of c.  The
+# tolerance lies far above that and far below the curvature of any lobe a
+# benchmark frame fits (at least 1.6e-3 of c).
+FLAT_STENCIL_TOL = 1e-9
 _CELL_BOX = (-0.5, 0.5)  # every offset is clamped to it; the sinc fit searches it
 _FIT_BOUNDS = (_CELL_BOX, _CELL_BOX)
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
@@ -200,9 +210,10 @@ def coarse_stage(
 
 
 def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bool]:
-    """Parabolic peak offset from three magnitudes; (0, True) when degenerate."""
+    """Parabolic peak offset from three magnitudes; (0, True) when the
+    stencil is flat (``FLAT_STENCIL_TOL``) or curves up."""
     denom = 4.0 * center - 2.0 * plus - 2.0 * minus
-    if denom <= 0.0:
+    if denom <= FLAT_STENCIL_TOL * center:
         return 0.0, True
     return (plus - minus) / denom, False
 

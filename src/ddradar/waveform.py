@@ -15,12 +15,12 @@ replica, the term-by-term ``brute_synthesize`` and the untruncated analytic
 signal; for the screen, ``continuous_ambiguity``, a full-frame evaluator.
 
 Outside its support the radiated train is exactly zero, so a frame is
-evaluated only on ``radiated_span``: the samples j with j T_s - t_d in
-[0, (N_t + 2) T_c), plus one guard sample on each side, clipped to the
-frame (at most 162 of 1024 samples at the paper geometry).  The replica
-(t_d = 0) and the echo both read this one rule, and so does the conformance
-screen, which samples its shifted trains on the replica's span, where alone
-the replica is nonzero.
+evaluated only on ``radiated_span``: for a train delayed by ``delay``
+samples, the samples j with j - delay in [0, L), L = (N_t + 2) M, plus one
+guard sample on each side, clipped to the frame (at most 162 of 1024
+samples at the paper geometry).  The replica (delay 0) and the echo both
+read this one rule, and so does the conformance screen, which samples its
+shifted trains on the replica's span, where alone the replica is nonzero.
 """
 
 from __future__ import annotations
@@ -64,17 +64,17 @@ def gaussian_pulse(t):
     return 2 ** 0.25 * np.exp(-np.pi * np.asarray(t, dtype=float) ** 2)
 
 
-def radiated_span(params: RadarParams, t_d: float = 0.0) -> slice:
-    """The frame samples j a pulse train delayed by ``t_d`` can reach.
+def radiated_span(params: RadarParams, delay: float = 0.0) -> slice:
+    """The frame samples j a pulse train delayed by ``delay`` samples can reach.
 
-    These are the j with j T_s - t_d in the train's support
-    [0, (N_t + 2) T_c), widened by one guard sample on each side, because
-    the window test runs on rounded times, and clipped to the frame.  Every
-    sample outside the span is exactly zero.
+    These are the j with j - delay in the train's support [0, L), L the
+    receive-gate boundary (N_t + 2) M, widened by one guard sample on each
+    side, because the window test runs on rounded times, and clipped to the
+    frame.  Every sample outside the span is exactly zero.
     """
-    first = math.ceil(t_d / params.T_s) - 1
-    stop = math.ceil((t_d + (params.N_t + 2) * params.T_c) / params.T_s) + 1
-    return slice(max(first, 0), min(stop, params.frame_len))
+    start = math.ceil(delay) - 1
+    stop = start + params.L + 2
+    return slice(max(start, 0), min(stop, params.frame_len))
 
 
 def synthesize_discrete(code: CodeMatrix, params: RadarParams) -> ComplexSignal:

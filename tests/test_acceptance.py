@@ -128,7 +128,7 @@ def test_criterion_3_noiseless_integer_exactness():
     worst = 0.0
     for l_d in lags:
         for k_D in bins:
-            truth = ChannelTruth.from_grid(int(l_d), 0.0, int(k_D), 0.0, 1.0 + 0j, p)
+            truth = ChannelTruth(int(l_d), int(k_D))
             r = apply_receive_gating(apply_channel(code, p, truth), p)
             for method in ("sinc2d", "quadratic"):
                 ests = estimate(r, s, 0.5, method, p)
@@ -261,13 +261,9 @@ def test_criterion_7_property_suites():
     code = reference_good_code()
     s = synthesize_discrete(code, p_default)
     for case in range(10):
-        truth = ChannelTruth.from_grid(
-            int(rng.integers(200, 800)),
-            float(rng.uniform(-0.45, 0.45)),
-            int(rng.integers(-8, 9)),
-            float(rng.uniform(-0.45, 0.45)),
-            1.0 + 0j,
-            p_default,
+        truth = ChannelTruth(
+            int(rng.integers(200, 800)) + float(rng.uniform(-0.45, 0.45)),
+            int(rng.integers(-8, 9)) + float(rng.uniform(-0.45, 0.45)),
         )
         r = apply_channel(code, p_default, truth)
         r = add_noise(r, 25.0, case, p_default, s.energy)

@@ -77,7 +77,7 @@ def test_zero_lag_zero_bin_is_energy(p_default, s_paper):
 
 
 def test_integer_channel_peak_location(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(200, 0.0, 3, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(200, 3)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     surf = discrete_ambiguity(r, s_paper, p_default.lag_window, p_default)
     row, col = np.unravel_index(np.argmax(np.abs(surf.values)), surf.values.shape)
@@ -118,7 +118,7 @@ def test_edge_windows_match_direct_sum(window):
 def test_norm_argument_matches_normalized(p_default, good_code, s_paper):
     # the in-place reciprocal scaling against normalized()'s complex division:
     # equal values and bit-identical magnitudes
-    truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.1, 1.2)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     n = p_default.frame_len
     rng = np.random.default_rng(23)
@@ -169,7 +169,7 @@ def test_continuous_auto_origin_is_scaled_energy(p_default, good_code, s_paper):
 
 
 def test_continuous_matches_discrete_on_grid(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.25, 2.25)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     surf = discrete_ambiguity(r, s_paper, (290, 310), p_default)
     peak = np.max(np.abs(surf.values)) * p_default.T_s
@@ -271,7 +271,7 @@ def test_lag_bounds_attained_by_a_single_impulse(p_default, s_paper):
     ids=["full", "low-edge", "high-edge", "first-lag", "last-lag", "detectability"],
 )
 def test_lag_bounds_on_paper_replica_at_frame_edges(p_default, good_code, s_paper, window):
-    truth = ChannelTruth.from_grid(300, 0.25, 2, -0.25, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.25, 1.75)
     r = add_noise(apply_channel(good_code, p_default, truth), 10.0, 3, p_default,
                   ref_energy=s_paper.energy)
     bounds, _ = assert_bounds_hold(apply_receive_gating(r, p_default), s_paper, window, p_default)
@@ -340,7 +340,7 @@ def test_span_conformance_matches_full_frame_oracle(geometry, code_key):
 
 
 def test_extend_surface_matches_direct(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.1, 1.2)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     base = discrete_ambiguity(r, s_paper, (295, 305), p_default)
     grown = extend_surface(base, r, s_paper, 290, 312)
@@ -353,7 +353,7 @@ def test_extend_surface_matches_direct(p_default, good_code, s_paper):
 
 
 def test_rows_share_the_surface_magnitude(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.1, 1, 0.2, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.1, 1.2)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     surf = discrete_ambiguity(r, s_paper, (290, 312), p_default, norm=s_paper.energy)
     assert np.array_equal(surf.magnitude, np.abs(surf.values))

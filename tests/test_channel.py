@@ -15,13 +15,19 @@ from ddradar import (
 from ddradar.waveform import ComplexSignal, evaluate_transmitted, radiated_span
 
 
+def seconds(truth, params):
+    """(t_d, f_D) in seconds and Hz, converted as apply_channel converts them."""
+    return truth.delay * params.T_s, truth.doppler * params.delta_f
+
+
 def dense_channel(code, params, truth):
     """Full-frame oracle: alpha s(t - t_d) e^{2 pi i f_D t} at every t = j T_s,
     multiplied in apply_channel's order (numpy's complex products can round
     differently when their operands are swapped)."""
+    t_d, f_D = seconds(truth, params)
     t = np.arange(params.frame_len) * params.T_s
-    echo = evaluate_transmitted(code, params, t - truth.t_d)
-    return truth.alpha * echo * np.exp(2j * np.pi * truth.f_D * t)
+    echo = evaluate_transmitted(code, params, t - t_d)
+    return truth.alpha * echo * np.exp(2j * np.pi * f_D * t)
 
 
 def h_matrix(truth, params, n_rows, n_cols):
@@ -32,13 +38,14 @@ def h_matrix(truth, params, n_rows, n_cols):
     H[i, j] = T_s a e^{i pi f_D (t_d + (i+j) T_s)} sinc(a (t_d + (j-i) T_s)),
     a = max(0, 1/T_s - |f_D|), with the normalized sinc(x) = sin(pi x)/(pi x).
     """
-    a = max(0.0, 1.0 / params.T_s - abs(truth.f_D))
+    t_d, f_D = seconds(truth, params)
+    a = max(0.0, 1.0 / params.T_s - abs(f_D))
     if a == 0.0:
         return np.zeros((n_rows, n_cols), dtype=np.complex128)
     i = np.arange(n_rows)[:, None]
     j = np.arange(n_cols)[None, :]
-    phase = np.exp(1j * np.pi * truth.f_D * (truth.t_d + (i + j) * params.T_s))
-    lobe = np.sinc(a * (truth.t_d + (j - i) * params.T_s))
+    phase = np.exp(1j * np.pi * f_D * (t_d + (i + j) * params.T_s))
+    lobe = np.sinc(a * (t_d + (j - i) * params.T_s))
     return params.T_s * a * phase * lobe
 
 
@@ -48,30 +55,27 @@ def h_matrix_received(signal, truth, params):
     return ComplexSignal(truth.alpha * (H @ signal.samples[: params.L]))
 
 
-def test_decomposition_fractions_bounded(p_default):
+def test_decomposition_fractions_bounded():
     # delay in [128, 896] T_s, Doppler in [-512, 512] delta_f: the range ends
     # and half-cell ties, then 200 seeded draws
     edges = itertools.product((128.0, 128.5, 511.5, 896.0), (-512.0, -0.5, 0.0, 3.5, 512.0))
     draws = np.random.default_rng(0).uniform((128.0, -512.0), (896.0, 512.0), (200, 2))
-    for td_cells, fd_cells in itertools.chain(edges, draws):
-        truth = ChannelTruth.from_delay_doppler(
-            td_cells * p_default.T_s, fd_cells * p_default.delta_f, 1.0, p_default
-        )
-        assert abs(truth.eps_t) <= 0.5 + 1e-9
-        assert abs(truth.eps_f) <= 0.5 + 1e-9
-        assert truth.l_d + truth.eps_t == pytest.approx(td_cells, abs=1e-6)
+    for delay, doppler in itertools.chain(edges, draws):
+        truth = ChannelTruth(delay, doppler)
+        assert abs(truth.eps_t) <= 0.5 and abs(truth.eps_f) <= 0.5
+        assert truth.l_d + truth.eps_t == delay and truth.k_D + truth.eps_f == doppler
 
 
-def test_decomposition_ties_round_half_even(p_default):
-    t1 = ChannelTruth.from_delay_doppler(200.5 * p_default.T_s, 0.0, 1.0, p_default)
-    assert t1.l_d == 200  # 200.5 rounds to the even integer
-    t2 = ChannelTruth.from_delay_doppler(201.5 * p_default.T_s, 0.0, 1.0, p_default)
-    assert t2.l_d == 202
+def test_decomposition_ties_round_half_even():
+    t1 = ChannelTruth(200.5, -3.5)
+    assert (t1.l_d, t1.k_D) == (200, -4)  # 200.5 rounds to the even integer
+    t2 = ChannelTruth(201.5, 2.5)
+    assert (t2.l_d, t2.k_D) == (202, 2)
 
 
 def test_integer_shift_is_exact(p_default, good_code, s_paper):
     l_d = 200
-    truth = ChannelTruth.from_grid(l_d, 0.0, 0, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(l_d, 0)
     r = apply_channel(good_code, p_default, truth)
     n = p_default.frame_len
     shifted = np.zeros(n, dtype=complex)
@@ -80,22 +84,20 @@ def test_integer_shift_is_exact(p_default, good_code, s_paper):
 
 
 def test_zero_attenuation_gives_zero_signal(p_default, good_code):
-    truth = ChannelTruth.from_grid(300, 0.2, 4, -0.3, 0.0 + 0j, p_default)
+    truth = ChannelTruth(300.2, 3.7, alpha=0.0)
     r = apply_channel(good_code, p_default, truth)
     assert np.all(r.samples == 0)
 
 
 def test_delay_window_enforced(p_default, good_code):
-    low = ChannelTruth.from_delay_doppler(
-        (p_default.N_t - 1) * p_default.T_c, 0.0, 1.0, p_default
-    )
+    low = ChannelTruth((p_default.N_t - 1) * p_default.M, 0)
     with pytest.raises(ValueError, match="outside detectability window"):
         apply_channel(good_code, p_default, low)
 
 
 def test_doppler_preserves_magnitudes(p_default, good_code):
-    base = ChannelTruth.from_grid(300, 0.3, 0, 0.0, 1.0 + 0j, p_default)
-    shifted = ChannelTruth.from_grid(300, 0.3, 7, 0.45, 1.0 + 0j, p_default)
+    base = ChannelTruth(300.3, 0)
+    shifted = ChannelTruth(300.3, 7.45)
     r0 = apply_channel(good_code, p_default, base)
     r1 = apply_channel(good_code, p_default, shifted)
     assert np.allclose(np.abs(r0.samples), np.abs(r1.samples), atol=1e-12)
@@ -103,14 +105,14 @@ def test_doppler_preserves_magnitudes(p_default, good_code):
 
 def test_integer_channel_correlation_peak(p_default, good_code, s_paper):
     l_d = 345
-    truth = ChannelTruth.from_grid(l_d, 0.0, 0, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(l_d, 0)
     r = apply_channel(good_code, p_default, truth)
     corr = np.abs(np.correlate(r.samples, s_paper.samples, mode="full"))
     assert int(np.argmax(corr)) - (p_default.frame_len - 1) == l_d
 
 
 @pytest.mark.parametrize(
-    "geometry, t_d_cells, expected",
+    "geometry, delay, expected",
     [
         ((64, 16, 8, 8, 1.0), 0.0, (0, 161)),  # support [0, 160) plus a guard
         ((64, 16, 8, 8, 1.0), 300.25, (300, 462)),  # j in [301, 460] plus guards
@@ -118,55 +120,56 @@ def test_integer_channel_correlation_peak(p_default, good_code, s_paper):
         ((32, 4, 4, 2, 3.7), 100.5, (100, 126)),  # j in [101, 124] plus guards
     ],
 )
-def test_radiated_span(geometry, t_d_cells, expected):
+def test_radiated_span(geometry, delay, expected):
     p = make_params(*geometry)
-    span = radiated_span(p, t_d_cells * p.T_s)
+    span = radiated_span(p, delay)
     assert (span.start, span.stop) == expected
 
 
 def _span_cases():
-    """(geometry, t_d in samples) at both window edges and on both sides of
-    an integer sample, for the paper geometry and four others."""
+    """(geometry, delay in samples) at both window edges and on both sides of
+    an integer sample, for the paper geometry and five others.  At M = 12
+    with T_c = 1e-6, the window's first lag 36 times T_s rounds below
+    N_t T_c, so a window test in seconds rejects a target on that edge."""
     for geometry in [
         (64, 16, 8, 8, 1.0),
         (64, 16, 8, 8, 1e-6),
         (16, 8, 2, 4, 1.0),
         (32, 4, 4, 2, 3.7),
         (64, 64, 8, 8, 1.0),
+        (16, 12, 3, 2, 1e-6),
     ]:
         N, M, N_t = geometry[:3]
         lo, hi = N_t * M, (N - N_t) * M  # the window edges in samples
         k = (lo + hi) // 2
-        for t_d in [lo, hi, hi - 0.5, k - 1e-12, k + 1e-12, k - 0.5, k + 0.5]:
-            yield geometry, t_d
+        for delay in [lo, hi, hi - 0.5, k - 1e-12, k + 1e-12, k - 0.5, k + 0.5]:
+            yield geometry, delay
 
 
-@pytest.mark.parametrize("geometry, t_d_cells", list(_span_cases()))
-def test_channel_on_span_matches_full_frame(geometry, t_d_cells):
+@pytest.mark.parametrize("geometry, delay", list(_span_cases()))
+def test_channel_on_span_matches_full_frame(geometry, delay):
     p = make_params(*geometry)
     code = random_code(p, 5)
-    for alpha, f_D_cells in [(1.0 + 0j, 0.0), (0.6 - 1.3j, 3.37), (-0.2 + 0.9j, -7.5)]:
-        truth = ChannelTruth.from_delay_doppler(
-            t_d_cells * p.T_s, f_D_cells * p.delta_f, alpha, p
-        )
+    for alpha, doppler in [(1.0 + 0j, 0.0), (0.6 - 1.3j, 3.37), (-0.2 + 0.9j, -7.5)]:
+        truth = ChannelTruth(delay, doppler, alpha)
         r = apply_channel(code, p, truth).samples
         assert np.array_equal(r.view(np.float64), dense_channel(code, p, truth).view(np.float64))
 
 
 def test_h_matrix_identity_at_origin(p_default):
-    truth = ChannelTruth.from_grid(0, 0.0, 0, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(0, 0)
     H = h_matrix(truth, p_default, 6, 6)
     assert np.allclose(H, np.eye(6), atol=1e-12)
 
 
 def test_h_matrix_vanishes_beyond_nyquist(p_default):
-    truth = ChannelTruth.from_delay_doppler(0.0, 1.0 / p_default.T_s, 1.0, p_default)
+    truth = ChannelTruth(0, p_default.frame_len)  # f_D = N M delta_f = 1/T_s
     assert np.all(h_matrix(truth, p_default, 4, 4) == 0)
 
 
 def test_h_matrix_half_sample_delay_values(p_default):
     # f_D = 0, t_d = T_s/2: H[i, j] = sinc(0.5 + (j - i)), real-valued
-    truth = ChannelTruth.from_delay_doppler(0.5 * p_default.T_s, 0.0, 1.0, p_default)
+    truth = ChannelTruth(0.5, 0)
     H = h_matrix(truth, p_default, 5, 5)
     assert np.max(np.abs(H.imag)) == 0
     for i in range(5):
@@ -179,7 +182,7 @@ def test_h_matrix_half_sample_delay_values(p_default):
 
 def test_h_matrix_oracle_agrees_with_direct_channel(p_default, good_code, s_paper):
     for l_d, eps_t, k_D, eps_f in [(300, 0.3, 0, 0.0), (300, 0.3, 5, 0.2)]:
-        truth = ChannelTruth.from_grid(l_d, eps_t, k_D, eps_f, 1.0 + 0j, p_default)
+        truth = ChannelTruth(l_d + eps_t, k_D + eps_f)
         direct = apply_channel(good_code, p_default, truth)
         oracle = h_matrix_received(s_paper, truth, p_default)
         rel = np.sum(np.abs(direct.samples - oracle.samples) ** 2) / np.sum(
@@ -217,7 +220,7 @@ def test_noise_sigma_formula_at_30db(p_default):
 
 
 def test_measured_snr_matches_request(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.25, 2, -0.25, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.25, 1.75)
     clean = apply_channel(good_code, p_default, truth)
     snr_db = 15.0
     noise_energy = 0.0
@@ -264,17 +267,3 @@ def test_gating_idempotent(p_default, s_paper):
     once = apply_receive_gating(s_paper, p_default)
     twice = apply_receive_gating(once, p_default)
     assert np.array_equal(once.samples, twice.samples)
-
-
-def test_channel_truth_rejects_bad_fractions(p_default):
-    # each edge value with both signs: 1/2, the widest accepted fraction,
-    # one ulp past it and 0.6; then 25 seeded draws in [-0.6, 0.6]
-    widest = 0.5 + 1e-12
-    edges = np.array([0.0, 0.5, widest, np.nextafter(widest, 1.0), 0.6])
-    draws = np.random.default_rng(0).uniform(-0.6, 0.6, 25)
-    for eps in np.concatenate([edges, -edges, draws]):
-        if abs(eps) > widest:
-            with pytest.raises(ValueError, match="fractional parts"):
-                ChannelTruth.from_grid(300, eps, 0, 0.0, 1.0, p_default)
-        else:
-            ChannelTruth.from_grid(300, eps, 0, 0.0, 1.0, p_default)

@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from ddradar import make_params
+from ddradar import (
+    ChannelTruth,
+    add_noise,
+    apply_channel,
+    apply_receive_gating,
+    make_params,
+    synthesize_discrete,
+)
 from ddradar.cli import _resolve_params, build_parser, main
 from ddradar.codes import read_code, reference_bad_code, reference_good_code, write_code
+from ddradar.waveform import read_signal
 
 
 def run(capsys, *argv):
@@ -131,6 +139,28 @@ def test_pipeline_round_trip(tmp_path, capsys):
     assert abs(rec["delay_Ts"] - 300.25) <= 0.02
     assert abs(rec["doppler_df"] - 2.25) <= 0.07
     assert rec["converged"] is True
+
+
+@pytest.mark.parametrize("gate", [True, False])
+def test_simulate_writes_the_library_frame(tmp_path, capsys, gate):
+    # --delay and --doppler are the ChannelTruth cells, passed straight through
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    r_path = tmp_path / "r.csv"
+    argv = [
+        "simulate", "--code", str(code_path), "--delay", "300.25", "--doppler", "2.25",
+        "--snr-db", "30", "--seed", "9", "--out", str(r_path),
+    ]
+    assert run(capsys, *argv, *([] if gate else ["--no-gate"]))[0] == 0
+    p, code = make_params(64, 16, 8, 8), reference_good_code()
+    s = synthesize_discrete(code, p)
+    r = apply_channel(code, p, ChannelTruth(300.25, 2.25))
+    r = add_noise(r, 30.0, 9, p, ref_energy=s.energy)
+    if gate:
+        r = apply_receive_gating(r, p)
+    got = read_signal(r_path).samples
+    assert np.array_equal(got.view(np.float64), r.samples.view(np.float64))
+    assert np.any(got[: p.L] != 0) == (not gate)
 
 
 def test_estimate_physical_units(tmp_path, capsys):

@@ -76,7 +76,7 @@ def central_difference(fun, x, h=1e-6):
 
 
 def test_coarse_detect_single_target(p_default, good_code):
-    truth = ChannelTruth.from_grid(200, 0.0, 3, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(200, 3)
     surf = make_channel_surface(good_code, p_default, truth)
     dets = coarse_detect(surf, 0.5, p_default)
     assert len(dets) == 1
@@ -85,14 +85,14 @@ def test_coarse_detect_single_target(p_default, good_code):
 
 
 def test_coarse_detect_pure_noise_is_empty(p_default, good_code):
-    truth = ChannelTruth.from_grid(300, 0.0, 0, 0.0, 0.0 + 0j, p_default)  # alpha = 0
+    truth = ChannelTruth(300, 0, alpha=0.0)  # alpha = 0
     surf = make_channel_surface(good_code, p_default, truth, snr_db=0.0, seed=99)
     assert coarse_detect(surf, 0.9, p_default) == []
 
 
 def test_coarse_detect_two_separated_targets(p_default, good_code, s_paper):
-    t1 = ChannelTruth.from_grid(250, 0.0, -6, 0.0, 1.0 + 0j, p_default)
-    t2 = ChannelTruth.from_grid(600, 0.0, 5, 0.0, 0.8 + 0j, p_default)
+    t1 = ChannelTruth(250, -6)
+    t2 = ChannelTruth(600, 5, alpha=0.8)
     both = echo(good_code, p_default, [t1, t2])
     surf = discrete_ambiguity(both, s_paper, p_default.lag_window, p_default, norm=s_paper.energy)
     dets = coarse_detect(surf, 0.5, p_default)
@@ -104,7 +104,7 @@ def test_coarse_detect_two_separated_targets(p_default, good_code, s_paper):
 
 def test_coarse_detect_suppresses_main_lobe(p_default, good_code):
     # several main-lobe cells cross theta = 0.5 but must collapse to one hit
-    truth = ChannelTruth.from_grid(400, 0.4, 2, 0.4, 1.0 + 0j, p_default)
+    truth = ChannelTruth(400.4, 2.4)
     surf = make_channel_surface(good_code, p_default, truth)
     crossings = int(np.sum(np.abs(surf.values) > 0.5))
     assert crossings > 3
@@ -259,7 +259,7 @@ def test_sinc_fit_recovers_planted_model(p_default):
 
 
 def test_sinc_fit_noiseless_fractional_channel(p_default, good_code):
-    truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.25, 2.25)
     surf = make_channel_surface(
         good_code, p_default, truth, window=(296, 304)
     )
@@ -269,7 +269,7 @@ def test_sinc_fit_noiseless_fractional_channel(p_default, good_code):
 
 
 def test_sinc_fit_scale_invariance(p_default, good_code):
-    truth = ChannelTruth.from_grid(420, -0.3, 4, 0.15, 1.0 + 0j, p_default)
+    truth = ChannelTruth(419.7, 4.15)
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=25.0, seed=3, window=(416, 424)
     )
@@ -286,9 +286,7 @@ def test_sinc_fit_scale_invariance(p_default, good_code):
 
 def test_sinc_fit_monotone_vs_zero_offsets(p_default, good_code):
     for seed in range(5):
-        truth = ChannelTruth.from_grid(
-            350 + 10 * seed, 0.37, -3, -0.22, 1.0 + 0j, p_default
-        )
+        truth = ChannelTruth(350 + 10 * seed + 0.37, -3 - 0.22)
         surf = make_channel_surface(
             good_code, p_default, truth, snr_db=10.0, seed=seed,
             window=(truth.l_d - 4, truth.l_d + 4),
@@ -332,7 +330,7 @@ def test_end_to_end_integer_truth_small_bias(good_code):
     # fit-grid edges strictly inside the lobe nulls at this geometry
     p = make_params(60, 20, 8, 8, 1.0)
     s = synthesize_discrete(good_code, p)
-    truth = ChannelTruth.from_grid(600, 0.0, 3, 0.0, 1.0 + 0j, p)
+    truth = ChannelTruth(600, 3)
     r = echo(good_code, p, [truth])
     for method in ("sinc2d", "quadratic"):
         ests = estimate(r, s, 0.5, method, p)
@@ -346,7 +344,7 @@ def test_end_to_end_integer_truth_small_bias(good_code):
 def test_end_to_end_integer_truth_paper_geometry(p_default, good_code, s_paper):
     # at (64, 16) the fit grid edge rides the model nulls: the quadratic
     # stays exact while the sinc fit carries the code's mismatch floor
-    truth = ChannelTruth.from_grid(200, 0.0, 3, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(200, 3)
     r = echo(good_code, p_default, [truth])
     quad = estimate(r, s_paper, 0.5, "quadratic", p_default)[0]
     assert abs(quad.eps_t) <= 1e-4 and abs(quad.eps_f) <= 1e-4
@@ -355,7 +353,7 @@ def test_end_to_end_integer_truth_paper_geometry(p_default, good_code, s_paper):
 
 
 def test_end_to_end_fractional(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.25, 2.25)
     r = echo(good_code, p_default, [truth])
     est = estimate(r, s_paper, 0.5, "sinc2d", p_default)[0]
     assert abs(est.delay_cells - 300.25) <= 0.02
@@ -363,7 +361,7 @@ def test_end_to_end_fractional(p_default, good_code, s_paper):
 
 
 def test_end_to_end_empty_detection(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.0, 0, 0.0, 0.0 + 0j, p_default)
+    truth = ChannelTruth(300, 0, alpha=0.0)
     r = echo(good_code, p_default, [truth])
     assert estimate(r, s_paper, 0.5, "sinc2d", p_default) == []
 
@@ -371,7 +369,7 @@ def test_end_to_end_empty_detection(p_default, good_code, s_paper):
 def test_end_to_end_window_edge_detection(p_default, good_code, s_paper):
     # a detection at the lag-window edge refines on lags outside the window
     l_edge = p_default.lag_window[0]
-    truth = ChannelTruth.from_grid(l_edge, 0.0, 0, 0.0, 1.0 + 0j, p_default)
+    truth = ChannelTruth(l_edge, 0)
     r = echo(good_code, p_default, [truth])
     for method in ("sinc2d", "quadratic"):
         ests = estimate(r, s_paper, 0.5, method, p_default)
@@ -399,7 +397,9 @@ def test_estimate_at_the_frame_end_lag(p_default, s_paper, end):
         assert want and all(est.detection.l_hat == ell for est in want)
         assert estimate(r, s, theta, method, p_default, lag_window=(ell, ell)) == want
         if method == "quadratic":
+            # the row is one product per cell, flat in Doppler up to rounding
             assert all(est.eps_t == 0.0 and est.degenerate for est in want)
+            assert all(est.eps_f == 0.0 for est in want)
 
 
 def test_estimate_rejects_unknown_method(p_default, s_paper, monkeypatch):
@@ -412,7 +412,7 @@ def test_estimate_rejects_unknown_method(p_default, s_paper, monkeypatch):
 
 
 def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper):
-    truth = ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.25, 2.25)
     r = echo(good_code, p_default, [truth])
     (est,) = estimate(r, s_paper, 0.5, "baseline", p_default)
     assert (est.detection.l_hat, est.detection.k_hat) == (300, 2)
@@ -438,22 +438,22 @@ def reference_estimate(r, s, theta, method, params, lag_window=None):
 
 
 SCREEN_FRAMES = {
-    # id: ((l_d, eps_t, k_D, eps_f) per target, SNR in dB, theta, lag window)
-    "30dB": ([(400, 0.3, 2, -0.2)], 30.0, 0.5, None),
-    "0dB": ([(400, 0.3, 2, -0.2)], 0.0, 0.5, None),
-    "-10dB": ([(400, 0.3, 2, -0.2)], -10.0, 0.28, None),
-    "noiseless": ([(400, 0.3, 2, -0.2)], None, 0.5, None),
-    "two-far-targets": ([(150, -0.1, 1, 0.4), (850, 0.2, -3, -0.3)], 30.0, 0.5, None),
-    "window-edge": ([(128, 0.0, 0, 0.1)], 30.0, 0.5, None),
-    "track-gate": ([(500, 0.2, -2, 0.3)], 20.0, 0.5, (495, 511)),
-    "gate-edge": ([(500, 0.2, -2, 0.3)], 20.0, 0.5, (500, 516)),
+    # id: ((delay, doppler) per target, SNR in dB, theta, lag window)
+    "30dB": ([(400.3, 1.8)], 30.0, 0.5, None),
+    "0dB": ([(400.3, 1.8)], 0.0, 0.5, None),
+    "-10dB": ([(400.3, 1.8)], -10.0, 0.28, None),
+    "noiseless": ([(400.3, 1.8)], None, 0.5, None),
+    "two-far-targets": ([(149.9, 1.4), (850.2, -3.3)], 30.0, 0.5, None),
+    "window-edge": ([(128.0, 0.1)], 30.0, 0.5, None),
+    "track-gate": ([(500.2, -1.7)], 20.0, 0.5, (495, 511)),
+    "gate-edge": ([(500.2, -1.7)], 20.0, 0.5, (500, 516)),
 }
 
 
 @pytest.mark.parametrize("frame", list(SCREEN_FRAMES))
 def test_screened_estimate_matches_full_window(p_default, good_code, s_paper, frame):
     targets, snr_db, theta, window = SCREEN_FRAMES[frame]
-    truths = [ChannelTruth.from_grid(*t, 1.0 + 0j, p_default) for t in targets]
+    truths = [ChannelTruth(*t) for t in targets]
     r = echo(good_code, p_default, truths, snr_db, seed=17)
     for method in ("sinc2d", "quadratic"):
         want = reference_estimate(r, s_paper, theta, method, p_default, lag_window=window)
@@ -496,7 +496,7 @@ def test_one_magnitude_for_detection_refinement_and_dump(
 def test_screened_estimate_at_theta_equal_to_a_cell_magnitude(p_default, good_code, s_paper):
     # theta exactly at a computed |A| and one ulp either side: the cell
     # flips between hit and miss, and the screen must not move with it
-    truth = ChannelTruth.from_grid(400, 0.3, 2, -0.2, 1.0 + 0j, p_default)
+    truth = ChannelTruth(400.3, 1.8)
     r = echo(good_code, p_default, [truth], 30.0, seed=17)
     full = discrete_ambiguity(r, s_paper, p_default.lag_window, p_default, norm=s_paper.energy)
     mag = np.abs(full.values)
@@ -554,7 +554,7 @@ def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
 )
 def test_sinc_fit_gradient_matches_central_difference(p_default, good_code, window, ell_off):
     rng = np.random.default_rng(5)
-    truth = ChannelTruth.from_grid(300, 0.31, 2, -0.27, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.31, 1.73)
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=15.0, seed=2, window=window
     )
@@ -595,7 +595,7 @@ def test_sinc_fit_matches_finite_difference_solver(p_default, good_code, seed):
     rng = np.random.default_rng(100 + seed)
     l_d, k_d = 300 + 7 * seed, int(rng.integers(-20, 21))
     eps_t, eps_f = rng.uniform(-0.45, 0.45, size=2)
-    truth = ChannelTruth.from_grid(l_d, eps_t, k_d, eps_f, 1.0 + 0j, p_default)
+    truth = ChannelTruth(l_d + eps_t, k_d + eps_f)
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=float(rng.uniform(10, 30)), seed=seed,
         window=(l_d - 4, l_d + 4),
@@ -634,9 +634,7 @@ def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
     # the exit, yet the returned point is first-order stationary.  Such exits
     # hang on the last bits of the patch, so the case is one of several found
     # by scanning random 20 dB fits at lag 303.
-    truth = ChannelTruth.from_grid(
-        303, 0.3820420846474505, -8, -0.08294855352595087, 1.0 + 0j, p_default
-    )
+    truth = ChannelTruth(303.3820420846474, -8.08294855352595)
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=20.0, seed=196, window=(299, 307)
     )
@@ -649,7 +647,7 @@ def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
 
 
 def test_sinc_fit_stopped_by_maxiter_is_not_converged(p_default, good_code, monkeypatch):
-    truth = ChannelTruth.from_grid(300, 0.31, 2, -0.27, 1.0 + 0j, p_default)
+    truth = ChannelTruth(300.31, 1.73)
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=15.0, seed=2, window=(296, 304)
     )
@@ -684,7 +682,7 @@ import ddradar as dd
 from ddradar.estimator import refiner
 p = dd.make_params(64, 16, 8, 8)
 code = dd.reference_good_code()
-truth = dd.ChannelTruth.from_grid(300, 0.25, 2, 0.25, 1.0, p)
+truth = dd.ChannelTruth(300.25, 2.25)
 r = dd.apply_receive_gating(dd.apply_channel(code, p, truth), p)
 assert dd.estimate(r, dd.synthesize_discrete(code, p), 0.5, "quadratic", p)
 print("scipy" in sys.modules)
