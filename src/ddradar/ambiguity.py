@@ -241,9 +241,10 @@ def lobe_factors(ell, k, params: RadarParams) -> tuple[np.ndarray, ...]:
     """Per-axis factors of the sinc lobe model and their derivatives.
 
     Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
-    b = |sinc(N_t k / N)|, db = db/dk, for a delay offset ``ell`` in T_s
-    units and a Doppler offset ``k`` in delta_f units; the model is
-    ``a * b``.  The sinc fit reads the factors and derivatives from here.
+    b = |sinc(N_t k / N)|, db = db/dk, for a delay offset ``ell`` in lags
+    (units of T_s) and a Doppler offset ``k`` in bins (units of delta_f);
+    the model is ``a * b``.  The sinc fit reads the factors and derivatives
+    from here.
     """
     a, da = _abs_sinc(ell, params.N_f, params.M)
     b, db = _abs_sinc(k, params.N_t, params.N)
@@ -265,31 +266,31 @@ def sinc_conformance(code: CodeMatrix, params: RadarParams) -> tuple[float, bool
     """Score a code by its worst deviation from the sinc lobe model.
 
     Evaluates |A_ss| / |A_ss(0, 0)|, the normalized auto-ambiguity of the
-    radiated pulse train, along the two main-lobe axis cuts,
-    |tau| <= T_s M/N_f at nu = 0 and |nu| <= delta_f N/N_t at tau = 0, with
-    ``OVERSAMPLE`` points per unit lag/bin, and returns (max deviation from
-    the model over both cuts, deviation <= ``CONFORMANCE_DELTA``).  The cuts
-    are where a skewed code betrays itself; the model says nothing useful
-    about the lobe's corner regions, where every code carries ~0.1 of
-    residual energy.
+    radiated pulse train, along the two main-lobe axis cuts, |ell| <= M/N_f
+    lags at k = 0 and |k| <= N/N_t bins at ell = 0, with ``OVERSAMPLE``
+    points per lag/bin, and returns (max deviation from the model over both
+    cuts, deviation <= ``CONFORMANCE_DELTA``).  The cuts are where a skewed
+    code betrays itself; the model says nothing useful about the lobe's
+    corner regions, where every code carries ~0.1 of residual energy.
 
     The replica x is zero outside ``radiated_span``, so the sums run over
-    the span's samples t_j only: one grid y[tau, j] = y(t_j - tau) from
-    ``evaluate_transmitted`` gives the tau-cut sum_j x[j] y*[tau, j], its
-    tau = 0 row is x, and the nu-cut is the DFT of |x|^2 at t_j.  Both cuts
-    are divided by the origin value, so the Riemann sum's T_s cancels.
+    the span's samples j only: one grid y[ell, j] = y(j - ell) from
+    ``evaluate_transmitted`` gives the lag cut sum_j x[j] y*[ell, j], its
+    ell = 0 row is x, and the Doppler cut is the DFT of |x|^2,
+    sum_j |x[j]|^2 e^{-2 pi i k j / (N M)}.  Like the surface, both cuts are
+    in samples and bins, so T_c does not enter.
     """
     n_ell = int(round(OVERSAMPLE * params.M / params.N_f))
     n_k = int(round(OVERSAMPLE * params.N / params.N_t))
-    ell_grid = np.arange(-n_ell, n_ell + 1) / OVERSAMPLE  # T_s units
-    k_grid = np.arange(-n_k, n_k + 1) / OVERSAMPLE  # delta_f units
+    ell_grid = np.arange(-n_ell, n_ell + 1) / OVERSAMPLE  # lags
+    k_grid = np.arange(-n_k, n_k + 1) / OVERSAMPLE  # bins
     span = radiated_span(params)
-    t = np.arange(span.start, span.stop) * params.T_s
-    shifted = t[None, :] - ell_grid[:, None] * params.T_s  # (n_tau, span)
+    j = np.arange(span.start, span.stop)
+    shifted = j[None, :] - ell_grid[:, None]  # (n_ell, span)
     y = evaluate_transmitted(code, params, shifted.ravel()).reshape(shifted.shape)
-    x = y[n_ell]  # tau = 0: the replica on its span
+    x = y[n_ell]  # ell = 0: the replica on its span
     tau_cut = np.conj(y) @ x
-    nu_cut = np.exp(-2j * np.pi * np.outer(k_grid * params.delta_f, t)) @ (x * np.conj(x))
+    nu_cut = np.exp(-2j * np.pi * (np.outer(k_grid, j) / params.frame_len)) @ (x * np.conj(x))
     a0 = abs(nu_cut[n_k])
     dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - sinc_model(ell_grid, 0.0, params)))
     dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - sinc_model(0.0, k_grid, params)))

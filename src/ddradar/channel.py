@@ -1,13 +1,13 @@
 """Single-target channel: fractional delay, Doppler shift, attenuation, noise.
 
 A target is a delay in samples (cells of T_s) and a Doppler in bins (cells
-of delta_f).  The main path samples the analytic transmitted pulse train
-directly,
+of delta_f), and the main path computes in those cells:
 
-    r[j] = alpha * s((j - delay) T_s) * e^{+2 pi i (doppler delta_f) j T_s},
+    r[j] = alpha * s(j - delay) * e^{+2 pi i doppler j / (N M)},
 
 with s the windowed pulse train the transmitter actually radiates, so an
-integer-sample delay reduces to an exact shift of the stored replica.  The
+integer-sample delay is an exact shift of the stored replica, whatever the
+pulse interval T_c that labels the cells in seconds and Hz.  The
 pulse train and the Doppler factor are evaluated only on the echo's
 ``waveform.radiated_span`` (the samples j with j - delay in [0, L),
 L = (N_t + 2) M, plus one guard sample each side); every other sample of
@@ -76,12 +76,11 @@ def apply_channel(
         raise ValueError(
             f"delay {truth.delay} T_s outside detectability window {list(params.lag_window)}"
         )
-    t_d, f_D = truth.delay * params.T_s, truth.doppler * params.delta_f
     span = radiated_span(params, truth.delay)
-    t = np.arange(span.start, span.stop) * params.T_s
-    echo = evaluate_transmitted(code, params, t - t_d)
+    j = np.arange(span.start, span.stop)
+    echo = evaluate_transmitted(code, params, j - truth.delay)
     r = np.zeros(params.frame_len, dtype=np.complex128)
-    r[span] = truth.alpha * echo * np.exp(2j * np.pi * f_D * t)
+    r[span] = truth.alpha * echo * np.exp(2j * np.pi * truth.doppler * j / params.frame_len)
     return ComplexSignal(r)
 
 

@@ -1,9 +1,9 @@
-"""Radar frame geometry and derived time/frequency units.
+"""Radar frame geometry and the units that label it in seconds and Hz.
 
-All delays downstream are expressed in units of the sampling interval T_s
-and all Dopplers in units of the frequency bin width delta_f.  With the
-default T_c = 1.0 every quantity is dimensionless; pass a physical T_c to
-work in seconds/Hz.
+Every signal is computed in samples and bins: a delay is a count of
+sampling intervals T_s and a Doppler a count of bin widths delta_f.  The
+pulse interval T_c only labels those cells in seconds and Hz, where
+``estimate`` prints them; no sample depends on it.
 
 Settings files are flat ``key = value`` files read by ``read_config``, one
 type per key (``CONFIG_KEYS``); ``load_params`` is the one rule that turns
@@ -28,9 +28,8 @@ class RadarParams:
     occupied block of N_t time slots by N_f subcarriers.
 
     Derived units:
-        F_c       subcarrier spacing, 1/T_c
-        T_s       sampling interval, T_c/M
-        delta_f   Doppler bin width, F_c/N
+        T_s       sampling interval in seconds, T_c/M
+        delta_f   Doppler bin width in Hz, 1/(N T_c)
         frame_len total samples per frame, N*M
         L         receive-gate boundary, (N_t+2)*M samples
     """
@@ -68,16 +67,12 @@ class RadarParams:
             )
 
     @property
-    def F_c(self) -> float:
-        return 1.0 / self.T_c
-
-    @property
     def T_s(self) -> float:
         return self.T_c / self.M
 
     @property
     def delta_f(self) -> float:
-        return self.F_c / self.N
+        return 1.0 / self.T_c / self.N
 
     @property
     def frame_len(self) -> int:

@@ -1,26 +1,29 @@
 """Transmit-signal synthesis from a chip code.
 
 The transmitter places a Gaussian pulse in each occupied time slot and
-modulates it across the occupied subcarriers:
+modulates it across the occupied subcarriers.  With t in samples (units of
+T_s), so that one slot is M samples,
 
-    s(t) = (1/M) sum_n sum_m X[n, m] g(t / T_c - n - 1.5) e^{+2 pi i m F_c t}
+    s(t) = (1/M) sum_n sum_m X[n, m] g(t / M - n - 1.5) e^{+2 pi i m t / M}
 
-Each slot's pulse is radiated only over its 3 T_c window [n T_c, (n + 3) T_c),
-so the whole pulse train occupies exactly [0, (N_t + 2) T_c) -- the
-receive-gate boundary L.  This radiated train is the package's one signal
-model: ``evaluate_transmitted`` computes it, the stored replica samples it at
-t = j T_s, the channel samples it at the delayed times, and the conformance
-screen reads its auto-ambiguity.  The oracles live in the tests: for the
-replica, the term-by-term ``brute_synthesize`` and the untruncated analytic
-signal; for the screen, ``continuous_ambiguity``, a full-frame evaluator.
+Each slot's pulse is radiated only over its 3 M-sample window
+[n M, (n + 3) M), so the whole pulse train occupies exactly [0, (N_t + 2) M)
+-- the receive-gate boundary L.  This radiated train is the package's one
+signal model: ``evaluate_transmitted`` computes it, the stored replica
+samples it at t = j, the channel samples it at the delayed times j - delay,
+and the conformance screen reads its auto-ambiguity.  No sample depends on
+the pulse interval T_c, which only labels samples in seconds.  The oracles
+live in the tests: for the replica, the term-by-term ``brute_synthesize``
+and the untruncated analytic signal; for the screen,
+``continuous_ambiguity``, a full-frame evaluator.
 
 Outside its support the radiated train is exactly zero, so a frame is
 evaluated only on ``radiated_span``: for a train delayed by ``delay``
-samples, the samples j with j - delay in [0, L), L = (N_t + 2) M, plus one
-guard sample on each side, clipped to the frame (at most 162 of 1024
-samples at the paper geometry).  The replica (delay 0) and the echo both
-read this one rule, and so does the conformance screen, which samples its
-shifted trains on the replica's span, where alone the replica is nonzero.
+samples, the samples j with j - delay in [0, L), plus one guard sample on
+each side, clipped to the frame (at most 162 of 1024 samples at the paper
+geometry).  The replica (delay 0) and the echo both read this one rule, and
+so does the conformance screen, which samples its shifted trains on the
+replica's span, where alone the replica is nonzero.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ import numpy as np
 from .codes import CodeMatrix
 from .config import RadarParams
 
-PULSE_CENTER_SLOTS = 1.5  # each pulse peaks 1.5 T_c into its 3 T_c window
+PULSE_CENTER_SLOTS = 1.5  # each pulse peaks 1.5 slots (1.5 M samples) into its 3-slot window
 
 
 @dataclass(frozen=True)
 class ComplexSignal:
-    """A frame of complex baseband samples, sample j taken at t = j T_s."""
+    """A frame of complex baseband samples, sample j taken at t = j (units of T_s)."""
 
     samples: np.ndarray
 
@@ -78,25 +81,27 @@ def radiated_span(params: RadarParams, delay: float = 0.0) -> slice:
 
 
 def synthesize_discrete(code: CodeMatrix, params: RadarParams) -> ComplexSignal:
-    """Build the frame_len-sample replica: the radiated signal at t = j T_s."""
+    """Build the frame_len-sample replica: the radiated signal at t = j."""
     span = radiated_span(params)
     s = np.zeros(params.frame_len, dtype=np.complex128)
-    s[span] = evaluate_transmitted(code, params, np.arange(span.start, span.stop) * params.T_s)
+    s[span] = evaluate_transmitted(code, params, np.arange(span.start, span.stop))
     return ComplexSignal(s)
 
 
 def evaluate_transmitted(code: CodeMatrix, params: RadarParams, t: np.ndarray) -> np.ndarray:
-    """Evaluate the radiated pulse train at the times ``t`` (seconds, 1-D).
+    """Evaluate the radiated pulse train at the times ``t`` (1-D, in samples).
 
-    Each slot's Gaussian is windowed to its 3 T_c window and the sum is
-    scaled by 1/M; sampled at t = j T_s it is the stored replica.
+    ``t`` counts sampling intervals T_s, fractions allowed, and T_c does not
+    enter (earlier versions took seconds: divide those by T_s).  Each slot's
+    Gaussian is windowed to its 3M-sample window and the sum is scaled by
+    1/M; sampled at t = j it is the stored replica.
     """
     code.require_match(params)
     t = np.asarray(t, dtype=float)
-    slots_t = t[None, :] / params.T_c - np.arange(params.N_t)[:, None] - PULSE_CENTER_SLOTS
+    slots_t = t[None, :] / params.M - np.arange(params.N_t)[:, None] - PULSE_CENTER_SLOTS
     inside = (slots_t >= -PULSE_CENTER_SLOTS) & (slots_t < PULSE_CENTER_SLOTS)
     pulses = np.where(inside, gaussian_pulse(slots_t), 0.0)  # (N_t, T)
-    phases = np.exp(2j * np.pi * np.outer(code.m_values, t) * params.F_c)  # (N_f, T)
+    phases = np.exp(2j * np.pi * np.outer(code.m_values, t) / params.M)  # (N_f, T)
     return np.einsum("nm,nt,mt->t", code.entries.astype(float), pulses, phases) / params.M
 
 

@@ -49,26 +49,27 @@ def direct_ambiguity(r, s, ells, n):
 def continuous_ambiguity(
     x_samples: ComplexSignal,
     y_code: CodeMatrix,
-    taus: np.ndarray,
-    nus: np.ndarray,
+    lags: np.ndarray,
+    bins: np.ndarray,
     params: RadarParams,
 ) -> np.ndarray:
-    """Riemann-sum ambiguity between a sampled signal and a radiated one.
+    """Full-frame ambiguity between a sampled signal and a radiated one.
 
-    A(tau, nu) ~= T_s sum_j x[j] y*(j T_s - tau) e^{-2 pi i nu j T_s}, where
-    y is the radiated pulse train of ``y_code`` (``evaluate_transmitted``),
-    over a tau x nu grid of shape (len(taus), len(nus)).  On integer grid
-    points this is T_s times the discrete surface, up to round-off.
+    A(ell, k) = sum_j x[j] y*(j - ell) e^{-2 pi i k j / (N M)} at fractional
+    lags ell (samples) and bins k, where y is the radiated pulse train of
+    ``y_code`` (``evaluate_transmitted``), over a grid of shape
+    (len(lags), len(bins)).  On integer grid points this is the discrete
+    surface, up to round-off.
     """
     n = params.frame_len
     if len(x_samples) != n:
         raise ValueError(f"x must have frame length {n}, got {len(x_samples)}")
-    t = np.arange(n) * params.T_s
-    shifted = t[None, :] - taus[:, None]  # (n_tau, NM)
+    j = np.arange(n)
+    shifted = j[None, :] - lags[:, None]  # (n_lags, NM)
     y = evaluate_transmitted(y_code, params, shifted.ravel()).reshape(shifted.shape)
-    weighted = x_samples.samples[None, :] * np.conj(y)  # (n_tau, NM)
-    doppler = np.exp(-2j * np.pi * np.outer(t, nus))  # (NM, n_nu)
-    return params.T_s * (weighted @ doppler)
+    weighted = x_samples.samples[None, :] * np.conj(y)  # (n_lags, NM)
+    doppler = np.exp(-2j * np.pi * (np.outer(j, bins) / n))  # (NM, n_bins)
+    return weighted @ doppler
 
 
 def test_zero_lag_zero_bin_is_energy(p_default, s_paper):
@@ -163,33 +164,30 @@ def test_signed_bin_wrapping(p_default, s_paper):
         assert surf.values[0, surf.signed_bin(col) % n] == surf.values[0, col]
 
 
-def test_continuous_auto_origin_is_scaled_energy(p_default, good_code, s_paper):
+def test_continuous_auto_origin_is_energy(p_default, good_code, s_paper):
     a00 = continuous_ambiguity(s_paper, good_code, np.zeros(1), np.zeros(1), p_default)[0, 0]
-    assert abs(a00 - p_default.T_s * s_paper.energy) <= 1e-12 * p_default.T_s * s_paper.energy
+    assert abs(a00 - s_paper.energy) <= 1e-12 * s_paper.energy
 
 
 def test_continuous_matches_discrete_on_grid(p_default, good_code, s_paper):
     truth = ChannelTruth(300.25, 2.25)
     r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
     surf = discrete_ambiguity(r, s_paper, (290, 310), p_default)
-    peak = np.max(np.abs(surf.values)) * p_default.T_s
+    peak = np.max(np.abs(surf.values))
     rng = np.random.default_rng(0)
     for _ in range(10):
         ell = int(rng.integers(290, 311))
         k = int(rng.integers(-20, 21))
-        cont = continuous_ambiguity(
-            r, good_code, np.array([ell * p_default.T_s]), np.array([k * p_default.delta_f]),
-            p_default,
-        )[0, 0]
-        disc = surf.values[ell - surf.ell_min, k % surf.n_bins] * p_default.T_s
+        cont = continuous_ambiguity(r, good_code, np.array([ell]), np.array([k]), p_default)[0, 0]
+        disc = surf.values[ell - surf.ell_min, k % surf.n_bins]
         assert abs(cont - disc) <= 1e-12 * peak
 
 
 def test_tau_axis_matches_sinc_lobe(p_square, good_code):
     # half-sample cut of the auto-ambiguity vs the lobe model
     s = synthesize_discrete(good_code, p_square)
-    taus = np.array([0.5, 0.0]) * p_square.T_s
-    a, a0 = continuous_ambiguity(s, good_code, taus, np.zeros(1), p_square)[:, 0]
+    lags = np.array([0.5, 0.0])
+    a, a0 = continuous_ambiguity(s, good_code, lags, np.zeros(1), p_square)[:, 0]
     model = abs(np.sinc(0.5 * p_square.N_f / p_square.M))
     assert abs(a) / abs(a0) == pytest.approx(model, rel=0.02)
 
@@ -294,6 +292,11 @@ def test_conformance_separates_reference_codes(p_default, good_code, bad_code):
     score_bad, ok_bad = sinc_conformance(bad_code, p_default)
     assert ok_good and score_good < 0.05
     assert not ok_bad and score_bad > 0.05
+    # the screen computes in samples and bins: the same scores at any T_c
+    for t_c in (1e-6, 3e-7, 0.1, 7.3):
+        p = make_params(64, 16, 8, 8, t_c)
+        assert sinc_conformance(good_code, p) == (score_good, ok_good), t_c
+        assert sinc_conformance(bad_code, p) == (score_bad, ok_bad), t_c
 
 
 def test_conformance_smoke_single_slot_code():
@@ -311,8 +314,8 @@ def full_frame_conformance(code, p):
     n_k = int(round(OVERSAMPLE * p.N / p.N_t))
     ell_grid = np.arange(-n_ell, n_ell + 1) / OVERSAMPLE
     k_grid = np.arange(-n_k, n_k + 1) / OVERSAMPLE
-    tau_cut = continuous_ambiguity(s, code, ell_grid * p.T_s, np.zeros(1), p)[:, 0]
-    nu_cut = continuous_ambiguity(s, code, np.zeros(1), k_grid * p.delta_f, p)[0]
+    tau_cut = continuous_ambiguity(s, code, ell_grid, np.zeros(1), p)[:, 0]
+    nu_cut = continuous_ambiguity(s, code, np.zeros(1), k_grid, p)[0]
     a0 = abs(nu_cut[n_k])
     dev_tau = np.max(np.abs(np.abs(tau_cut) / a0 - sinc_model(ell_grid, 0.0, p)))
     dev_nu = np.max(np.abs(np.abs(nu_cut) / a0 - sinc_model(0.0, k_grid, p)))

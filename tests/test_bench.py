@@ -123,6 +123,21 @@ def untimed(rec):
     return dataclasses.replace(rec, coarse_ms=0.0, outcomes=outcomes)
 
 
+def test_trial_records_do_not_depend_on_t_c():
+    # T_c only labels cells in seconds and Hz: the same targets, noise and
+    # estimates at every T_c.  Records compare by repr, so a NaN error
+    # equals itself.
+    def records(t_c):
+        cfg = BenchConfig(
+            params=make_params(64, 16, 8, 8, t_c), code=reference_good_code(), trials=100, seed=42
+        )
+        return [repr(untimed(rec)) for snr_db in (30.0, 0.0) for rec in run_trials(cfg, snr_db)]
+
+    reference = records(1.0)
+    for t_c in (1e-6, 3e-7, 0.1):
+        assert records(t_c) == reference, t_c
+
+
 def test_read_replica_travels_to_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2 on any host
     cfg = small_cfg(trials=8, workers=2)

@@ -11,42 +11,39 @@ from ddradar import (
     apply_receive_gating,
     make_params,
     random_code,
+    synthesize_discrete,
 )
 from ddradar.waveform import ComplexSignal, evaluate_transmitted, radiated_span
 
 
-def seconds(truth, params):
-    """(t_d, f_D) in seconds and Hz, converted as apply_channel converts them."""
-    return truth.delay * params.T_s, truth.doppler * params.delta_f
-
-
 def dense_channel(code, params, truth):
-    """Full-frame oracle: alpha s(t - t_d) e^{2 pi i f_D t} at every t = j T_s,
-    multiplied in apply_channel's order (numpy's complex products can round
-    differently when their operands are swapped)."""
-    t_d, f_D = seconds(truth, params)
-    t = np.arange(params.frame_len) * params.T_s
-    echo = evaluate_transmitted(code, params, t - t_d)
-    return truth.alpha * echo * np.exp(2j * np.pi * f_D * t)
+    """Full-frame oracle: alpha s(j - delay) e^{2 pi i doppler j / (N M)} at
+    every sample j, multiplied in apply_channel's order (numpy's complex
+    products can round differently when their operands are swapped)."""
+    j = np.arange(params.frame_len)
+    echo = evaluate_transmitted(code, params, j - truth.delay)
+    return truth.alpha * echo * np.exp(2j * np.pi * truth.doppler * j / params.frame_len)
 
 
 def h_matrix(truth, params, n_rows, n_cols):
     """Ideal-sinc interpolation channel matrix H of shape (n_rows, n_cols).
 
     It models DA conversion -> delay/Doppler -> AD conversion with ideal sinc
-    filters, an oracle independent of the sampled pulse train:
-    H[i, j] = T_s a e^{i pi f_D (t_d + (i+j) T_s)} sinc(a (t_d + (j-i) T_s)),
-    a = max(0, 1/T_s - |f_D|), with the normalized sinc(x) = sin(pi x)/(pi x).
+    filters, an oracle independent of the sampled pulse train.  In cells,
+    with d the delay in samples and nu = doppler / (N M) the Doppler in
+    cycles per sample,
+    H[i, j] = b e^{i pi nu (d + i + j)} sinc(b (d + j - i)),
+    b = max(0, 1 - |nu|), with the normalized sinc(x) = sin(pi x)/(pi x).
     """
-    t_d, f_D = seconds(truth, params)
-    a = max(0.0, 1.0 / params.T_s - abs(f_D))
-    if a == 0.0:
+    nu = truth.doppler / params.frame_len
+    b = max(0.0, 1.0 - abs(nu))
+    if b == 0.0:
         return np.zeros((n_rows, n_cols), dtype=np.complex128)
     i = np.arange(n_rows)[:, None]
     j = np.arange(n_cols)[None, :]
-    phase = np.exp(1j * np.pi * f_D * (t_d + (i + j) * params.T_s))
-    lobe = np.sinc(a * (t_d + (j - i) * params.T_s))
-    return params.T_s * a * phase * lobe
+    phase = np.exp(1j * np.pi * nu * (truth.delay + i + j))
+    lobe = np.sinc(b * (truth.delay + j - i))
+    return b * phase * lobe
 
 
 def h_matrix_received(signal, truth, params):
@@ -73,14 +70,18 @@ def test_decomposition_ties_round_half_even():
     assert (t2.l_d, t2.k_D) == (202, 2)
 
 
-def test_integer_shift_is_exact(p_default, good_code, s_paper):
-    l_d = 200
-    truth = ChannelTruth(l_d, 0)
-    r = apply_channel(good_code, p_default, truth)
-    n = p_default.frame_len
-    shifted = np.zeros(n, dtype=complex)
-    shifted[l_d:] = s_paper.samples[: n - l_d]
-    assert np.max(np.abs(r.samples - shifted)) <= 1e-9 * np.max(np.abs(shifted))
+def test_integer_shift_is_exact(good_code):
+    # every lag of the window, bit for bit, whatever T_c labels the cells
+    for t_c in (1.0, 1e-6, 3e-7, 0.1):
+        p = make_params(64, 16, 8, 8, t_c)
+        s = synthesize_discrete(good_code, p).samples
+        n = p.frame_len
+        lo, hi = p.lag_window
+        for l_d in range(lo, hi + 1):
+            r = apply_channel(good_code, p, ChannelTruth(l_d, 0))
+            shifted = np.zeros(n, dtype=complex)
+            shifted[l_d:] = s[: n - l_d]
+            assert np.array_equal(r.samples, shifted), (t_c, l_d)
 
 
 def test_zero_attenuation_gives_zero_signal(p_default, good_code):
@@ -163,12 +164,12 @@ def test_h_matrix_identity_at_origin(p_default):
 
 
 def test_h_matrix_vanishes_beyond_nyquist(p_default):
-    truth = ChannelTruth(0, p_default.frame_len)  # f_D = N M delta_f = 1/T_s
+    truth = ChannelTruth(0, p_default.frame_len)  # nu = 1 cycle per sample
     assert np.all(h_matrix(truth, p_default, 4, 4) == 0)
 
 
 def test_h_matrix_half_sample_delay_values(p_default):
-    # f_D = 0, t_d = T_s/2: H[i, j] = sinc(0.5 + (j - i)), real-valued
+    # no Doppler, half-sample delay: H[i, j] = sinc(0.5 + (j - i)), real-valued
     truth = ChannelTruth(0.5, 0)
     H = h_matrix(truth, p_default, 5, 5)
     assert np.max(np.abs(H.imag)) == 0

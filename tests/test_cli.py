@@ -161,6 +161,11 @@ def test_simulate_writes_the_library_frame(tmp_path, capsys, gate):
     got = read_signal(r_path).samples
     assert np.array_equal(got.view(np.float64), r.samples.view(np.float64))
     assert np.any(got[: p.L] != 0) == (not gate)
+    # T_c only labels cells in seconds and Hz: the same bytes
+    physical = tmp_path / "r_physical.csv"
+    argv = [*argv[:-1], str(physical), "--T_c", "1e-6"]
+    assert run(capsys, *argv, *([] if gate else ["--no-gate"]))[0] == 0
+    assert physical.read_bytes() == r_path.read_bytes()
 
 
 def test_estimate_physical_units(tmp_path, capsys):
@@ -173,15 +178,21 @@ def test_estimate_physical_units(tmp_path, capsys):
         capsys, "simulate", "--code", str(code_path), "--delay", "200", "--doppler", "0",
         "--snr-db", "inf", "--seed", "1", "--out", str(r_path),
     )
-    code, out, _ = run(
-        capsys, "estimate", "--r", str(r_path), "--s", str(s_path),
-        "--method", "quadratic", "--json", "--T_c", "1e-6",
-    )
+    argv = ["estimate", "--r", str(r_path), "--s", str(s_path), "--method", "quadratic", "--json"]
+    cells = json.loads(run(capsys, *argv)[1].splitlines()[0])
+    code, out, _ = run(capsys, *argv, "--T_c", "1e-6")
     rec = json.loads(out.splitlines()[0])
     assert rec["delay_s"] == pytest.approx(200 * 1e-6 / 16, rel=1e-3)
     p = make_params(64, 16, 8, 8, 1e-6)
     assert rec["delay_s"] == rec["delay_Ts"] * p.T_s
     assert rec["doppler_hz"] == rec["doppler_df"] * p.delta_f
+    # T_c scales only the seconds and Hz; every cell field is the same
+    assert rec["delay_s"] == pytest.approx(cells["delay_s"] * 1e-6, rel=1e-12)
+    assert rec["doppler_hz"] == pytest.approx(cells["doppler_hz"] / 1e-6, rel=1e-12)
+    physical = ("delay_s", "doppler_hz")
+    assert {k: v for k, v in rec.items() if k not in physical} == {
+        k: v for k, v in cells.items() if k not in physical
+    }
 
 
 def test_ambiguity_surface_dump(tmp_path, capsys):

@@ -63,8 +63,8 @@ def test_unit_round_trips():
         n_t = max(1, min(n - 2, n // 8))
         n_f = min(m, 8)
         p = make_params(n, m, n_t, n_f, float(t_c))
-        assert 1.0 / (p.T_s * p.M) == pytest.approx(p.F_c, rel=1e-12)
-        assert 1.0 / (p.N * p.M * p.T_s) == pytest.approx(p.delta_f, rel=1e-12)
+        assert p.T_s * p.M == p.T_c
+        assert p.N * p.M * p.T_s * p.delta_f == pytest.approx(1.0, rel=1e-12)
         assert p.N_t * p.M <= p.L <= p.frame_len
 
 

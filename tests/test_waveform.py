@@ -22,29 +22,31 @@ GOLDEN_ENERGY = 3.8418676225757564
 GOLDEN_REPLICA_SHA256 = "5b040b9f5a75aa0436b0d02c96581d68f66a2ba91ffa747a4907203bd4c8cb86"
 
 
-def brute_synthesize(code, params):
-    """Term-by-term synthesis oracle; no vectorization, no FFTs."""
+def brute_synthesize(code, params, times=None):
+    """Term-by-term synthesis oracle at sample times ``times``, fractions
+    allowed (default: the frame's samples 0..NM-1); no vectorization, no
+    FFTs.  Slot n radiates on its window [n M, (n + 3) M) of samples."""
     out = []
-    for j in range(params.frame_len):
+    for t in range(params.frame_len) if times is None else times:
         acc = 0j
         for n in range(params.N_t):
-            off = j - n * params.M
+            off = t - n * params.M
             if 0 <= off < 3 * params.M:
                 g = 2**0.25 * math.exp(-math.pi * (off / params.M - 1.5) ** 2)
                 for col in range(params.N_f):
                     m = col - params.N_f // 2
-                    acc += code.entries[n, col] * g * cmath.exp(2j * cmath.pi * m * j / params.M)
+                    acc += code.entries[n, col] * g * cmath.exp(2j * cmath.pi * m * t / params.M)
         out.append(acc / params.M)
     return np.array(out)
 
 
 def evaluate_continuous(code, params, t):
-    """The untruncated analytic signal at the times ``t`` (1-D): every slot's
-    Gaussian over all t, scaled by 1/M.  The smooth oracle the radiated train
-    differs from only by the truncated tails."""
+    """The untruncated analytic signal at the sample times ``t`` (1-D):
+    every slot's Gaussian over all t, scaled by 1/M.  The smooth oracle the
+    radiated train differs from only by the truncated tails."""
     t = np.asarray(t, dtype=float)
-    pulses = gaussian_pulse(t[None, :] / params.T_c - np.arange(params.N_t)[:, None] - 1.5)
-    phases = np.exp(2j * np.pi * np.outer(code.m_values, t) * params.F_c)
+    pulses = gaussian_pulse(t[None, :] / params.M - np.arange(params.N_t)[:, None] - 1.5)
+    phases = np.exp(2j * np.pi * np.outer(code.m_values, t) / params.M)
     return np.einsum("nm,nt,mt->t", code.entries.astype(float), pulses, phases) / params.M
 
 
@@ -102,9 +104,13 @@ def test_golden_energy_and_brute_force(p_default, good_code, s_paper):
     assert np.max(np.abs(oracle - produced)) <= 1e-14
 
 
-def test_replica_bits_are_pinned(s_paper):
+def test_replica_bits_are_pinned(s_paper, good_code):
     assert s_paper.samples.dtype == np.complex128
     assert hashlib.sha256(s_paper.samples.tobytes()).hexdigest() == GOLDEN_REPLICA_SHA256
+    # T_c only labels samples in seconds: the same bits at any T_c
+    for t_c in (1e-6, 3e-7, 0.1, 7.3):
+        s = synthesize_discrete(good_code, make_params(64, 16, 8, 8, t_c))
+        assert s.samples.tobytes() == s_paper.samples.tobytes(), t_c
 
 
 @pytest.mark.parametrize(
@@ -113,12 +119,28 @@ def test_replica_bits_are_pinned(s_paper):
 def test_replica_on_span_matches_full_frame(geometry):
     p = make_params(*geometry)
     code = random_code(p, 11)
-    dense = evaluate_transmitted(code, p, np.arange(p.frame_len) * p.T_s)
+    dense = evaluate_transmitted(code, p, np.arange(p.frame_len))
     assert synthesize_discrete(code, p).samples.tobytes() == dense.tobytes()
 
 
+@pytest.mark.parametrize(
+    "geometry", [(64, 16, 8, 8, 1.0), (16, 12, 3, 2, 1e-6), (32, 4, 4, 2, 3.7)]
+)
+def test_transmitted_matches_brute_force_at_fractional_times(geometry):
+    # t in samples: seeded fractional times over the train's support and
+    # past it, and each slot window's two edges n M and (n + 3) M, +-1e-9
+    p = make_params(*geometry)
+    code = random_code(p, 17)
+    edges = [(n + d) * p.M + s for n in range(p.N_t) for d in (0, 3) for s in (-1e-9, 1e-9)]
+    draws = np.random.default_rng(8).uniform(-p.M, p.L + p.M, 200)
+    t = np.concatenate([edges, draws])
+    oracle = brute_synthesize(code, p, t)
+    got = evaluate_transmitted(code, p, t)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_discrete_continuous_consistency(p_default, good_code, s_paper):
-    t = np.arange(p_default.frame_len) * p_default.T_s
+    t = np.arange(p_default.frame_len)
     cont = evaluate_continuous(good_code, p_default, t)
     # the stored replica lacks only the truncated Gaussian tails
     rel_energy = np.sum(np.abs(cont - s_paper.samples) ** 2) / s_paper.energy
@@ -130,32 +152,32 @@ def test_discrete_continuous_consistency(p_default, good_code, s_paper):
 
 
 def test_transmitted_matches_replica_exactly(p_default, good_code, s_paper):
-    t = np.arange(p_default.frame_len) * p_default.T_s
+    t = np.arange(p_default.frame_len)
     tx = evaluate_transmitted(good_code, p_default, t)
     assert np.array_equal(tx, s_paper.samples)
 
 
 def test_continuous_decay(p_default, good_code, s_paper):
     peak = np.max(np.abs(s_paper.samples))
-    reach = p_default.N_t * p_default.T_c + 6
-    t = np.array([reach, reach + 3.7, -reach])
+    reach = (p_default.N_t + 6) * p_default.M  # 5.5 slots past the last pulse peak
+    t = np.array([reach, reach + 3.7 * p_default.M, -reach])
     assert np.all(np.abs(evaluate_continuous(good_code, p_default, t)) < 1e-10 * peak)
 
 
 def test_continuous_linearity_in_code(p_default):
     x = random_code(p_default, seed=31)
     y = random_code(p_default, seed=32)
-    t = np.linspace(-1.0, p_default.N_t + 2.0, 17)
+    t = np.linspace(-1.0, p_default.N_t + 2.0, 17) * p_default.M
     sx = evaluate_continuous(x, p_default, t)
     sy = evaluate_continuous(y, p_default, t)
     # oracle: the double sum evaluated with summed coefficients
     combo = np.zeros_like(sx)
     for n in range(p_default.N_t):
-        g = gaussian_pulse(t / p_default.T_c - n - 1.5)
+        g = gaussian_pulse(t / p_default.M - n - 1.5)
         for col in range(p_default.N_f):
             m = col - p_default.N_f // 2
             coeff = x.entries[n, col] + y.entries[n, col]
-            combo += coeff * g * np.exp(2j * np.pi * m * p_default.F_c * t)
+            combo += coeff * g * np.exp(2j * np.pi * m * t / p_default.M)
     combo /= p_default.M
     assert np.allclose(sx + sy, combo, atol=1e-12)
 
