@@ -26,6 +26,7 @@ from .config import ParameterError, RadarParams, load_params, make_params
 from .estimator import (
     Detection,
     Estimate,
+    Estimates,
     coarse_detect,
     estimate,
     refine_quadratic,
@@ -48,6 +49,7 @@ __all__ = [
     "ComplexSignal",
     "Detection",
     "Estimate",
+    "Estimates",
     "ParameterError",
     "RadarParams",
     "RmseReport",

@@ -6,7 +6,10 @@ bound can reach the threshold, and no other lag has a cell above it.
 Detection lists every cell of the live lags above the threshold, thinned by
 non-maximum suppression over one main-lobe extent so each target yields a
 single hit; the hits, their order and the detections are those of the
-full-window surface.  Every detection lies on a live lag, so the one
+full-window surface.  Suppression walks the hits once in descending
+magnitude and paints each kept hit's lobe into one boolean mask of the
+surface, so it costs one pass over the hits plus one painted lobe per kept
+hit.  Every detection lies on a live lag, so the one
 surface, on the live lags widened by the lobe half-extent
 (``refine_window``), holds every lag any refinement reads; detection and
 every refiner read |A| from its one cached ``magnitude``.  Refinement
@@ -15,7 +18,8 @@ least-squares fitting the separable sinc lobe model to the magnitude patch
 around the peak (``sinc2d``), closed-form parabolic interpolation of the
 two 3-point stencils through the peak (``quadratic``), or leaving the
 offsets at zero (``baseline``).  Each row returns an ``Estimate`` in cells
-of T_s and delta_f.  At the surface's edge every row reads the lags it
+of T_s and delta_f; ``estimate`` packs a frame's into ``Estimates``, one
+NumPy row each.  At the surface's edge every row reads the lags it
 holds: a stencil reaching past them leaves its axis degenerate (offset 0),
 as a flat one does; only a detection off the surface raises ValueError.
 
@@ -37,6 +41,7 @@ offsets unchanged up to solver round-off.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,14 +132,88 @@ class Estimate:
         return self.detection.k_hat + self.eps_f
 
 
+# One packed row per estimate: the detection, then the ``Estimate`` fields
+# but the method, which ``Estimates`` holds once.
+ESTIMATE_ROW = np.dtype(
+    [
+        ("l_hat", np.int64),
+        ("k_hat", np.int64),
+        ("peak_mag", np.float64),
+        ("eps_t", np.float64),
+        ("eps_f", np.float64),
+        ("alpha", np.float64),
+        ("converged", np.bool_),
+        ("degenerate", np.bool_),
+    ]
+)
+
+
+class Estimates(Sequence):
+    """One frame's estimates of one method: an ``ESTIMATE_ROW`` each, in
+    detection order.
+
+    Indexing and iteration rebuild each ``Estimate`` field for field, with
+    Python ints, floats and bools; a slice is an ``Estimates``.  It equals
+    any sequence of equal ``Estimate``s, so an empty frame ``== []``.  A
+    packed row retains 50 B where an ``Estimate`` with its ``Detection``
+    retains about 384 B.
+    """
+
+    __slots__ = ("method", "rows")
+
+    def __init__(self, method: str, rows: np.ndarray):
+        self.method, self.rows = method, rows
+
+    @classmethod
+    def pack(cls, method: str, estimates: Iterable[Estimate]) -> "Estimates":
+        rows = [
+            (e.detection.l_hat, e.detection.k_hat, e.detection.peak_mag,
+             e.eps_t, e.eps_f, e.alpha, e.converged, e.degenerate)
+            for e in estimates
+        ]
+        return cls(method, np.array(rows, dtype=ESTIMATE_ROW))
+
+    def _unpack(self, row: tuple) -> Estimate:
+        l_hat, k_hat, peak_mag, eps_t, eps_f, alpha, converged, degenerate = row
+        return Estimate(
+            Detection(l_hat, k_hat, peak_mag), eps_t, eps_f, alpha, self.method,
+            converged, degenerate,
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Estimates(self.method, self.rows[i])
+        return self._unpack(self.rows[i].item())
+
+    def __iter__(self):
+        return map(self._unpack, self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Estimates({self.method!r}, {list(self)!r})"
+
+
 def coarse_detect(
     surface: AmbiguitySurface, theta: float, params: RadarParams
 ) -> list[Detection]:
     """All cells with |A| > theta, one survivor per main lobe.
 
     Suppression covers a (floor(M/N_f), floor(N/N_t)) half-extent
-    neighborhood, circular along the Doppler axis.  Returns detections in
-    descending magnitude order; an empty list means nothing crossed theta.
+    neighborhood, clipped to the surface's lags and circular along the
+    Doppler axis.  The hits are walked once in descending magnitude: a hit
+    on a cell no kept hit's lobe covers is kept, and its lobe is painted
+    into a boolean mask of the surface, every bin of its lags when the
+    Doppler extent spans the row.  So the cost is one pass over the hits
+    plus one painted lobe per kept hit, and a hit is kept exactly when it
+    lies in no earlier survivor's neighborhood.  Returns detections in that
+    order; an empty list means nothing crossed theta.
     """
     _check_threshold(theta)
     mag = surface.magnitude.ravel()
@@ -146,19 +225,24 @@ def coarse_detect(
         return []
     peaks = mag[flat]
     order = np.argsort(peaks)[::-1]
-    rows, cols = np.divmod(flat[order], nbins)
     r_ell, r_k = params.lobe_half_extents
+    blocked = np.zeros(surface.values.shape, dtype=bool)
+    blocked_flat = blocked.ravel()  # a view: a flat hit index reads the painted lobes
     kept: list[tuple[int, int, float]] = []
-    for row, col, peak in zip(rows, cols, peaks[order]):
-        suppressed = False
-        for krow, kcol, _ in kept:
-            d_k = abs(col - kcol)
-            d_k = min(d_k, nbins - d_k)
-            if abs(row - krow) <= r_ell and d_k <= r_k:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append((row, col, float(peak)))
+    for idx, peak in zip(flat[order].tolist(), peaks[order].tolist()):
+        if blocked_flat[idx]:
+            continue
+        row, col = divmod(idx, nbins)
+        kept.append((row, col, peak))
+        # Bins col - r_k .. col + r_k modulo nbins: the in-range part, then
+        # the part wrapped round either end.  When 2 r_k + 1 >= nbins the
+        # two parts meet and cover the whole row.
+        lobe = blocked[max(row - r_ell, 0) : row + r_ell + 1]
+        lobe[:, max(col - r_k, 0) : col + r_k + 1] = True
+        if col < r_k:
+            lobe[:, col - r_k :] = True
+        elif col + r_k >= nbins:
+            lobe[:, : col + r_k + 1 - nbins] = True
     return [
         Detection(int(surface.ell_min + row), int(surface.signed_bin(col)), peak)
         for row, col, peak in kept
@@ -344,9 +428,9 @@ def estimate(
     method: str,
     params: RadarParams,
     lag_window: tuple[int, int] | None = None,
-) -> list[Estimate]:
+) -> Estimates:
     """Full pipeline: screened ambiguity surface, threshold detection,
-    refinement.
+    refinement, packed into ``Estimates`` in detection order.
 
     The surface is normalized by the replica energy so ``theta`` is read
     against a unit-peak auto-ambiguity.  The lag window defaults to the
@@ -357,4 +441,4 @@ def estimate(
     refine = refiner(method)
     window = params.lag_window if lag_window is None else lag_window
     surface, detections = coarse_stage(r, s, theta, params, window)
-    return [refine(surface, det, params) for det in detections]
+    return Estimates.pack(method, (refine(surface, det, params) for det in detections))

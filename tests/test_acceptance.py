@@ -5,6 +5,7 @@ reproduction (criteria 4-6) shares one K=1000 run through a module fixture.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -209,7 +210,7 @@ def _random_junk_surface(rng, p, n_lags=5):
     return AmbiguitySurface(mags * phases, 300, p)
 
 
-def test_criterion_7_property_suites():
+def test_criterion_7_property_suites(monkeypatch):
     """Randomized property checks, >= 100 cases each."""
     start = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -289,8 +290,10 @@ def test_criterion_7_property_suites():
         params=p_tiny, code=random_code(p_tiny, 1), snr_db_list=(20.0,),
         trials=100, seed=5, workers=4,
     )
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a real pool of 4 on any host
     rec1 = run_trials(cfg1, 20.0)
     rec2 = run_trials(cfg2, 20.0)
+    assert len(rec1) == len(rec2) == 100
     for a, b in zip(rec1, rec2):
         for method in cfg1.methods:
             assert a.outcomes[method].err_delay == b.outcomes[method].err_delay

@@ -2,8 +2,11 @@ import itertools
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from ddradar import (
     ComplexSignal,
     Detection,
     Estimate,
+    Estimates,
     apply_channel,
     apply_receive_gating,
     add_noise,
@@ -182,6 +186,55 @@ def test_coarse_detect_matches_nonzero_oracle_on_ties(p_default):
     dets = coarse_detect(surf, 0.5, p_default)
     assert dets == reference_coarse_detect(surf, 0.5, p_default)
     assert 1 < len(dets) < np.count_nonzero(surf.values)
+
+
+# id: (geometry, lags, the rows and the columns hits land on, hits a surface)
+MASK_EDGE_HITS = {
+    # the first and last 12 Doppler bins: lobes wrap circularly
+    "doppler-wrap": ((64, 16, 8, 8), 30, None, [*range(12), *range(-12, 0)], 80),
+    # the first and last two lags: lobes are clipped by the surface
+    "lag-clip": ((64, 16, 8, 8), 30, [0, 1, -2, -1], range(500, 540), 60),
+    # lobe_half_extents (1, 4) on 8 bins: one lobe covers the whole row
+    "whole-row": ((4, 2, 1, 2), 12, None, None, 40),
+}
+
+
+@pytest.mark.parametrize("case", list(MASK_EDGE_HITS))
+def test_coarse_detect_matches_oracle_at_the_mask_edges(case):
+    # random hits, half of them tied, where the painted lobes wrap or clip
+    geometry, n_lags, rows, cols, n_hits = MASK_EDGE_HITS[case]
+    p = make_params(*geometry)
+    nbins = p.frame_len
+    if case == "whole-row":
+        assert p.lobe_half_extents == (1, 4) and nbins == 8
+    rows = np.arange(n_lags) if rows is None else np.array(rows) % n_lags
+    cols = np.arange(nbins) if cols is None else np.array(cols) % nbins
+    rng = np.random.default_rng(11)
+    kept = 0
+    for _ in range(120):
+        values = np.zeros((n_lags, nbins), dtype=complex)
+        tied = rng.choice([0.6, 0.75, 0.9], n_hits)
+        mags = np.where(rng.random(n_hits) < 0.5, tied, rng.uniform(0.5, 1.0, n_hits))
+        phases = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, n_hits)]
+        values[rng.choice(rows, n_hits), rng.choice(cols, n_hits)] = mags * phases
+        surf = AmbiguitySurface(values, -3, p)
+        dets = coarse_detect(surf, 0.55, p)
+        assert dets == reference_coarse_detect(surf, 0.55, p)
+        kept += len(dets)
+    assert 120 < kept < 120 * n_hits // 2
+
+
+def test_low_theta_clutter_frame_takes_one_pass(p_default, good_code, s_paper):
+    # thousands of hits and survivors: suppression walks the hits once, so
+    # the frame takes well under a second, where checking each hit against
+    # every survivor costs O(hits x kept)
+    truth = bench.draw_truth(BenchConfig(p_default, good_code), np.random.default_rng(42))
+    r = echo(good_code, p_default, [truth], -10.0, seed=42)
+    start = time.perf_counter()
+    estimates = estimate(r, s_paper, 0.15, "quadratic", p_default)
+    elapsed = time.perf_counter() - start
+    assert len(estimates) > 1000
+    assert elapsed < 5.0, f"{len(estimates)} estimates in {elapsed:.1f} s"
 
 
 def test_quadratic_symmetric_stencil(p_default):
@@ -419,6 +472,79 @@ def test_estimate_baseline_leaves_offsets_at_zero(p_default, good_code, s_paper)
     assert (est.eps_t, est.eps_f) == (0.0, 0.0)
     assert est.alpha == est.detection.peak_mag
     assert est.method == "baseline"
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("method", list(REFINERS))
+def test_estimates_rebuild_the_refiners_estimates(p_default, good_code, s_paper, method):
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=5)
+    theta = 0.4
+    estimates = estimate(r, s_paper, theta, method, p_default)
+    surface, detections = estimator.coarse_stage(r, s_paper, theta, p_default, p_default.lag_window)
+    assert isinstance(estimates, Estimates) and estimates.method == method
+    assert len(estimates) == len(detections) > 3
+    refine = estimator.refiner(method)
+    for i, det in enumerate(detections):
+        want, got = refine(surface, det, p_default), estimates[i]
+        assert got == want
+        fields = ("eps_t", "eps_f", "alpha")
+        assert [_bits(getattr(got, f)) for f in fields] == [_bits(getattr(want, f)) for f in fields]
+        assert _bits(got.detection.peak_mag) == _bits(det.peak_mag)
+        assert type(got.converged) is bool and type(got.degenerate) is bool
+        assert type(got.detection.l_hat) is int and type(got.detection.k_hat) is int
+    assert list(estimates) == [estimates[i] for i in range(len(estimates))]
+
+
+def test_estimates_keep_a_nan_offset(p_default, good_code, s_paper, monkeypatch):
+    def failed(surface, det, params):
+        return Estimate(det, math.nan, 0.25, math.nan, "baseline", converged=False)
+
+    monkeypatch.setitem(estimator.REFINERS, "baseline", failed)
+    r = echo(good_code, p_default, [ChannelTruth(300.25, 2.25)])
+    (est,) = estimate(r, s_paper, 0.5, "baseline", p_default)
+    assert math.isnan(est.eps_t) and math.isnan(est.alpha) and est.eps_f == 0.25
+    assert est.converged is False and est.degenerate is False
+
+
+def test_estimates_empty_frame_and_slices(p_default, good_code, s_paper):
+    empty = estimate(ComplexSignal(np.zeros(p_default.frame_len)), s_paper, 0.5, "quadratic", p_default)
+    assert not empty and empty == [] and list(empty) == [] and empty.method == "quadratic"
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=17)
+    estimates = estimate(r, s_paper, 0.28, "quadratic", p_default)
+    as_list = list(estimates)
+    assert len(as_list) > 10
+    for part in (slice(None), slice(2, 7), slice(None, None, -3), slice(5, 2)):
+        sliced = estimates[part]
+        assert isinstance(sliced, Estimates) and sliced.method == "quadratic"
+        assert sliced == as_list[part] and list(sliced) == as_list[part]
+    assert estimates[-1] == as_list[-1]
+    assert estimates != as_list[:-1] and estimates != as_list[::-1]
+    with pytest.raises(IndexError):
+        estimates[len(estimates)]
+
+
+def test_estimates_retain_few_bytes_per_estimate(p_default, good_code, s_paper):
+    # an Estimate with its Detection retains about 384 B; a packed row 50 B
+    cfg = BenchConfig(params=p_default, code=good_code)
+    frames = []
+    for i in range(10):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, i])))
+        truth = bench.draw_truth(cfg, rng)
+        frames.append(echo(good_code, p_default, [truth], -10.0, seed=int(rng.integers(2**32))))
+    estimate(frames[0], s_paper, 0.28, "quadratic", p_default)  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [estimate(r, s_paper, 0.28, "quadratic", p_default) for r in frames]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = sum(map(len, kept))
+    assert n > 10 * 100
+    assert retained / n <= 96, f"{retained / n:.0f} B per estimate"
 
 
 def reference_estimate(r, s, theta, method, params, lag_window=None):
