@@ -15,11 +15,13 @@ window, falls back to the argmax over the window's lags and is flagged as a
 miss, as is a trial whose coarse cell is not the true cell; missed trials
 still contribute their actual error, so the RMSE is unconditioned, and the
 miss rate is reported alongside.  A trial's ``coarse_ms`` times the screen,
-the surface, detection and that fallback surface.
+the surface, detection and, in a trial that detects nothing, the fallback's
+surface, its |A| pass and the argmax.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import json
@@ -27,7 +29,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -173,21 +175,19 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
 
     t0 = time.perf_counter_ns()
     surface, detections = coarse_stage(r, s, cfg.theta, p, p.lag_window)
-    if not detections:
+    undetected = not detections
+    if undetected:
         surface = discrete_ambiguity(r, s, refine_window(p.lag_window, p), p, norm=s.energy)
-    coarse_ms = (time.perf_counter_ns() - t0) / 1e6
-
-    if detections:
-        det = detections[0]
-        undetected = False
-    else:
         mag = surface.rows(*p.lag_window).magnitude  # the window's rows only
         row, col = np.unravel_index(np.argmax(mag), mag.shape)
-        det = Detection(
-            p.lag_window[0] + int(row), surface.signed_bin(int(col)), float(mag[row, col])
-        )
-        undetected = True
+        detections = [
+            Detection(
+                p.lag_window[0] + int(row), surface.signed_bin(int(col)), float(mag[row, col])
+            )
+        ]
+    coarse_ms = (time.perf_counter_ns() - t0) / 1e6
 
+    det = detections[0]
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
 
     outcomes = {}
@@ -264,16 +264,10 @@ def sweep(cfg: BenchConfig) -> list[RmseReport]:
 
 
 def write_reports_csv(path: str | Path, reports: list[RmseReport]) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "snr_db,method,rmse_delay,rmse_doppler,miss_rate,trials,"
-            "mean_coarse_ms,mean_refine_ms\n"
-        )
-        for rep in reports:
-            fh.write(
-                f"{rep.snr_db!r},{rep.method},{rep.rmse_delay!r},{rep.rmse_doppler!r},"
-                f"{rep.miss_rate!r},{rep.trials},{rep.mean_coarse_ms!r},{rep.mean_refine_ms!r}\n"
-            )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(f.name for f in fields(RmseReport))
+        writer.writerows(astuple(rep) for rep in reports)
 
 
 def code_digest(code: CodeMatrix) -> str:

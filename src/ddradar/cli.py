@@ -254,8 +254,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
     except (OSError, ValueError, ParameterError) as exc:
         print(f"ddradar {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,7 @@ def test_worker_counts_agree(monkeypatch):
     cfg2 = small_cfg(trials=12, workers=3)
     rec1 = run_trials(cfg1, 30.0)
     rec2 = run_trials(cfg2, 30.0)
+    assert len(rec1) == len(rec2) == 12
     for a, b in zip(rec1, rec2):
         assert a.trial_seed == b.trial_seed
         for method in cfg1.methods:
@@ -235,6 +237,22 @@ def test_reports_csv_format(tmp_path):
     fields = lines[1].split(",")
     assert fields[1] in cfg.methods
     float(fields[2]), float(fields[3])  # parse cleanly
+    # each float written as its repr, so it reads back to the same bits
+    for line, rep in zip(lines[1:], reports):
+        assert line.split(",") == [
+            repr(v) if isinstance(v, float) else str(v) for v in dataclasses.astuple(rep)
+        ]
+
+
+def test_reports_csv_writes_numpy_snrs_as_numbers(tmp_path):
+    # a library caller may pass NumPy floats; the CSV holds plain numbers
+    snr = np.float64(20.0)
+    reports = sweep(small_cfg(trials=3, snr_db_list=(snr,)))
+    assert all(type(rep.snr_db) is np.float64 for rep in reports)
+    path = tmp_path / "out.csv"
+    write_reports_csv(path, reports)
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["20.0"] * len(reports)
 
 
 def test_sidecar_metadata(tmp_path):
@@ -416,6 +434,22 @@ def test_run_trial_fallback_matches_full_window_reference():
         rec = run_trial(cfg, 30.0, trial_seed)
         assert all(out.miss for out in rec.outcomes.values())
         assert untimed(rec) == reference_run_trial(cfg, 30.0, trial_seed)
+
+
+def test_run_trial_fallback_is_timed_as_coarse(monkeypatch):
+    # coarse_ms covers the fallback's surface, its |A| pass and the argmax:
+    # an argmax made 50 ms slower shows in it
+    argmax = np.argmax
+
+    def slow_argmax(*args, **kwargs):
+        time.sleep(0.05)
+        return argmax(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", slow_argmax)
+    cfg = BenchConfig(params=PAPER, code=reference_good_code(), theta=2.0, seed=42)
+    rec = run_trial(cfg, 30.0, 42)
+    assert all(out.miss for out in rec.outcomes.values())
+    assert rec.coarse_ms >= 50.0
 
 
 def test_run_trial_fallback_ignores_a_trimmed_surface(monkeypatch):

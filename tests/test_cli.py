@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar.cli import _resolve_params, build_parser, main
-from ddradar.codes import read_code, reference_bad_code, reference_good_code, write_code
+from ddradar.codes import (
+    random_code,
+    read_code,
+    reference_bad_code,
+    reference_good_code,
+    write_code,
+)
 from ddradar.waveform import read_signal
 
 
@@ -193,6 +201,36 @@ def test_estimate_physical_units(tmp_path, capsys):
     assert {k: v for k, v in rec.items() if k not in physical} == {
         k: v for k, v in cells.items() if k not in physical
     }
+
+
+def test_estimate_prints_one_line_per_detection(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    write_code(code_path, reference_good_code())
+    s_path = tmp_path / "s.csv"
+    r_path = tmp_path / "r.csv"
+    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
+    run(
+        capsys, "simulate", "--code", str(code_path), "--delay", "300.25", "--doppler", "2.25",
+        "--snr-db", "30", "--seed", "9", "--out", str(r_path),
+    )
+    argv = ["estimate", "--r", str(r_path), "--s", str(s_path), "--method", "quadratic"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in run(capsys, *argv, "--json")[1].splitlines()]
+    lines = out.splitlines()
+    assert len(lines) == len(records) >= 1
+    number = r"-?\d+\.\d+"
+    for line, rec in zip(lines, records):
+        assert re.fullmatch(
+            rf"detection l={rec['l_hat']} k={rec['k_hat']}: delay={number} T_s, "
+            rf"doppler={number} df, alpha={number}, \S+ s / \S+ Hz",
+            line,
+        ), line
+        assert float(line.split("delay=")[1].split()[0]) == round(rec["delay_Ts"], 4)
+    # nothing above theta = 2: no data, one diagnostic, still a result
+    code, out, err = run(capsys, *argv, "--theta", "2")
+    assert code == 0 and out == ""
+    assert err == "no detections above threshold\n"
 
 
 def test_ambiguity_surface_dump(tmp_path, capsys):
@@ -410,6 +448,35 @@ def test_sweep_naming_two_codes_exits_two(tmp_path, capsys):
     assert code == 2
     assert stdout == "" and not out.exists()
     assert "code_file" in err and "code_seed" in err and err.count("\n") == 1
+
+
+def _code_file_sweep(tmp_path, code):
+    write_code(tmp_path / "c24.txt", code)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        'N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_file = "c24.txt"\n'
+        "trials = 4\nsnr_db = 30\nseed = 5\n"
+    )
+    return cfg
+
+
+def test_sweep_reads_its_code_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # code_file is read relative to the working directory
+    cfg = _code_file_sweep(tmp_path, random_code(make_params(16, 8, 2, 4), seed=3))
+    code, stdout, _ = run(capsys, "sweep", "--config", str(cfg), "--out", "r.csv")
+    assert code == 0 and stdout == ""
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    digest = hashlib.sha256((tmp_path / "c24.txt").read_bytes()).hexdigest()
+    assert meta["code_sha256"] == digest
+
+
+def test_sweep_rejects_a_code_file_of_the_wrong_shape(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _code_file_sweep(tmp_path, reference_good_code())
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", "r.csv")
+    assert code == 2
+    assert stdout == "" and not (tmp_path / "r.csv").exists()
+    assert "code is 8x8 but params expect 2x4" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "Infinity", "30"])

@@ -45,6 +45,8 @@ def test_reference_matrices():
 def test_code_matrix_rejects_bad_entries():
     with pytest.raises(ValueError, match="must all be"):
         CodeMatrix(np.array([[1, 0], [1, -1]]))
+    with pytest.raises(ValueError, match="must be 2-D"):
+        CodeMatrix(np.array([1, -1]))
 
 
 def test_code_file_round_trip(tmp_path, p_default):
@@ -53,6 +55,10 @@ def test_code_file_round_trip(tmp_path, p_default):
     write_code(path, code)
     back = read_code(path, p_default)
     assert np.array_equal(back.entries, code.entries)
+    # blank and whitespace-only lines are skipped, wherever they fall
+    lines = path.read_text().splitlines()
+    path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+    assert np.array_equal(read_code(path, p_default).entries, code.entries)
 
 
 @pytest.mark.parametrize("content", ["1 2\n-1 1\n", "1 x\n1 1\n", "1.0 -1\n1 1\n", "1 -1\n1\n", ""])

@@ -7,6 +7,7 @@ import pytest
 
 from ddradar import (
     CodeMatrix,
+    ComplexSignal,
     gaussian_pulse,
     make_params,
     random_code,
@@ -232,3 +233,5 @@ def test_dimension_mismatch_rejected(p_default):
     small = CodeMatrix(np.array([[1, 1]]))
     with pytest.raises(ValueError, match="params expect"):
         synthesize_discrete(small, p_default)
+    with pytest.raises(ValueError, match="signal must be 1-D"):
+        ComplexSignal(np.zeros((2, 3), dtype=complex))
