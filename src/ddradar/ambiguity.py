@@ -4,11 +4,18 @@ The discrete surface
 
     A[ell, k] = sum_j r[j] s*[j - ell] e^{-2 pi i k j / (N M)}
 
-is computed for the whole lag window at once: the shifted replica rows are
-one strided view into a zero-padded conjugate replica (shifted indices
-outside the frame read zero), multiplied by the echo into a single
-(n_lags, N M) array, transformed by one batched FFT in place, and, when a
-normalization constant is given, scaled by its reciprocal in place.  A
+is computed for the whole lag window at once into a single zeroed
+(n_lags, N M) array of products r[j] s*[j - ell].  The replica is nonzero
+on one support band [first, last] (the paper's 160 of 1024 samples), so
+for every lag whose band [ell + first, ell + last] lies inside the frame
+only the band's products are computed, written through one diagonal
+strided view of the array; the lags whose band crosses a frame end, and
+every lag of a replica narrower than two samples, take the full-row
+product with one strided view into a zero-padded conjugate replica
+(shifted indices outside the frame read zero).  Each product is the one
+the full row computes, by the same multiply, so only an exactly zero part
+can flip sign.  The array is transformed by one batched FFT in place and,
+when a normalization constant is given, scaled by its reciprocal in place.  A
 positive true Doppler lands in a low positive bin; bins above N M / 2 are
 read as negative frequencies.  Every |A| the receiver reads is
 ``AmbiguitySurface.magnitude``, computed once and shared by ``rows``.
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .codes import CodeMatrix
 from .config import RadarParams
@@ -121,20 +128,55 @@ def _check_window(
         raise ValueError(f"lag window {lag_window} outside [-(NM-1), NM-1]")
 
 
+def _support(s: np.ndarray) -> tuple[int, int] | None:
+    """First and last index of the replica's nonzero samples; None when all are zero."""
+    nonzero = np.flatnonzero(s)
+    if nonzero.size == 0:
+        return None
+    return int(nonzero[0]), int(nonzero[-1])
+
+
 def _lagged_products(
     r: np.ndarray, s: np.ndarray, ell_min: int, ell_max: int
 ) -> np.ndarray:
     """Rows p_ell[j] = r[j] s*[j - ell], out-of-range shifts treated as zero.
 
-    Row ell of the shifted replica is pad[n-1-ell : 2n-1-ell], so the whole
-    window is a reversed slice of the sliding-window view, taken without a
-    copy; the only allocation is the product itself.
+    With the replica nonzero on [first, last] only, row ell is nonzero only
+    on its band j = ell + u, u in [first, last].  Every lag whose band lies
+    inside the frame gets r[ell + u] s*[u] written through one diagonal
+    strided view of the zeroed output, from one sliding-window view of r.
+    The other lags, and every lag of a replica narrower than two samples,
+    take the full-row product with row ell of the shifted replica,
+    pad[n-1-ell : 2n-1-ell] of the zero-padded conjugate replica: a
+    reversed slice of its sliding-window view.  A band of one sample would
+    run numpy's strided complex-multiply loop, which can round differently
+    from the contiguous loop of a full row.
     """
     n = r.shape[0]
-    pad = np.zeros(3 * n - 2, dtype=np.complex128)
-    pad[n - 1 : 2 * n - 1] = np.conj(s)
-    shifted = sliding_window_view(pad, n)[n - 1 - ell_max : n - ell_min][::-1]
-    return r * shifted
+    out = np.zeros((ell_max - ell_min + 1, n), dtype=np.complex128)
+    full = [(ell_min, ell_max)]  # lags taking the full-row product
+    support = _support(s)
+    if support is not None and support[1] > support[0]:
+        first, last = support
+        lo, hi = max(ell_min, -first), min(ell_max, n - 1 - last)
+        if lo <= hi:
+            width = last - first + 1
+            start = (lo - ell_min) * n + lo + first  # out[lo - ell_min, lo + first]
+            band = as_strided(
+                out.reshape(-1)[start:], shape=(hi - lo + 1, width),
+                strides=((n + 1) * out.itemsize, out.itemsize),
+            )
+            windows = sliding_window_view(r, width)[lo + first : hi + first + 1]
+            np.multiply(windows, np.conj(s[first : last + 1]), out=band)
+            full = [(ell_min, lo - 1), (hi + 1, ell_max)]
+    full = [(a, b) for a, b in full if a <= b]
+    if full:
+        pad = np.zeros(3 * n - 2, dtype=np.complex128)
+        pad[n - 1 : 2 * n - 1] = np.conj(s)
+        shifted = sliding_window_view(pad, n)
+        for a, b in full:
+            np.multiply(r, shifted[n - 1 - b : n - a][::-1], out=out[a - ell_min : b - ell_min + 1])
+    return out
 
 
 def discrete_ambiguity(
@@ -150,8 +192,10 @@ def discrete_ambiguity(
     by ``1.0 / norm`` in place.  numpy divides a complex array by a real
     scalar as ``(a + b*0) * (1/norm)`` and ``(b - a*0) * (1/norm)``, so every
     value equals ``values / norm``, every |A| bit for bit, and only an exactly
-    zero part can flip sign.  The receiver computes every surface by this one
-    call, and so do the tests outside the contract tests of ``normalized``.
+    zero part can flip sign; the same holds for the products of the support
+    band against the full-row product (module docstring).  The receiver
+    computes every surface by this one call, and so do the tests outside
+    the contract tests of ``normalized``.
     """
     _check_window(r, s, lag_window, params)
     if norm is not None:
@@ -183,18 +227,18 @@ def lag_peak_bounds(
     """
     _check_window(r, s, lag_window, params)
     ell_min, ell_max = lag_window
-    s_abs = np.abs(s.samples)
-    support = np.flatnonzero(s_abs)
-    if support.size == 0:
+    support = _support(s.samples)
+    if support is None:
         return np.zeros(ell_max - ell_min + 1)
-    first, last = int(support[0]), int(support[-1])
+    first, last = support
+    s_abs = np.abs(s.samples[first : last + 1])
     # lag ell reads r[first + ell .. last + ell]
     lo, hi = first + ell_min, last + ell_max + 1
     span = np.zeros(hi - lo)
     a, b = max(lo, 0), min(hi, len(r))
     if a < b:
         span[a - lo : b - lo] = np.abs(r.samples[a:b])
-    return np.correlate(span, s_abs[first : last + 1], "valid")
+    return np.correlate(span, s_abs, "valid")
 
 
 def extend_surface(

@@ -76,8 +76,9 @@ _SWEEP_MINIMUM = {"workers": 1, "seed": 0, "code_seed": 0}
 
 def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None) -> BenchConfig:
     """Read a sweep config file into a BenchConfig; geometry resolves by
-    ``load_params``.  ``code_file`` reads a code, ``code_seed`` draws one,
-    neither means the reference good code, and both raise ParameterError.
+    ``load_params``.  ``code_file`` reads a code (a relative path from the
+    config file's own directory), ``code_seed`` draws one, neither means
+    the reference good code, and both raise ParameterError.
     Other keys default to BenchConfig's; non-None ``workers`` and ``seed``
     override the file.  A ``workers`` below 1 or a negative ``seed`` /
     ``code_seed``, from the file or an override, raises ParameterError
@@ -99,7 +100,7 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
     if "code_file" in raw and "code_seed" in raw:
         raise ParameterError("sweep config names two codes: give code_file or code_seed, not both")
     if "code_file" in raw:
-        code = read_code(raw["code_file"], params)
+        code = read_code(Path(path).parent / raw["code_file"], params)
     elif "code_seed" in raw:
         code = random_code(params, raw["code_seed"])
     else:

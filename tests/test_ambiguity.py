@@ -2,6 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ddradar import (
     ChannelTruth,
@@ -24,6 +25,7 @@ from ddradar.ambiguity import (
     CONFORMANCE_DELTA,
     OVERSAMPLE,
     AmbiguitySurface,
+    _lagged_products,
     extend_surface,
     lag_peak_bounds,
     write_surface,
@@ -114,6 +116,99 @@ def test_edge_windows_match_direct_sum(window):
     oracle = direct_ambiguity(r, s, np.arange(window[0], window[1] + 1), n)
     assert surf.values.shape == oracle.shape
     assert np.max(np.abs(surf.values - oracle)) <= 1e-9
+
+
+def full_row_products(r, s, ell_min, ell_max):
+    """Every lag's product over the whole frame, zeros included (oracle of
+    the band): row ell is r times the conjugate replica shifted by ell."""
+    n = r.shape[0]
+    pad = np.zeros(3 * n - 2, dtype=np.complex128)
+    pad[n - 1 : 2 * n - 1] = np.conj(s)
+    return r * sliding_window_view(pad, n)[n - 1 - ell_max : n - ell_min][::-1]
+
+
+def assert_band_matches_full_rows(r, s, window, p, norm):
+    full = full_row_products(r, s, *window)
+    assert np.array_equal(_lagged_products(r, s, *window), full)
+    surf = discrete_ambiguity(ComplexSignal(r), ComplexSignal(s), window, p, norm=norm)
+    expected = np.fft.fft(full, axis=1) / norm
+    assert np.array_equal(surf.values, expected)
+    assert np.array_equal(surf.magnitude, np.abs(expected))
+
+
+def _band_replica(kind, p, rng):
+    n = p.frame_len
+    if kind == "code":
+        return synthesize_discrete(random_code(p, seed=3), p).samples
+    s = np.zeros(n, dtype=complex)
+    if kind == "one-sample":
+        s[5] = 0.3 - 1.1j
+    elif kind == "last-sample":
+        s[n - 7 :] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    return s
+
+
+@pytest.mark.parametrize(
+    "geometry, kind",
+    [
+        ((16, 8, 2, 4), "code"),
+        ((8, 4, 2, 2), "code"),
+        ((8, 4, 2, 2), "one-sample"),
+        ((8, 4, 2, 2), "zero"),
+        ((8, 4, 2, 2), "last-sample"),
+    ],
+    ids=["16x8x2x4", "8x4x2x2", "one-sample", "zero-replica", "last-sample"],
+)
+def test_band_products_match_full_rows(geometry, kind):
+    # bit for bit against the full-row product: the window at +-(NM-1), every
+    # single-lag window, all-negative windows and windows whose lags take
+    # both paths; a one-sample replica's single lag is the 1x1 band that
+    # numpy's strided multiply loop would round differently
+    p = make_params(*geometry, 1.0)
+    n = p.frame_len
+    rng = np.random.default_rng(29)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s = _band_replica(kind, p, rng)
+    norm = float(np.sum(np.abs(s) ** 2)) or 1.0
+    windows = [(-(n - 1), n - 1), (-(n - 1), -1), (-9, -3), (3, n // 2), (-4, n - 3)]
+    windows += [(ell, ell) for ell in range(-(n - 1), n)]
+    for window in windows:
+        assert_band_matches_full_rows(r, s, window, p, norm)
+
+
+@pytest.mark.parametrize("window", [(126, 898), (246, 346)], ids=["clutter", "mc30-sized"])
+def test_band_products_match_full_rows_at_paper_geometry(p_default, good_code, s_paper, window):
+    # a -10 dB clutter frame on the refine window of the detectability window,
+    # and on a screened window of about the rows a 30 dB frame keeps
+    r = add_noise(apply_channel(good_code, p_default, ChannelTruth(400.3, 1.8)), -10.0, 17,
+                  p_default, ref_energy=s_paper.energy)
+    r = apply_receive_gating(r, p_default)
+    assert_band_matches_full_rows(r.samples, s_paper.samples, window, p_default, s_paper.energy)
+
+
+def test_noise_only_surface_power_matches_its_expectation(p_default, s_paper):
+    # On gated noise-only frames E|A[ell, k]|^2 of the normalized surface is
+    # sigma^2 sum_j |s[j - ell]|^2 1[L <= j < NM] / E_s^2 in every bin, with
+    # sigma^2 = E_s / (NM 10^{snr/10}); the mean over the detectability
+    # window, frame by frame, must average to it within the frames' spread.
+    n, window = p_default.frame_len, p_default.lag_window
+    s, energy = s_paper.samples, s_paper.energy
+    received = np.arange(p_default.L, n)  # the samples j the gate keeps
+    gated_energy = np.array([
+        sum(abs(s[j - ell]) ** 2 for j in received if 0 <= j - ell < n)
+        for ell in range(window[0], window[1] + 1)
+    ])
+    quiet = ComplexSignal(np.zeros(n, dtype=complex))
+    for snr_db, base_seed in ((-10.0, 100), (20.0, 200)):
+        sigma2 = energy / (n * 10 ** (snr_db / 10.0))
+        expected = sigma2 * np.mean(gated_energy) / energy**2
+        ratios = []
+        for seed in range(base_seed, base_seed + 20):
+            r = apply_receive_gating(add_noise(quiet, snr_db, seed, p_default, energy), p_default)
+            surf = discrete_ambiguity(r, s_paper, window, p_default, norm=energy)
+            ratios.append(np.mean(surf.magnitude**2) / expected)
+        mean, stderr = np.mean(ratios), np.std(ratios, ddof=1) / np.sqrt(len(ratios))
+        assert abs(mean - 1.0) <= 4 * stderr, f"{snr_db} dB: ratio {mean:.4f} +- {stderr:.4f}"
 
 
 def test_norm_argument_matches_normalized(p_default, good_code, s_paper):

@@ -450,30 +450,36 @@ def test_sweep_naming_two_codes_exits_two(tmp_path, capsys):
     assert "code_file" in err and "code_seed" in err and err.count("\n") == 1
 
 
-def _code_file_sweep(tmp_path, code):
-    write_code(tmp_path / "c24.txt", code)
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(
-        'N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_file = "c24.txt"\n'
+def _code_file_sweep(folder, code, code_file="c24.txt"):
+    folder.mkdir()
+    write_code(folder / "c24.txt", code)
+    (folder / "bench.cfg").write_text(
+        f'N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_file = "{code_file}"\n'
         "trials = 4\nsnr_db = 30\nseed = 5\n"
     )
-    return cfg
 
 
 def test_sweep_reads_its_code_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # code_file is read relative to the working directory
-    cfg = _code_file_sweep(tmp_path, random_code(make_params(16, 8, 2, 4), seed=3))
-    code, stdout, _ = run(capsys, "sweep", "--config", str(cfg), "--out", "r.csv")
-    assert code == 0 and stdout == ""
-    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
-    digest = hashlib.sha256((tmp_path / "c24.txt").read_bytes()).hexdigest()
-    assert meta["code_sha256"] == digest
+    # a relative code_file is read from the config's directory, not the
+    # working one; an absolute one as it stands
+    monkeypatch.chdir(tmp_path)
+    code_matrix = random_code(make_params(16, 8, 2, 4), seed=3)
+    _code_file_sweep(tmp_path / "rel", code_matrix)
+    _code_file_sweep(tmp_path / "abs", code_matrix, tmp_path / "rel" / "c24.txt")
+    (tmp_path / "abs" / "c24.txt").unlink()
+    digest = hashlib.sha256((tmp_path / "rel" / "c24.txt").read_bytes()).hexdigest()
+    for folder in ("rel", "abs"):
+        out = f"{folder}.csv"
+        code, stdout, _ = run(capsys, "sweep", "--config", f"{folder}/bench.cfg", "--out", out)
+        assert code == 0 and stdout == ""
+        meta = json.loads((tmp_path / f"{out}.meta.json").read_text())
+        assert meta["code_sha256"] == digest
 
 
 def test_sweep_rejects_a_code_file_of_the_wrong_shape(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = _code_file_sweep(tmp_path, reference_good_code())
-    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", "r.csv")
+    _code_file_sweep(tmp_path / "sweep", reference_good_code())
+    code, stdout, err = run(capsys, "sweep", "--config", "sweep/bench.cfg", "--out", "r.csv")
     assert code == 2
     assert stdout == "" and not (tmp_path / "r.csv").exists()
     assert "code is 8x8 but params expect 2x4" in err and err.count("\n") == 1

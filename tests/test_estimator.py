@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -379,6 +381,17 @@ def test_estimate_keeps_nan_from_failed_refinement():
     assert math.isnan(est.eps_t) and (est.eps_f, est.alpha) == (0.5, 0.0)
 
 
+def test_records_are_frozen_slotted_and_pickle_equal():
+    det = Detection(300, -2, 0.75)
+    est = Estimate(det, 0.25, -0.125, 1.5, "quadratic", degenerate=True)
+    for record, field in ((det, "l_hat"), (est, "eps_t")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 1)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+
+
 def test_end_to_end_integer_truth_small_bias(good_code):
     # fit-grid edges strictly inside the lobe nulls at this geometry
     p = make_params(60, 20, 8, 8, 1.0)
@@ -527,7 +540,7 @@ def test_estimates_empty_frame_and_slices(p_default, good_code, s_paper):
 
 
 def test_estimates_retain_few_bytes_per_estimate(p_default, good_code, s_paper):
-    # an Estimate with its Detection retains about 384 B; a packed row 50 B
+    # an Estimate with its Detection retains about 250 B; a packed row 50 B
     cfg = BenchConfig(params=p_default, code=good_code)
     frames = []
     for i in range(10):
