@@ -22,11 +22,17 @@ read as negative frequencies.  Every |A| the receiver reads is
 Outside their own tests, ``AmbiguitySurface.normalized`` and ``extend_surface``
 serve only the benchmark's traced mirror; ROADMAP item 1 deletes them.
 
-No cell of lag ell can exceed B[ell] = sum_j |r[j]| |s[j - ell]|, the l1
-norm of that lag's product row (triangle inequality).  ``lag_peak_bounds``
-computes B for a window as one real correlation over the replica's nonzero
-support, so a caller can skip every lag whose bound cannot reach its
-threshold before paying for the FFT.
+Two bounds let a caller skip every lag whose cells cannot reach its
+threshold before paying for the FFT.  No cell of lag ell can exceed
+B[ell] = sum_j |r[j]| |s[j - ell]|, the l1 norm of that lag's product row
+(triangle inequality); ``lag_peak_bounds`` computes B for a window as one
+real correlation over the replica's nonzero support.  B ignores the
+Doppler phase, so it passes every lag where |r| and |s| overlap.  The
+Doppler-grid bound D[ell] of ``grid_peak_bounds`` does not: it is the
+maximum of a G-point DFT of the lag's band of W products (G = 512 for the
+paper's W = 160) over cos(pi (W - 1) / (2 G)), which by the van der
+Corput-Schaake inequality no cell exceeds, and it costs about half a
+surface row.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
@@ -40,6 +46,7 @@ and accepts the code when it stays within the fixed CONFORMANCE_DELTA.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,7 +137,7 @@ def _check_window(
 
 def _support(s: np.ndarray) -> tuple[int, int] | None:
     """First and last index of the replica's nonzero samples; None when all are zero."""
-    nonzero = np.flatnonzero(s)
+    nonzero = (s != 0).nonzero()[0]
     if nonzero.size == 0:
         return None
     return int(nonzero[0]), int(nonzero[-1])
@@ -166,7 +173,7 @@ def _lagged_products(
                 out.reshape(-1)[start:], shape=(hi - lo + 1, width),
                 strides=((n + 1) * out.itemsize, out.itemsize),
             )
-            windows = sliding_window_view(r, width)[lo + first : hi + first + 1]
+            windows = as_strided(r[lo + first :], shape=(hi - lo + 1, width), strides=r.strides * 2)
             np.multiply(windows, np.conj(s[first : last + 1]), out=band)
             full = [(ell_min, lo - 1), (hi + 1, ell_max)]
     full = [(a, b) for a, b in full if a <= b]
@@ -239,6 +246,80 @@ def lag_peak_bounds(
     if a < b:
         span[a - lo : b - lo] = np.abs(r.samples[a:b])
     return np.correlate(span, s_abs, "valid")
+
+
+def grid_peak_bounds(
+    r: ComplexSignal,
+    s: ComplexSignal,
+    lag_window: tuple[int, int],
+    params: RadarParams,
+) -> Callable[..., np.ndarray]:
+    """The Doppler-grid bound D[ell] on max_k |A[ell, k]|, as a function of lag ranges.
+
+    With the replica nonzero on [first, last] only, W = last - first + 1,
+    row ell of the surface is p[u] = r[ell + first + u] s*[first + u],
+    u < W, shifted by ell + first samples (r is zero outside the frame).
+    So |A[ell, k]| = |P(2 pi k / NM)| with P(x) = sum_u p[u] e^{-i u x}.
+    The function Q(y) = e^{i (W-1) y} P(2 y) is a trigonometric polynomial
+    of degree W - 1.  Let |Q| peak at y0 with value m, and let phi be the
+    argument of Q(y0).  T(y) = Re(e^{-i phi} Q(y)) is real, of the same
+    degree, peaks at y0 with value m and stays within [-m, m].  The van der
+    Corput-Schaake inequality (Bernstein's, sharpened),
+    T'^2 + (W-1)^2 T^2 <= (W-1)^2 m^2, then gives
+    T(y0 + t) >= m cos((W-1) t) for |(W-1) t| <= pi.  Some point
+    y_j = pi j / G lies within pi / (2 G) of y0, so for G > W - 1, where
+    that cosine stays positive, |P(2 y_j)| = |Q(y_j)| >= T(y_j) >=
+    m cos(pi (W-1) / (2 G)), and since max |Q| = max |P|,
+    max_x |P| <= max_j |P(2 pi j / G)| / cos(pi (W-1) / (2 G)).  The
+    P(2 pi j / G) are the G-point DFT of p zero-padded to G.  G is the
+    smallest power of two >= 2 W, so the factor is below sqrt(2): 512 and
+    1 / cos(159 pi / 1024) = 1.13 for the paper's W = 160, and 2 NM for a
+    dense replica.
+
+    A computed cell exceeds D[ell] by at most the rounding of the products
+    and of the two FFTs, of order log2(G) eps times the row's l1 norm, the
+    ``lag_peak_bounds`` bound B[ell]; the coarse stage's
+    ``SCREEN_MARGIN * B[ell]`` lies far above it (see SCREEN_MARGIN).
+
+    Returns ``bounds(*ranges)``: D of every lag of the given inclusive
+    ranges inside ``lag_window``, concatenated in order, from one batched
+    FFT of the ranges' band products written into a zeroed (lags, G)
+    array.  The zero-padded echo the bands read is built once, by this
+    call.  Takes the signal and window checks of :func:`discrete_ambiguity`.
+    """
+    _check_window(r, s, lag_window, params)
+    ell_min, ell_max = lag_window
+    support = _support(s.samples)
+    if support is None:
+        return lambda *ranges: np.zeros(sum(hi - lo + 1 for lo, hi in ranges))
+    first, last = support
+    width = last - first + 1
+    grid = 1 << (2 * width - 1).bit_length()  # smallest power of two >= 2 W
+    scale = 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))
+    s_conj = np.conj(s.samples[first : last + 1])
+    # lag ell reads r[first + ell .. last + ell], as zero outside the frame
+    lo, hi = first + ell_min, last + ell_max + 1
+    span = np.zeros(hi - lo, dtype=np.complex128)
+    a, b = max(lo, 0), min(hi, len(r))
+    if a < b:
+        span[a - lo : b - lo] = r.samples[a:b]
+    # row ell - ell_min is r[first + ell .. last + ell], a view of the span
+    windows = as_strided(span, shape=(ell_max - ell_min + 1, width), strides=span.strides * 2)
+
+    def bounds(*ranges: tuple[int, int]) -> np.ndarray:
+        sizes = [hi - lo + 1 for lo, hi in ranges]
+        spectra = np.zeros((sum(sizes), grid), dtype=np.complex128)
+        row = 0
+        for (lo, hi), size in zip(ranges, sizes):
+            np.multiply(
+                windows[lo - ell_min : hi - ell_min + 1], s_conj,
+                out=spectra[row : row + size, :width],
+            )
+            row += size
+        np.fft.fft(spectra, axis=1, out=spectra)
+        return np.abs(spectra).max(axis=1) * scale
+
+    return bounds
 
 
 def extend_surface(

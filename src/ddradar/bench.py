@@ -8,15 +8,18 @@ regardless of the worker count.
 
 Errors are accounted in grid cells: delay error (l_hat + eps_hat) - delay,
 both in samples, and the Doppler analogue in bins.  The coarse stage is the
-estimator's ``coarse_stage``: one surface on the lags whose bound can reach
-the threshold, widened by ``refine_window`` to every lag a refinement reads.  A
-trial that detects nothing computes that widened surface for the whole
-window, falls back to the argmax over the window's lags and is flagged as a
-miss, as is a trial whose coarse cell is not the true cell; missed trials
-still contribute their actual error, so the RMSE is unconditioned, and the
-miss rate is reported alongside.  A trial's ``coarse_ms`` times the screen,
-the surface, detection and, in a trial that detects nothing, the fallback's
-surface, its |A| pass and the argmax.
+estimator's ``coarse_stage``: one surface on the span of lags whose two
+bounds can both reach the threshold, widened by ``refine_window`` to every
+lag a refinement reads.  A trial that detects nothing computes that widened
+surface for the whole window, falls back to the argmax over the window's
+lags and is flagged as a miss, as is a trial whose coarse cell is not the
+true cell; missed trials still contribute their actual error, so the RMSE
+is unconditioned, and the miss rate is reported alongside.  A trial's
+``coarse_ms`` times the screens, the surface, detection and, in a trial
+that detects nothing, the fallback's surface, its |A| pass and the argmax.
+A trial's ``surface_lags`` counts the rows of the surface its refiners
+read: the screened span widened by ``refine_window`` (about 7 at 30 dB), or
+the widened whole window after a fallback.
 """
 
 from __future__ import annotations
@@ -135,6 +138,7 @@ class TrialRecord:
     eps_f: float
     coarse_ms: float
     outcomes: dict[str, MethodOutcome] = field(default_factory=dict)
+    surface_lags: int = 0  # rows of the surface the refiners read
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,7 @@ class RmseReport:
     trials: int
     mean_coarse_ms: float
     mean_refine_ms: float
+    mean_surface_lags: float
 
 
 def draw_truth(cfg: BenchConfig, rng: np.random.Generator) -> ChannelTruth:
@@ -217,6 +222,7 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
         eps_f=truth.eps_f,
         coarse_ms=coarse_ms,
         outcomes=outcomes,
+        surface_lags=surface.values.shape[0],
     )
 
 
@@ -246,6 +252,7 @@ def summarize(records: list[TrialRecord], method: str) -> RmseReport:
         trials=len(records),
         mean_coarse_ms=float(np.mean([rec.coarse_ms for rec in records])),
         mean_refine_ms=float(np.mean([rec.outcomes[method].refine_ms for rec in records])),
+        mean_surface_lags=float(np.mean([rec.surface_lags for rec in records])),
     )
 
 

@@ -1,8 +1,12 @@
 """Coarse threshold detection and fractional refinement.
 
 The coarse stage, ``coarse_stage``, bounds every lag of the window with
-``lag_peak_bounds``; the live lags run from the first to the last lag whose
-bound can reach the threshold, and no other lag has a cell above it.
+``lag_peak_bounds``, then trims each end of the span of lags that bound
+passes with the Doppler-grid bound of ``grid_peak_bounds``, walking inward
+until a lag passes both (``_trim_ends``); the live lags run from the first
+to the last lag that passes both bounds, and no other lag has a cell above
+the threshold.  At 30 dB the l1 bound passes about 97 of the 769 lags of
+the detectability window and the grid bound 2 or 3 of those.
 Detection lists every cell of the live lags above the threshold, thinned by
 non-maximum suppression over one main-lobe extent so each target yields a
 single hit; the hits, their order and the detections are those of the
@@ -50,6 +54,7 @@ from .ambiguity import (
     AmbiguitySurface,
     check_norm,
     discrete_ambiguity,
+    grid_peak_bounds,
     lag_peak_bounds,
     lobe_factors,
 )
@@ -57,14 +62,21 @@ from .config import RadarParams
 from .waveform import ComplexSignal
 
 DEFAULT_THRESHOLD = 0.5
-# The coarse stage drops a lag only when its bound, raised by this relative
-# margin, is still at most theta * norm.  A computed cell can exceed the
-# exact |A| by the FFT's worst-case rounding, of order log2(NM) eps times
-# the row's l1 norm, which is the bound itself: about 1e-14 relative at the
-# paper's NM = 1024.  The margin lies far above that and the few eps of the
-# bound's own sum and of the 1/norm scaling, so a dropped lag has no
-# computed cell above theta.
+# The coarse stage drops a lag only when one of its two bounds, raised by
+# this margin times the lag's l1 bound B, is still at most theta * norm.  A
+# computed cell can exceed the exact |A| by the FFT's worst-case rounding,
+# of order log2(NM) eps times the row's l1 norm, which is B itself: about
+# 1e-14 relative at the paper's NM = 1024.  The Doppler-grid bound's
+# products and FFT round by the same order of B.  The margin lies far above
+# that and the few eps of the bounds' own sums and of the 1/norm scaling,
+# so a dropped lag has no computed cell above theta.
 SCREEN_MARGIN = 1e-9
+# The lags the coarse stage's grid screen first tries at each end of the
+# span that passes the l1 screen (``_trim_ends``).  A span of up to twice
+# this, such as a 17-lag tracking gate, is screened in one call: each call
+# costs a fixed part of about five screened lags, and at 4 or 8 a 17-lag
+# span takes two calls and costs more than its trimmed rows save.
+FIRST_CHUNK = 9
 # A quadratic stencil is flat, and its axis degenerate, when its curvature
 # 4c - 2(m + p) is at most this fraction of its center magnitude c.  Each
 # magnitude carries the FFT's rounding, of order log2(NM) eps times the
@@ -274,25 +286,77 @@ def coarse_stage(
     """The surface normalized by ``s.energy`` around the live lags of the
     window, and the ``coarse_detect`` detections on the live lags.
 
-    A lag is live unless its ``lag_peak_bounds`` bound B satisfies
-    B (1 + SCREEN_MARGIN) <= theta * norm; a NaN bound is live.  Detection
-    reads the first to the last live lag only, so the hits, their order and
-    the detections equal those of the full-window surface.  The surface
-    spans those lags widened by ``refine_window``, so it holds every lag a
-    refinement of a detection reads.  Every input check of
-    ``discrete_ambiguity`` and ``coarse_detect`` runs before the screen.
-    Returns (None, []) when no lag is live.
+    A lag passes the l1 screen unless its ``lag_peak_bounds`` bound B
+    satisfies B (1 + SCREEN_MARGIN) <= theta * norm, and the grid screen
+    unless its ``grid_peak_bounds`` bound D satisfies
+    D + SCREEN_MARGIN * B <= theta * norm; a NaN bound passes.  A lag is
+    live when it passes both, and no other lag has a cell above theta.
+    The grid screen runs only from the two ends of the span of lags that
+    pass the l1 screen inward, by ``_trim_ends``, until a live lag stops
+    each end.  Detection reads the first to the last live lag only, so the
+    hits, their order and the detections equal those of the full-window
+    surface.  The surface spans those lags widened by ``refine_window``, so
+    it holds every lag a refinement of a detection reads.  Every input
+    check of ``discrete_ambiguity`` and ``coarse_detect`` runs before the
+    screen.  Returns (None, []) when no lag is live.
     """
     bounds = lag_peak_bounds(r, s, lag_window, params)
     norm = s.energy
     check_norm(norm)
     _check_threshold(theta)
-    live = np.flatnonzero(~(bounds * (1.0 + SCREEN_MARGIN) <= theta * norm))
-    if live.size == 0:
+    level = theta * norm
+    passed = np.flatnonzero(~(bounds * (1.0 + SCREEN_MARGIN) <= level))
+    if passed.size == 0:
         return None, []
-    first, last = lag_window[0] + int(live[0]), lag_window[0] + int(live[-1])
-    surface = discrete_ambiguity(r, s, refine_window((first, last), params), params, norm=norm)
-    return surface, coarse_detect(surface.rows(first, last), theta, params)
+    ell0 = lag_window[0]
+    span = ell0 + int(passed[0]), ell0 + int(passed[-1])
+    grid = grid_peak_bounds(r, s, span, params)
+
+    def live(*ranges: tuple[int, int]) -> np.ndarray:
+        b = np.concatenate([bounds[lo - ell0 : hi - ell0 + 1] for lo, hi in ranges])
+        d = grid(*ranges)
+        return ~(b * (1.0 + SCREEN_MARGIN) <= level) & ~(d + SCREEN_MARGIN * b <= level)
+
+    trimmed = _trim_ends(*span, live)
+    if trimmed is None:
+        return None, []
+    surface = discrete_ambiguity(r, s, refine_window(trimmed, params), params, norm=norm)
+    return surface, coarse_detect(surface.rows(*trimmed), theta, params)
+
+
+def _trim_ends(lo: int, hi: int, live) -> tuple[int, int] | None:
+    """The first and last lag of [lo, hi] that ``live`` passes; None when none does.
+
+    ``live(*ranges)`` takes inclusive lag ranges and returns a boolean per
+    lag of the ranges, in order.  The walk screens a chunk of lags at each
+    unresolved end, both in one call, starting at ``FIRST_CHUNK`` lags and
+    doubling while a chunk holds no live lag; once the two chunks would
+    meet, it screens the rest in one call.  So it screens at most twice the
+    lags it trims plus ``FIRST_CHUNK`` at each end.
+    """
+    chunk, low, high = FIRST_CHUNK, False, False
+    while not (low and high):
+        if not (low or high) and hi - lo + 1 <= 2 * chunk:
+            hits = np.flatnonzero(live((lo, hi)))
+            return (lo + int(hits[0]), lo + int(hits[-1])) if hits.size else None
+        ranges = []
+        if not low:
+            ranges.append((lo, min(lo + chunk - 1, hi)))
+        if not high:
+            ranges.append((max(hi - chunk + 1, lo), hi))
+        passed = live(*ranges)
+        if not low:
+            size = ranges[0][1] - lo + 1
+            hits = np.flatnonzero(passed[:size])
+            low = hits.size > 0
+            lo += int(hits[0]) if low else size
+            passed = passed[size:]
+        if not high:
+            hits = np.flatnonzero(passed)
+            high = hits.size > 0
+            hi = ranges[-1][0] + int(hits[-1]) if high else ranges[-1][0] - 1
+        chunk *= 2
+    return lo, hi
 
 
 def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bool]:

@@ -27,6 +27,7 @@ from ddradar.ambiguity import (
     AmbiguitySurface,
     _lagged_products,
     extend_surface,
+    grid_peak_bounds,
     lag_peak_bounds,
     write_surface,
 )
@@ -380,6 +381,124 @@ def test_lag_bounds_zero_replica_and_checks(p_default, s_paper):
         lag_peak_bounds(s_paper, s_paper, (0, p_default.frame_len), p_default)
     with pytest.raises(ValueError, match="frame length"):
         lag_peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
+
+
+def grid_of(s):
+    """The grid bound's G, the smallest power of two >= 2 W for the support
+    width W of replica samples ``s``, and its factor 1 / cos(pi (W-1) / (2 G))."""
+    nonzero = np.flatnonzero(s)
+    width = int(nonzero[-1] - nonzero[0] + 1)
+    grid = 2 ** int(np.ceil(np.log2(2 * width)))
+    return grid, 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))
+
+
+def assert_grid_bounds_hold(r, s, window, p):
+    """Every row's peak |A| under its grid bound plus the coarse stage's
+    slack SCREEN_MARGIN * B.  When the grid's G frequencies are bins of the
+    surface, the bound is also no looser than the theorem: at most the
+    row's peak times the 1/cos factor, plus the same slack."""
+    r, s = ComplexSignal(r), ComplexSignal(s)
+    slack = SCREEN_MARGIN * lag_peak_bounds(r, s, window, p)
+    bounds = grid_peak_bounds(r, s, window, p)(window)
+    peaks = np.max(np.abs(discrete_ambiguity(r, s, window, p).values), axis=1)
+    assert bounds.shape == peaks.shape == (window[1] - window[0] + 1,)
+    assert np.all(peaks <= bounds + slack)
+    grid, factor = grid_of(s.samples)
+    if p.frame_len % grid == 0:
+        assert np.all(bounds <= peaks * factor + slack)
+    return bounds, peaks
+
+
+@pytest.mark.parametrize("snr_db", [30.0, -10.0])
+def test_grid_bounds_on_paper_frames(p_default, good_code, s_paper, snr_db):
+    # every lag of +-(NM-1): bands inside the frame and bands crossing either end
+    n = p_default.frame_len
+    r = add_noise(apply_channel(good_code, p_default, ChannelTruth(400.3, 1.8)), snr_db, 17,
+                  p_default, ref_energy=s_paper.energy)
+    r = apply_receive_gating(r, p_default)
+    assert_grid_bounds_hold(r.samples, s_paper.samples, (-(n - 1), n - 1), p_default)
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.0, 0.25])
+def test_grid_bounds_on_a_tone_between_grid_frequencies(p_default, s_paper, offset):
+    # A flat 160-sample replica against a tone: every lag's product is the
+    # tone, so |A| peaks at its frequency.  Half a bin of the 512-point grid
+    # off it is the grid's worst case for a tone (the grid reads 1/1.04 of
+    # the peak); one bin off is half a bin of a 256-point grid.
+    n = p_default.frame_len
+    nonzero = np.flatnonzero(s_paper.samples)
+    s = np.zeros(n, dtype=complex)
+    s[nonzero[0] : nonzero[-1] + 1] = 1.0
+    grid, factor = grid_of(s)
+    assert (grid, factor) == (512, 1.0 / np.cos(159 * np.pi / 1024))
+    j = np.arange(n)
+    r = np.exp(2j * np.pi * (37 + offset) * j / 512)
+    bounds, peaks = assert_grid_bounds_hold(r, s, (-(n - 1), n - 1), p_default)
+    inside = slice(n - 1 - nonzero[0], 2 * n - 1 - nonzero[-1] - 1)  # bands inside the frame
+    if offset != 0.25:  # on a bin of the surface
+        assert np.allclose(peaks[inside], 160.0, rtol=1e-12)
+    if offset == 0.5:
+        # the grid alone misses the peak: the 1/cos factor is needed
+        assert np.all(bounds[inside] / factor < peaks[inside] / 1.04)
+
+
+def test_grid_bounds_attain_a_single_impulse(p_default, s_paper):
+    # |A[ell, k]| = |r[j0]| |s[j0 - ell]| in every bin: the grid reads it exactly
+    n = p_default.frame_len
+    for j0 in (0, 500, n - 1):
+        r = np.zeros(n, dtype=complex)
+        r[j0] = 0.3 - 0.4j
+        bounds, peaks = assert_grid_bounds_hold(r, s_paper.samples, (-(n - 1), n - 1), p_default)
+        assert np.allclose(bounds, peaks * grid_of(s_paper.samples)[1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["one-sample", "two-sample", "two-spread", "dense", "code"])
+def test_grid_bounds_on_small_replicas_over_every_lag(kind):
+    # W = 1 (G = 2, factor 1), W = 2, two samples with zeros between, a
+    # dense replica (W = NM, G = 2 NM) and a code's replica, all lags
+    p = make_params(8, 4, 2, 2, 1.0)
+    n = p.frame_len
+    rng = np.random.default_rng(31)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s = np.zeros(n, dtype=complex)
+    if kind == "one-sample":
+        s[5] = 0.3 - 1.1j
+    elif kind == "two-sample":
+        s[9:11] = [1.0 + 0.5j, -0.7j]
+    elif kind == "two-spread":
+        s[[2, n - 3]] = [1.0, 0.4 + 0.4j]
+    elif kind == "dense":
+        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        s = synthesize_discrete(random_code(p, seed=3), p).samples
+    assert_grid_bounds_hold(r, s, (-(n - 1), n - 1), p)
+
+
+def test_grid_bounds_of_several_ranges_match_one_window(p_default, good_code, s_paper):
+    # one call for several ranges returns each lag's bound of the one-window
+    # call, bit for bit, in range order
+    r = add_noise(apply_channel(good_code, p_default, ChannelTruth(300.25, 1.75)), 10.0, 3,
+                  p_default, ref_energy=s_paper.energy)
+    r = apply_receive_gating(r, p_default)
+    window = (-40, 1023)
+    bounds = grid_peak_bounds(r, s_paper, window, p_default)
+    whole = bounds(window)
+    for ranges in [((-40, -40),), ((1023, 1023), (-40, -38)), ((0, 7), (290, 310), (1000, 1023))]:
+        want = np.concatenate([whole[lo + 40 : hi + 41] for lo, hi in ranges])
+        assert np.array_equal(bounds(*ranges), want)
+
+
+def test_grid_bounds_zero_replica_and_checks(p_default, s_paper):
+    zero = ComplexSignal(np.zeros(p_default.frame_len))
+    bounds = grid_peak_bounds(s_paper, zero, (-3, 4), p_default)
+    assert np.array_equal(bounds((-3, 4)), np.zeros(8))
+    assert np.array_equal(bounds((-3, -3), (0, 4)), np.zeros(6))
+    with pytest.raises(ValueError, match="empty lag window"):
+        grid_peak_bounds(s_paper, s_paper, (5, 4), p_default)
+    with pytest.raises(ValueError, match="outside"):
+        grid_peak_bounds(s_paper, s_paper, (-p_default.frame_len, 0), p_default)
+    with pytest.raises(ValueError, match="frame length"):
+        grid_peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
 
 
 def test_conformance_separates_reference_codes(p_default, good_code, bad_code):

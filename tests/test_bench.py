@@ -125,6 +125,12 @@ def untimed(rec):
     return dataclasses.replace(rec, coarse_ms=0.0, outcomes=outcomes)
 
 
+def unscreened(rec):
+    """``untimed(rec)`` with ``surface_lags`` at its default, as the
+    full-window reference, which builds no screened surface, records it."""
+    return dataclasses.replace(untimed(rec), surface_lags=0)
+
+
 def test_trial_records_do_not_depend_on_t_c():
     # T_c only labels cells in seconds and Hz: the same targets, noise and
     # estimates at every T_c.  Records compare by repr, so a NaN error
@@ -231,7 +237,7 @@ def test_reports_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "snr_db,method,rmse_delay,rmse_doppler,miss_rate,trials,"
-        "mean_coarse_ms,mean_refine_ms"
+        "mean_coarse_ms,mean_refine_ms,mean_surface_lags"
     )
     assert len(lines) == 1 + len(reports)
     fields = lines[1].split(",")
@@ -398,9 +404,15 @@ def reference_run_trial(cfg, snr_db, trial_seed):
 @pytest.mark.parametrize("snr_db", [30.0, 0.0])
 def test_run_trial_matches_full_window_reference(snr_db):
     cfg = BenchConfig(params=PAPER, code=reference_good_code(), seed=42)
+    lags = []
     for trial_seed in range(42, 242):
         rec = run_trial(cfg, snr_db, trial_seed)
-        assert untimed(rec) == reference_run_trial(cfg, snr_db, trial_seed)
+        assert unscreened(rec) == reference_run_trial(cfg, snr_db, trial_seed)
+        lags.append(rec.surface_lags)
+    if snr_db == 30.0:
+        # the two screens leave a few live lags widened by 2 on each side,
+        # where the l1 screen alone left about 97 of the 769
+        assert np.mean(np.array(lags) <= 8) >= 0.95
 
 
 @pytest.mark.parametrize("l_d,eps_t", [(128, 0.0), (128, 0.3), (896, -0.2), (896, 0.0)])
@@ -424,7 +436,7 @@ def test_run_trial_matches_full_window_reference_at_the_window_edge(
     for trial_seed in range(42, 52):
         rec = run_trial(cfg, snr_db, trial_seed)
         assert (rec.l_d, rec.l_d + rec.eps_t) == (l_d, l_d + eps_t)
-        assert untimed(rec) == reference_run_trial(cfg, snr_db, trial_seed)
+        assert unscreened(rec) == reference_run_trial(cfg, snr_db, trial_seed)
 
 
 def test_run_trial_fallback_matches_full_window_reference():
@@ -433,7 +445,8 @@ def test_run_trial_fallback_matches_full_window_reference():
     for trial_seed in range(42, 47):
         rec = run_trial(cfg, 30.0, trial_seed)
         assert all(out.miss for out in rec.outcomes.values())
-        assert untimed(rec) == reference_run_trial(cfg, 30.0, trial_seed)
+        assert unscreened(rec) == reference_run_trial(cfg, 30.0, trial_seed)
+        assert rec.surface_lags == 769 + 4  # the whole window, widened
 
 
 def test_run_trial_fallback_is_timed_as_coarse(monkeypatch):
@@ -463,7 +476,7 @@ def test_run_trial_fallback_ignores_a_trimmed_surface(monkeypatch):
     cfg = BenchConfig(params=PAPER, code=reference_good_code(), theta=2.0, seed=42)
     for trial_seed in range(42, 45):
         rec = run_trial(cfg, 30.0, trial_seed)
-        assert untimed(rec) == reference_run_trial(cfg, 30.0, trial_seed)
+        assert unscreened(rec) == reference_run_trial(cfg, 30.0, trial_seed)
 
 
 # Noiseless RMSEs at the paper geometry, 200 trials from seed 42: with no

@@ -34,9 +34,25 @@ from ddradar import (
     synthesize_discrete,
 )
 from ddradar import bench, estimator
-from ddradar.ambiguity import AmbiguitySurface, sinc_model, write_surface
+from ddradar.ambiguity import (
+    AmbiguitySurface,
+    grid_peak_bounds,
+    lag_peak_bounds,
+    sinc_model,
+    write_surface,
+)
 from ddradar.bench import BenchConfig
-from ddradar.estimator import _FIT_BOUNDS, REFINERS, SOLVER, _fit_patch, _sinc_fit
+from ddradar.estimator import (
+    _FIT_BOUNDS,
+    FIRST_CHUNK,
+    REFINERS,
+    SCREEN_MARGIN,
+    SOLVER,
+    _fit_patch,
+    _sinc_fit,
+    _trim_ends,
+    refine_window,
+)
 
 
 def echo(code, params, truths, snr_db=None, seed=0):
@@ -608,6 +624,108 @@ def test_screened_estimate_matches_full_window(p_default, good_code, s_paper, fr
         assert surface.contains_lag(min(d.l_hat + ext, max_lag))
     if frame in ("30dB", "noiseless", "window-edge"):
         assert surface.values.shape[0] < 200  # of 769 lags: the screen does trim
+    if frame == "30dB":
+        # the grid screen trims the span the l1 screen leaves (about 97 lags)
+        # to the few lags near the target
+        assert surface.values.shape[0] <= 16
+
+
+def screened_span(r, s, theta, params, window):
+    """First and last lag of ``window`` that pass both bounds, by one screen
+    of the whole window (oracle of ``coarse_stage``'s walk); None when no
+    lag passes."""
+    level = theta * s.energy
+    l1 = lag_peak_bounds(r, s, window, params)
+    grid = grid_peak_bounds(r, s, window, params)(window)
+    live = np.flatnonzero(
+        ~(l1 * (1.0 + SCREEN_MARGIN) <= level) & ~(grid + SCREEN_MARGIN * l1 <= level)
+    )
+    if live.size == 0:
+        return None
+    return window[0] + int(live[0]), window[0] + int(live[-1])
+
+
+def assert_span_matches_one_shot_screen(r, s, theta, params, window):
+    surface, detections = estimator.coarse_stage(r, s, theta, params, window)
+    want = screened_span(r, s, theta, params, window)
+    if want is None:
+        assert (surface, detections) == (None, [])
+    else:
+        assert (surface.ell_min, surface.ell_max) == refine_window(want, params)
+    return want
+
+
+def test_coarse_stage_span_matches_one_shot_screen(p_default, good_code, s_paper):
+    # windows of 1 to 40 lags with the live lags at the low end, the high
+    # end, in the middle and absent, the full window and the detectability
+    # window, on a 30 dB frame; the detectability window of a -10 dB frame,
+    # where every lag is live; two far targets, whose span holds both
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], 30.0, seed=17)
+    lo, hi = screened_span(r, s_paper, 0.5, p_default, p_default.lag_window)
+    assert hi - lo <= 4
+    mid = (lo + hi) // 2
+    for n in range(1, 41):
+        for start in (lo, hi - n + 1, mid - n // 2, hi + 200):
+            assert_span_matches_one_shot_screen(r, s_paper, 0.5, p_default, (start, start + n - 1))
+    assert assert_span_matches_one_shot_screen(r, s_paper, 0.5, p_default, (hi + 1, hi + 40)) is None
+    n = p_default.frame_len
+    for window in [(-(n - 1), n - 1), p_default.lag_window]:
+        assert assert_span_matches_one_shot_screen(r, s_paper, 0.5, p_default, window) == (lo, hi)
+    clutter = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=17)
+    span = assert_span_matches_one_shot_screen(clutter, s_paper, 0.28, p_default, p_default.lag_window)
+    assert span[1] - span[0] > 700
+    both = echo(good_code, p_default, [ChannelTruth(149.9, 1.4), ChannelTruth(850.2, -3.3)])
+    span = assert_span_matches_one_shot_screen(both, s_paper, 0.5, p_default, p_default.lag_window)
+    assert span[0] <= 150 and span[1] >= 850
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 18, 19, 40, 97, 769])
+def test_trim_ends_finds_the_first_and_last_live_lag(n):
+    # every mask, or a sample of them, of n lags: the walk returns the first
+    # and last live lag, screens only lags of the span, and screens at most
+    # twice the lags it trims plus one first chunk at each end
+    rng = np.random.default_rng(n)
+    masks = [np.zeros(n, bool), np.ones(n, bool)]
+    masks += [np.eye(n, dtype=bool)[i] for i in range(n)] if n <= 97 else []
+    masks += [rng.random(n) < q for q in (0.01, 0.05, 0.3) for _ in range(20)]
+    base = -7
+    for mask in masks:
+        screened = []
+
+        def live(*ranges):
+            for lo, hi in ranges:
+                assert base <= lo <= hi < base + n
+                screened.extend(range(lo, hi + 1))
+            return np.concatenate([mask[lo - base : hi - base + 1] for lo, hi in ranges])
+
+        hits = np.flatnonzero(mask)
+        want = (base + int(hits[0]), base + int(hits[-1])) if hits.size else None
+        assert _trim_ends(base, base + n - 1, live) == want
+        trimmed = n - (hits[-1] - hits[0] + 1 if hits.size else 0)
+        assert len(screened) <= 2 * trimmed + 2 * FIRST_CHUNK
+
+
+# Two echoes further apart than the replica support (N_t + 2) M, plus two
+# guard samples for the fractional delay and the lobe half-extent M // N_f,
+# never meet in a product row read near either target (ROADMAP item 8).
+@pytest.mark.parametrize("method", ["sinc2d", "quadratic"])
+def test_far_targets_refine_as_each_alone(p_default, good_code, s_paper, method):
+    # each single-target estimate appears bit for bit among the two-target
+    # frame's (rows between the targets may add detections); at a gap where
+    # the echoes overlap by a few samples the estimates move
+    gap = (p_default.N_t + 2) * p_default.M + 2 + p_default.M // p_default.N_f
+    assert gap == 164
+    first = ChannelTruth(300.3, 1.8)
+
+    def estimates(*truths):
+        return list(estimate(echo(good_code, p_default, truths), s_paper, 0.5, method, p_default))
+
+    for separation, apart in [(gap + 0.5, True), (gap + 60.7, True), (gap - 6.0, False)]:
+        second = ChannelTruth(first.delay + separation, -3.3)
+        both = estimates(first, second)
+        alone = estimates(first) + estimates(second)
+        assert len(alone) == 2
+        assert all(est in both for est in alone) == apart
 
 
 @pytest.mark.parametrize("seed", range(3))
