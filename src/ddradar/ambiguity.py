@@ -7,18 +7,20 @@ The discrete surface
 is computed for the whole lag window at once into a single zeroed
 (n_lags, N M) array of products r[j] s*[j - ell].  The replica is nonzero
 on one support band [first, last] (the paper's 160 of 1024 samples), so
-for every lag whose band [ell + first, ell + last] lies inside the frame
-only the band's products are computed, written through one diagonal
-strided view of the array; the lags whose band crosses a frame end, and
-every lag of a replica narrower than two samples, take the full-row
-product with one strided view into a zero-padded conjugate replica
-(shifted indices outside the frame read zero).  Each product is the one
-the full row computes, by the same multiply, so only an exactly zero part
-can flip sign.  The array is transformed by one batched FFT in place and,
-when a normalization constant is given, scaled by its reciprocal in place.  A
-positive true Doppler lands in a low positive bin; bins above N M / 2 are
-read as negative frequencies.  Every |A| the receiver reads is
-``AmbiguitySurface.magnitude``, computed once and shared by ``rows``.
+each lag's row is nonzero only on its band [ell + first, ell + last], and
+only the band's products are computed, for every lag through one diagonal
+strided view of the array, from one zero-padded span of the echo (samples
+outside the frame read zero).  The part of a band that crosses a frame end
+multiplies those zeros into cells the full row leaves zero too.  A
+one-sample replica is widened to a two-sample band with a zero sample of
+s, so no band runs numpy's strided one-element multiply.  Each product is
+the one the full row computes, by the same multiply, so only an exactly
+zero part can flip sign.  The array is transformed by one batched FFT in
+place and, when a normalization constant is given, scaled by its
+reciprocal in place.  A positive true Doppler lands in a low positive bin;
+bins above N M / 2 are read as negative frequencies.  Every |A| the
+receiver reads is ``AmbiguitySurface.magnitude``, computed once and shared
+by ``rows``.
 Outside their own tests, ``AmbiguitySurface.normalized`` and ``extend_surface``
 serve only the benchmark's traced mirror; ROADMAP item 1 deletes them.
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .codes import CodeMatrix
 from .config import RadarParams
@@ -135,12 +137,32 @@ def _check_window(
         raise ValueError(f"lag window {lag_window} outside [-(NM-1), NM-1]")
 
 
-def _support(s: np.ndarray) -> tuple[int, int] | None:
-    """First and last index of the replica's nonzero samples; None when all are zero."""
-    nonzero = (s != 0).nonzero()[0]
-    if nonzero.size == 0:
-        return None
-    return int(nonzero[0]), int(nonzero[-1])
+def _echo_band(
+    r: np.ndarray, s: np.ndarray, ell_min: int, ell_max: int, widen: bool = False
+) -> tuple[int, int, np.ndarray]:
+    """The replica's support band [first, last] and the echo span its lags read.
+
+    ``s`` is nonzero on [first, last] only; an all-zero replica takes the
+    band [0, 0], whose products are all zero.  With ``widen`` a one-sample
+    band takes one zero sample of ``s`` beside it, the next one or, at the
+    frame's last sample, the previous one.  span[i] = r[ell_min + first + i]
+    over ell_max - ell_min + last - first + 1 samples, zero outside the
+    frame, so lag ell reads r[ell + first .. ell + last] as
+    span[ell - ell_min : ell - ell_min + last - first + 1].
+    """
+    nonzero = np.flatnonzero(s)
+    first, last = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
+    if widen and first == last:
+        if last < len(s) - 1:
+            last += 1
+        else:
+            first -= 1
+    lo, hi = ell_min + first, ell_max + last + 1
+    span = np.zeros(hi - lo, dtype=np.complex128)
+    a, b = max(lo, 0), min(hi, len(r))
+    if a < b:
+        span[a - lo : b - lo] = r[a:b]
+    return first, last, span
 
 
 def _lagged_products(
@@ -149,41 +171,33 @@ def _lagged_products(
     """Rows p_ell[j] = r[j] s*[j - ell], out-of-range shifts treated as zero.
 
     With the replica nonzero on [first, last] only, row ell is nonzero only
-    on its band j = ell + u, u in [first, last].  Every lag whose band lies
-    inside the frame gets r[ell + u] s*[u] written through one diagonal
-    strided view of the zeroed output, from one sliding-window view of r.
-    The other lags, and every lag of a replica narrower than two samples,
-    take the full-row product with row ell of the shifted replica,
-    pad[n-1-ell : 2n-1-ell] of the zero-padded conjugate replica: a
-    reversed slice of its sliding-window view.  A band of one sample would
+    on its band j = ell + u, u in [first, last].  Every lag gets
+    r[ell + u] s*[u], read from the zero-padded echo span of ``_echo_band``,
+    written through one diagonal strided view of a zeroed flat buffer whose
+    contiguous middle is the (n_lags, n) result.  The part of a band that
+    crosses a frame end is a product with the span's zeros; it lands in the
+    buffer's margin before the first row or after the last, or in a
+    neighbouring row outside that row's band, on cells the full row leaves
+    zero too, since a band of W <= n samples spills at most n - 1 cells.
+    A one-sample band is widened to two, since a band of one sample would
     run numpy's strided complex-multiply loop, which can round differently
     from the contiguous loop of a full row.
     """
     n = r.shape[0]
-    out = np.zeros((ell_max - ell_min + 1, n), dtype=np.complex128)
-    full = [(ell_min, ell_max)]  # lags taking the full-row product
-    support = _support(s)
-    if support is not None and support[1] > support[0]:
-        first, last = support
-        lo, hi = max(ell_min, -first), min(ell_max, n - 1 - last)
-        if lo <= hi:
-            width = last - first + 1
-            start = (lo - ell_min) * n + lo + first  # out[lo - ell_min, lo + first]
-            band = as_strided(
-                out.reshape(-1)[start:], shape=(hi - lo + 1, width),
-                strides=((n + 1) * out.itemsize, out.itemsize),
-            )
-            windows = as_strided(r[lo + first :], shape=(hi - lo + 1, width), strides=r.strides * 2)
-            np.multiply(windows, np.conj(s[first : last + 1]), out=band)
-            full = [(ell_min, lo - 1), (hi + 1, ell_max)]
-    full = [(a, b) for a, b in full if a <= b]
-    if full:
-        pad = np.zeros(3 * n - 2, dtype=np.complex128)
-        pad[n - 1 : 2 * n - 1] = np.conj(s)
-        shifted = sliding_window_view(pad, n)
-        for a, b in full:
-            np.multiply(r, shifted[n - 1 - b : n - a][::-1], out=out[a - ell_min : b - ell_min + 1])
-    return out
+    n_lags = ell_max - ell_min + 1
+    first, last, span = _echo_band(r, s, ell_min, ell_max, widen=True)
+    width = last - first + 1
+    front = max(0, -(ell_min + first))
+    back = max(0, ell_max + last - (n - 1))
+    flat = np.zeros(front + n_lags * n + back, dtype=np.complex128)
+    # lag ell's band starts at row ell - ell_min, column ell + first
+    band = as_strided(
+        flat[front + ell_min + first :], shape=(n_lags, width),
+        strides=((n + 1) * flat.itemsize, flat.itemsize),
+    )
+    windows = as_strided(span, shape=(n_lags, width), strides=span.strides * 2)
+    np.multiply(windows, np.conj(s[first : last + 1]), out=band)
+    return flat[front : front + n_lags * n].reshape(n_lags, n)
 
 
 def discrete_ambiguity(
@@ -199,8 +213,8 @@ def discrete_ambiguity(
     by ``1.0 / norm`` in place.  numpy divides a complex array by a real
     scalar as ``(a + b*0) * (1/norm)`` and ``(b - a*0) * (1/norm)``, so every
     value equals ``values / norm``, every |A| bit for bit, and only an exactly
-    zero part can flip sign; the same holds for the products of the support
-    band against the full-row product (module docstring).  The receiver
+    zero part can flip sign; the same holds for the support band's products,
+    one path for every lag, against the full-row product (module docstring).  The receiver
     computes every surface by this one call, and so do the tests outside
     the contract tests of ``normalized``.
     """
@@ -233,19 +247,8 @@ def lag_peak_bounds(
     signal and window checks of :func:`discrete_ambiguity`.
     """
     _check_window(r, s, lag_window, params)
-    ell_min, ell_max = lag_window
-    support = _support(s.samples)
-    if support is None:
-        return np.zeros(ell_max - ell_min + 1)
-    first, last = support
-    s_abs = np.abs(s.samples[first : last + 1])
-    # lag ell reads r[first + ell .. last + ell]
-    lo, hi = first + ell_min, last + ell_max + 1
-    span = np.zeros(hi - lo)
-    a, b = max(lo, 0), min(hi, len(r))
-    if a < b:
-        span[a - lo : b - lo] = np.abs(r.samples[a:b])
-    return np.correlate(span, s_abs, "valid")
+    first, last, span = _echo_band(r.samples, s.samples, *lag_window)
+    return np.correlate(np.abs(span), np.abs(s.samples[first : last + 1]), "valid")
 
 
 def grid_peak_bounds(
@@ -289,21 +292,11 @@ def grid_peak_bounds(
     """
     _check_window(r, s, lag_window, params)
     ell_min, ell_max = lag_window
-    support = _support(s.samples)
-    if support is None:
-        return lambda *ranges: np.zeros(sum(hi - lo + 1 for lo, hi in ranges))
-    first, last = support
+    first, last, span = _echo_band(r.samples, s.samples, ell_min, ell_max)
     width = last - first + 1
     grid = 1 << (2 * width - 1).bit_length()  # smallest power of two >= 2 W
     scale = 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))
     s_conj = np.conj(s.samples[first : last + 1])
-    # lag ell reads r[first + ell .. last + ell], as zero outside the frame
-    lo, hi = first + ell_min, last + ell_max + 1
-    span = np.zeros(hi - lo, dtype=np.complex128)
-    a, b = max(lo, 0), min(hi, len(r))
-    if a < b:
-        span[a - lo : b - lo] = r.samples[a:b]
-    # row ell - ell_min is r[first + ell .. last + ell], a view of the span
     windows = as_strided(span, shape=(ell_max - ell_min + 1, width), strides=span.strides * 2)
 
     def bounds(*ranges: tuple[int, int]) -> np.ndarray:

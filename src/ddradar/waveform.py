@@ -29,6 +29,7 @@ replica's span, where alone the replica is nonzero.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,8 +58,9 @@ class ComplexSignal:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
+    @functools.cached_property
     def energy(self) -> float:
+        """sum |s|^2, computed on first read."""
         return float(np.sum(np.abs(self.samples) ** 2))
 
 

@@ -144,8 +144,12 @@ def _band_replica(kind, p, rng):
     s = np.zeros(n, dtype=complex)
     if kind == "one-sample":
         s[5] = 0.3 - 1.1j
+    elif kind == "two-sample":
+        s[9:11] = [1.0 + 0.5j, -0.7j]
     elif kind == "last-sample":
         s[n - 7 :] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    elif kind == "dense":
+        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return s
 
 
@@ -157,14 +161,18 @@ def _band_replica(kind, p, rng):
         ((8, 4, 2, 2), "one-sample"),
         ((8, 4, 2, 2), "zero"),
         ((8, 4, 2, 2), "last-sample"),
+        ((8, 4, 2, 2), "two-sample"),
+        ((8, 4, 2, 2), "dense"),
     ],
-    ids=["16x8x2x4", "8x4x2x2", "one-sample", "zero-replica", "last-sample"],
+    ids=["16x8x2x4", "8x4x2x2", "one-sample", "zero-replica", "last-sample", "two-sample",
+         "dense"],
 )
 def test_band_products_match_full_rows(geometry, kind):
     # bit for bit against the full-row product: the window at +-(NM-1), every
-    # single-lag window, all-negative windows and windows whose lags take
-    # both paths; a one-sample replica's single lag is the 1x1 band that
-    # numpy's strided multiply loop would round differently
+    # single-lag window, all-negative windows and windows with lags whose
+    # band crosses a frame end; a one-sample replica is the band numpy's
+    # strided multiply loop would round differently unless widened to two
+    # samples, and a dense one (W = NM) spills at every lag but 0
     p = make_params(*geometry, 1.0)
     n = p.frame_len
     rng = np.random.default_rng(29)
@@ -177,10 +185,15 @@ def test_band_products_match_full_rows(geometry, kind):
         assert_band_matches_full_rows(r, s, window, p, norm)
 
 
-@pytest.mark.parametrize("window", [(126, 898), (246, 346)], ids=["clutter", "mc30-sized"])
+@pytest.mark.parametrize(
+    "window", [(126, 898), (246, 346), (-1023, 1023), (-200, 40)],
+    ids=["clutter", "mc30-sized", "whole", "low-end"],
+)
 def test_band_products_match_full_rows_at_paper_geometry(p_default, good_code, s_paper, window):
     # a -10 dB clutter frame on the refine window of the detectability window,
-    # and on a screened window of about the rows a 30 dB frame keeps
+    # on a screened window of about the rows a 30 dB frame keeps, and on two
+    # windows with lags whose band crosses a frame end: the whole +-(NM-1)
+    # window and one across the low end
     r = add_noise(apply_channel(good_code, p_default, ChannelTruth(400.3, 1.8)), -10.0, 17,
                   p_default, ref_energy=s_paper.energy)
     r = apply_receive_gating(r, p_default)

@@ -482,15 +482,26 @@ def test_run_trial_fallback_ignores_a_trimmed_surface(monkeypatch):
 # Noiseless RMSEs at the paper geometry, 200 trials from seed 42: with no
 # noise every per-trial offset is deterministic, so the sweep pins each
 # method's bias floor tightly.  A tighter check beside acceptance
-# criterion 4's factor-of-3 band, not a replacement for it.
+# criterion 4's factor-of-3 band, not a replacement for it.  Keyed by
+# numpy's SIMD kernel family (conftest's simd_target): the replica's last
+# bits differ by family, and flat sinc2d fits move by up to about 1e-8.
 NOISELESS_GOLDEN = {
-    "sinc2d": (0.009160575915814106, 0.026109631152884855),
-    "quadratic": (0.01909164359619977, 0.05435034657111698),
-    "baseline": (0.29284732738890695, 0.2863284075590715),
+    "X86_V4": {
+        "sinc2d": (0.009160575915814106, 0.026109631152884855),
+        "quadratic": (0.01909164359619977, 0.05435034657111698),
+        "baseline": (0.29284732738890695, 0.2863284075590715),
+    },
+    "X86_V3": {
+        "sinc2d": (0.009160575907723002, 0.026109631100832024),
+        "quadratic": (0.01909164359619977, 0.054350346571117085),
+        "baseline": (0.29284732738890695, 0.2863284075590715),
+    },
 }
 
 
-def test_noiseless_sweep_golden():
+def test_noiseless_sweep_golden(simd_target):
+    assert simd_target in NOISELESS_GOLDEN, f"no noiseless RMSEs measured under {simd_target}"
+    golden = NOISELESS_GOLDEN[simd_target]
     cfg = BenchConfig(
         params=make_params(64, 16, 8, 8, 1.0),
         code=reference_good_code(),
@@ -499,8 +510,8 @@ def test_noiseless_sweep_golden():
         seed=42,
     )
     reports = {rep.method: rep for rep in sweep(cfg)}
-    assert set(reports) == set(NOISELESS_GOLDEN)
-    for method, (rmse_delay, rmse_doppler) in NOISELESS_GOLDEN.items():
+    assert set(reports) == set(golden)
+    for method, (rmse_delay, rmse_doppler) in golden.items():
         rep = reports[method]
         assert rep.rmse_delay == pytest.approx(rmse_delay, rel=1e-9, abs=0)
         assert rep.rmse_doppler == pytest.approx(rmse_doppler, rel=1e-9, abs=0)

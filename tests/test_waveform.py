@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ from ddradar.waveform import evaluate_transmitted, read_signal, write_signal
 # Energy of the reference good code at (64, 16, 8, 8), frozen from a
 # term-by-term evaluation of the synthesis sum (see brute_synthesize below).
 GOLDEN_ENERGY = 3.8418676225757564
-# SHA-256 of the same replica's complex128 samples; every benchmark digest
-# rests on these bits, so a synthesis change that moves any of them shows here.
-GOLDEN_REPLICA_SHA256 = "5b040b9f5a75aa0436b0d02c96581d68f66a2ba91ffa747a4907203bd4c8cb86"
+# SHA-256 of the same replica's complex128 samples, by numpy's SIMD kernel
+# family (conftest's simd_target); every benchmark digest rests on these
+# bits, so a synthesis change that moves any of them shows here.
+GOLDEN_REPLICA_SHA256 = {
+    "X86_V4": "5b040b9f5a75aa0436b0d02c96581d68f66a2ba91ffa747a4907203bd4c8cb86",
+    "X86_V3": "d0889db56dee357a9cac47d6cd9d7ec6795f2d8d265b091a7526aa7378f7abd3",
+}
 
 
 def brute_synthesize(code, params, times=None):
@@ -105,9 +110,20 @@ def test_golden_energy_and_brute_force(p_default, good_code, s_paper):
     assert np.max(np.abs(oracle - produced)) <= 1e-14
 
 
-def test_replica_bits_are_pinned(s_paper, good_code):
+def test_energy_is_computed_once_and_pickles(s_paper):
+    # cached on first read, like AmbiguitySurface.magnitude; a pickle round
+    # trip keeps the value
+    assert s_paper.energy is s_paper.energy
+    copy = pickle.loads(pickle.dumps(s_paper))
+    assert copy.energy == s_paper.energy
+    assert np.array_equal(copy.samples, s_paper.samples)
+
+
+def test_replica_bits_are_pinned(s_paper, good_code, simd_target):
     assert s_paper.samples.dtype == np.complex128
-    assert hashlib.sha256(s_paper.samples.tobytes()).hexdigest() == GOLDEN_REPLICA_SHA256
+    assert simd_target in GOLDEN_REPLICA_SHA256, f"no replica SHA-256 measured under {simd_target}"
+    digest = hashlib.sha256(s_paper.samples.tobytes()).hexdigest()
+    assert digest == GOLDEN_REPLICA_SHA256[simd_target]
     # T_c only labels samples in seconds: the same bits at any T_c
     for t_c in (1e-6, 3e-7, 0.1, 7.3):
         s = synthesize_discrete(good_code, make_params(64, 16, 8, 8, t_c))
