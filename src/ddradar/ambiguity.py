@@ -63,9 +63,10 @@ CONFORMANCE_DELTA = 0.05
 OVERSAMPLE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmbiguitySurface:
-    """Complex ambiguity values on [ell_min..ell_max] x all N M Doppler bins."""
+    """Complex ambiguity values on [ell_min..ell_max] x all N M Doppler bins,
+    read-only; pickles and copies rebuild through the constructor."""
 
     values: np.ndarray  # shape (n_lags, N*M)
     ell_min: int
@@ -74,8 +75,13 @@ class AmbiguitySurface:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.complex128)
+        if arr.ndim != 2:
+            raise ValueError(f"surface values must be 2-D (lags, bins), got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    def __reduce__(self):
+        return type(self), (self.values, self.ell_min, self.params, self.norm)
 
     @property
     def ell_max(self) -> int:

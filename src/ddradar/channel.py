@@ -16,6 +16,7 @@ the frame is zero, as the full-frame evaluation gives.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -41,10 +42,9 @@ class ChannelTruth:
     alpha: complex = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.delay) and math.isfinite(self.doppler)):
-            raise ValueError(
-                f"delay and Doppler must be finite, got delay={self.delay}, doppler={self.doppler}"
-            )
+        for name in ("delay", "doppler", "alpha"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
 
     @property
     def l_d(self) -> int:

@@ -16,9 +16,10 @@ import numpy as np
 from .config import RadarParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeMatrix:
-    """Immutable +/-1 chip grid of shape (N_t, N_f)."""
+    """Immutable +/-1 chip grid of shape (N_t, N_f), read-only; pickles and
+    copies rebuild through the constructor, and codes compare by identity."""
 
     entries: np.ndarray
 
@@ -30,6 +31,9 @@ class CodeMatrix:
             raise ValueError("code matrix entries must all be +1 or -1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @property
     def n_t(self) -> int:

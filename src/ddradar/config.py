@@ -43,9 +43,9 @@ class RadarParams:
     def __post_init__(self):
         for name in ("N", "M", "N_t", "N_f"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-        if not 0 < self.T_c < math.inf:
+        if isinstance(self.T_c, bool) or not 0 < self.T_c < math.inf:
             raise ParameterError(f"T_c must be positive and finite, got {self.T_c!r}")
         if self.N_f % 2 != 0:
             raise ParameterError(
@@ -97,9 +97,7 @@ class RadarParams:
         return (self.M // self.N_f, self.N // self.N_t)
 
 
-def make_params(N: int, M: int, N_t: int, N_f: int, T_c: float = 1.0) -> RadarParams:
-    """Validate and build a RadarParams. Raises ParameterError on violations."""
-    return RadarParams(N=N, M=M, N_t=N_t, N_f=N_f, T_c=T_c)
+make_params = RadarParams  # the constructor validates; raises ParameterError
 
 
 DEFAULT_GEOMETRY = {"N": 64, "M": 16, "N_t": 8, "N_f": 8, "T_c": 1.0}
@@ -181,4 +179,4 @@ def load_params(path: str | Path | None = None, overrides: dict | None = None) -
         raw = read_config(path)
         geometry.update({k: raw[k] for k in DEFAULT_GEOMETRY if k in raw})
     geometry.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return make_params(**geometry)
+    return RadarParams(**geometry)

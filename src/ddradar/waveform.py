@@ -42,9 +42,10 @@ from .config import RadarParams
 PULSE_CENTER_SLOTS = 1.5  # each pulse peaks 1.5 slots (1.5 M samples) into its 3-slot window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSignal:
-    """A frame of complex baseband samples, sample j taken at t = j (units of T_s)."""
+    """A frame of complex baseband samples, sample j taken at t = j (units of T_s),
+    read-only; pickles and copies rebuild through the constructor."""
 
     samples: np.ndarray
 
@@ -54,6 +55,9 @@ class ComplexSignal:
             raise ValueError(f"signal must be 1-D, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    def __reduce__(self):
+        return type(self), (self.samples,)
 
     def __len__(self) -> int:
         return self.samples.shape[0]

@@ -15,9 +15,6 @@ from ddradar import (
     BenchConfig,
     ChannelTruth,
     Detection,
-    add_noise,
-    apply_channel,
-    apply_receive_gating,
     discrete_ambiguity,
     estimate,
     make_params,
@@ -33,6 +30,8 @@ from ddradar import (
 from ddradar.ambiguity import AmbiguitySurface
 from ddradar.bench import run_trials, summarize
 from ddradar.waveform import ComplexSignal
+
+from frames import echo
 
 REFERENCE_RMSE = {
     "sinc2d": (0.0061, 0.0676),
@@ -130,7 +129,7 @@ def test_criterion_3_noiseless_integer_exactness():
     for l_d in lags:
         for k_D in bins:
             truth = ChannelTruth(int(l_d), int(k_D))
-            r = apply_receive_gating(apply_channel(code, p, truth), p)
+            r = echo(code, p, [truth])
             for method in ("sinc2d", "quadratic"):
                 ests = estimate(r, s, 0.5, method, p)
                 assert len(ests) == 1
@@ -266,9 +265,7 @@ def test_criterion_7_property_suites(monkeypatch):
             int(rng.integers(200, 800)) + float(rng.uniform(-0.45, 0.45)),
             int(rng.integers(-8, 9)) + float(rng.uniform(-0.45, 0.45)),
         )
-        r = apply_channel(code, p_default, truth)
-        r = add_noise(r, 25.0, case, p_default, s.energy)
-        r = apply_receive_gating(r, p_default)
+        r = echo(code, p_default, [truth], 25.0, seed=case)
         surf = discrete_ambiguity(r, s, (truth.l_d - 2, truth.l_d + 2), p_default, norm=s.energy)
         det = Detection(truth.l_d, truth.k_D, 1.0)
         base = refine_sinc2d(surf, det, p_default)

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from ddradar import (
     CodeMatrix,
     RadarParams,
     add_noise,
-    apply_channel,
     apply_receive_gating,
     discrete_ambiguity,
     evaluate_transmitted,
@@ -33,6 +34,8 @@ from ddradar.ambiguity import (
 )
 from ddradar.estimator import SCREEN_MARGIN
 from ddradar.waveform import ComplexSignal
+
+from frames import echo
 
 
 def direct_ambiguity(r, s, ells, n):
@@ -82,7 +85,7 @@ def test_zero_lag_zero_bin_is_energy(p_default, s_paper):
 
 def test_integer_channel_peak_location(p_default, good_code, s_paper):
     truth = ChannelTruth(200, 3)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     surf = discrete_ambiguity(r, s_paper, p_default.lag_window, p_default)
     row, col = np.unravel_index(np.argmax(np.abs(surf.values)), surf.values.shape)
     assert surf.ell_min + row == 200
@@ -194,9 +197,7 @@ def test_band_products_match_full_rows_at_paper_geometry(p_default, good_code, s
     # on a screened window of about the rows a 30 dB frame keeps, and on two
     # windows with lags whose band crosses a frame end: the whole +-(NM-1)
     # window and one across the low end
-    r = add_noise(apply_channel(good_code, p_default, ChannelTruth(400.3, 1.8)), -10.0, 17,
-                  p_default, ref_energy=s_paper.energy)
-    r = apply_receive_gating(r, p_default)
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=17)
     assert_band_matches_full_rows(r.samples, s_paper.samples, window, p_default, s_paper.energy)
 
 
@@ -229,7 +230,7 @@ def test_norm_argument_matches_normalized(p_default, good_code, s_paper):
     # the in-place reciprocal scaling against normalized()'s complex division:
     # equal values and bit-identical magnitudes
     truth = ChannelTruth(300.1, 1.2)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     n = p_default.frame_len
     rng = np.random.default_rng(23)
     s_random = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -280,7 +281,7 @@ def test_continuous_auto_origin_is_energy(p_default, good_code, s_paper):
 
 def test_continuous_matches_discrete_on_grid(p_default, good_code, s_paper):
     truth = ChannelTruth(300.25, 2.25)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     surf = discrete_ambiguity(r, s_paper, (290, 310), p_default)
     peak = np.max(np.abs(surf.values))
     rng = np.random.default_rng(0)
@@ -379,9 +380,8 @@ def test_lag_bounds_attained_by_a_single_impulse(p_default, s_paper):
 )
 def test_lag_bounds_on_paper_replica_at_frame_edges(p_default, good_code, s_paper, window):
     truth = ChannelTruth(300.25, 1.75)
-    r = add_noise(apply_channel(good_code, p_default, truth), 10.0, 3, p_default,
-                  ref_energy=s_paper.energy)
-    bounds, _ = assert_bounds_hold(apply_receive_gating(r, p_default), s_paper, window, p_default)
+    r = echo(good_code, p_default, [truth], 10.0, seed=3)
+    bounds, _ = assert_bounds_hold(r, s_paper, window, p_default)
     assert np.all(np.isfinite(bounds)) and np.all(bounds >= 0)
 
 
@@ -426,9 +426,7 @@ def assert_grid_bounds_hold(r, s, window, p):
 def test_grid_bounds_on_paper_frames(p_default, good_code, s_paper, snr_db):
     # every lag of +-(NM-1): bands inside the frame and bands crossing either end
     n = p_default.frame_len
-    r = add_noise(apply_channel(good_code, p_default, ChannelTruth(400.3, 1.8)), snr_db, 17,
-                  p_default, ref_energy=s_paper.energy)
-    r = apply_receive_gating(r, p_default)
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], snr_db, seed=17)
     assert_grid_bounds_hold(r.samples, s_paper.samples, (-(n - 1), n - 1), p_default)
 
 
@@ -490,9 +488,7 @@ def test_grid_bounds_on_small_replicas_over_every_lag(kind):
 def test_grid_bounds_of_several_ranges_match_one_window(p_default, good_code, s_paper):
     # one call for several ranges returns each lag's bound of the one-window
     # call, bit for bit, in range order
-    r = add_noise(apply_channel(good_code, p_default, ChannelTruth(300.25, 1.75)), 10.0, 3,
-                  p_default, ref_energy=s_paper.energy)
-    r = apply_receive_gating(r, p_default)
+    r = echo(good_code, p_default, [ChannelTruth(300.25, 1.75)], 10.0, seed=3)
     window = (-40, 1023)
     bounds = grid_peak_bounds(r, s_paper, window, p_default)
     whole = bounds(window)
@@ -571,7 +567,7 @@ def test_span_conformance_matches_full_frame_oracle(geometry, code_key):
 
 def test_extend_surface_matches_direct(p_default, good_code, s_paper):
     truth = ChannelTruth(300.1, 1.2)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     base = discrete_ambiguity(r, s_paper, (295, 305), p_default)
     grown = extend_surface(base, r, s_paper, 290, 312)
     direct = discrete_ambiguity(r, s_paper, (290, 312), p_default)
@@ -582,9 +578,42 @@ def test_extend_surface_matches_direct(p_default, good_code, s_paper):
     assert np.array_equal(grown_norm.values, direct.normalized(s_paper.energy).values)
 
 
+@pytest.mark.parametrize(
+    "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_records_rebuild_through_their_constructors(p_default, good_code, s_paper, clone):
+    # a round trip returns a checked record with equal, read-only arrays;
+    # the surface recomputes its magnitude
+    surface = discrete_ambiguity(s_paper, s_paper, (-2, 2), p_default, norm=s_paper.energy)
+    surface.magnitude  # cached before the round trip
+    for record, field in ((good_code, "entries"), (s_paper, "samples"), (surface, "values")):
+        twin = clone(record)
+        assert type(twin) is type(record) and twin is not record
+        array = getattr(twin, field)
+        assert np.array_equal(array, getattr(record, field)) and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 7
+    # the last twin is the surface's
+    assert (twin.ell_min, twin.params, twin.norm) == (-2, p_default, s_paper.energy)
+    assert "magnitude" not in twin.__dict__
+    assert np.array_equal(twin.magnitude, surface.magnitude)
+    assert not twin.magnitude.flags.writeable
+    # the constructor's checks run: a code forged past them does not come back
+    forged = object.__new__(CodeMatrix)
+    object.__setattr__(forged, "entries", np.array([[1, 7]]))
+    with pytest.raises(ValueError, match="must all be"):
+        clone(forged)
+
+
+def test_surface_rejects_values_that_are_not_2d(p_default):
+    with pytest.raises(ValueError, match="surface values must be 2-D"):
+        AmbiguitySurface(np.zeros(5), 0, p_default)
+
+
 def test_rows_share_the_surface_magnitude(p_default, good_code, s_paper):
     truth = ChannelTruth(300.1, 1.2)
-    r = apply_receive_gating(apply_channel(good_code, p_default, truth), p_default)
+    r = echo(good_code, p_default, [truth])
     surf = discrete_ambiguity(r, s_paper, (290, 312), p_default, norm=s_paper.energy)
     assert np.array_equal(surf.magnitude, np.abs(surf.values))
     assert surf.magnitude is surf.magnitude  # computed once

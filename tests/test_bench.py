@@ -23,8 +23,10 @@ from ddradar import (
     random_code,
     reference_good_code,
     sinc_conformance,
+    synthesize_discrete,
 )
 from ddradar import bench
+from ddradar.ambiguity import AmbiguitySurface
 from ddradar.bench import (
     MethodOutcome,
     TrialRecord,
@@ -150,10 +152,31 @@ def test_read_replica_travels_to_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2 on any host
     cfg = small_cfg(trials=8, workers=2)
     cfg.replica  # cached before the config is pickled to the workers
-    assert "replica" in pickle.loads(pickle.dumps(cfg)).__dict__
+    sent = pickle.loads(pickle.dumps(cfg))
+    assert "replica" in sent.__dict__
+    # the code and the replica the workers read are rebuilt read-only
+    assert not sent.code.entries.flags.writeable
+    assert not sent.replica.samples.flags.writeable
     serial = run_trials(dataclasses.replace(cfg, workers=1), 30.0)
     pooled = run_trials(cfg, 30.0)
     assert [untimed(rec) for rec in pooled] == [untimed(rec) for rec in serial]
+
+
+def test_records_compare_and_hash_by_identity():
+    # arrays have no single truth value, so records holding them compare by
+    # identity; a config compares its fields, its code by identity
+    builders = {
+        "code": reference_good_code,
+        "signal": lambda: synthesize_discrete(reference_good_code(), PAPER),
+        "surface": lambda: AmbiguitySurface(np.ones((2, 4)), 0, SMALL),
+        "config": lambda: BenchConfig(params=PAPER, code=reference_good_code()),
+    }
+    for name, build in builders.items():
+        a, b = build(), build()
+        assert a == a and a != b, name
+        assert len({a, b, a}) == 2, name
+    cfg = small_cfg()
+    assert dataclasses.replace(cfg) == cfg and hash(dataclasses.replace(cfg)) == hash(cfg)
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,12 @@ def test_decomposition_ties_round_half_even():
     assert (t2.l_d, t2.k_D) == (202, 2)
 
 
+@pytest.mark.parametrize("alpha", [complex("nan"), complex(1, math.inf), math.inf])
+def test_truth_rejects_a_non_finite_gain(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ChannelTruth(300.0, 1.0, alpha=alpha)
+
+
 def test_integer_shift_is_exact(good_code):
     # every lag of the window, bit for bit, whatever T_c labels the cells
     for t_c in (1.0, 1e-6, 3e-7, 0.1):

@@ -30,6 +30,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def code_path(tmp_path):
+    """The reference good code, written as a code file."""
+    path = tmp_path / "code.txt"
+    write_code(path, reference_good_code())
+    return path
+
+
+@pytest.fixture
+def s_path(tmp_path, capsys, code_path):
+    """The replica CSV ``ddradar synth`` writes for the reference good code."""
+    path = tmp_path / "s.csv"
+    assert run(capsys, "synth", "--code", str(code_path), "--out", str(path))[0] == 0
+    return path
+
+
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
@@ -99,11 +115,7 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad_row", ["1024,0.0,0.0", "0,0.0,0.0", "5,nan,0.0"])
-def test_bad_signal_file_exits_two(tmp_path, capsys, bad_row):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
-    s_path = tmp_path / "s.csv"
-    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
+def test_bad_signal_file_exits_two(tmp_path, capsys, s_path, bad_row):
     r_path = tmp_path / "r.csv"
     lines = s_path.read_text().splitlines()
     lines[6] = bad_row  # replaces the row with index 5
@@ -114,12 +126,8 @@ def test_bad_signal_file_exits_two(tmp_path, capsys, bad_row):
     assert err.startswith("ddradar estimate: ") and err.count("\n") == 1
 
 
-def test_pipeline_round_trip(tmp_path, capsys):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
-    s_path = tmp_path / "s.csv"
+def test_pipeline_round_trip(tmp_path, capsys, code_path, s_path):
     r_path = tmp_path / "r.csv"
-    assert run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))[0] == 0
     assert (
         run(
             capsys,
@@ -150,10 +158,8 @@ def test_pipeline_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("gate", [True, False])
-def test_simulate_writes_the_library_frame(tmp_path, capsys, gate):
+def test_simulate_writes_the_library_frame(tmp_path, capsys, code_path, gate):
     # --delay and --doppler are the ChannelTruth cells, passed straight through
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
     r_path = tmp_path / "r.csv"
     argv = [
         "simulate", "--code", str(code_path), "--delay", "300.25", "--doppler", "2.25",
@@ -176,12 +182,8 @@ def test_simulate_writes_the_library_frame(tmp_path, capsys, gate):
     assert physical.read_bytes() == r_path.read_bytes()
 
 
-def test_estimate_physical_units(tmp_path, capsys):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
-    s_path = tmp_path / "s.csv"
+def test_estimate_physical_units(tmp_path, capsys, code_path, s_path):
     r_path = tmp_path / "r.csv"
-    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
     run(
         capsys, "simulate", "--code", str(code_path), "--delay", "200", "--doppler", "0",
         "--snr-db", "inf", "--seed", "1", "--out", str(r_path),
@@ -203,12 +205,8 @@ def test_estimate_physical_units(tmp_path, capsys):
     }
 
 
-def test_estimate_prints_one_line_per_detection(tmp_path, capsys):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
-    s_path = tmp_path / "s.csv"
+def test_estimate_prints_one_line_per_detection(tmp_path, capsys, code_path, s_path):
     r_path = tmp_path / "r.csv"
-    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
     run(
         capsys, "simulate", "--code", str(code_path), "--delay", "300.25", "--doppler", "2.25",
         "--snr-db", "30", "--seed", "9", "--out", str(r_path),
@@ -233,12 +231,8 @@ def test_estimate_prints_one_line_per_detection(tmp_path, capsys):
     assert err == "no detections above threshold\n"
 
 
-def test_ambiguity_surface_dump(tmp_path, capsys):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
-    s_path = tmp_path / "s.csv"
+def test_ambiguity_surface_dump(tmp_path, capsys, s_path):
     surf_path = tmp_path / "surf.csv"
-    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
     code, _, _ = run(
         capsys, "ambiguity", "--r", str(s_path), "--s", str(s_path),
         "--lmin", "0", "--lmax", "2", "--out", str(surf_path),
@@ -290,9 +284,7 @@ def test_unknown_config_key_exits_two(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])
-def test_simulate_bad_snr_exits_two(tmp_path, capsys, snr):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
+def test_simulate_bad_snr_exits_two(tmp_path, capsys, code_path, snr):
     out = tmp_path / "r.csv"
     code, stdout, err = run(
         capsys, "simulate", "--code", str(code_path), "--delay", "300", "--doppler", "0",
@@ -308,12 +300,10 @@ def test_simulate_bad_snr_exits_two(tmp_path, capsys, snr):
     [("--T_c", "nan", "T_c must be"), ("--T_c", "inf", "T_c must be"),
      ("--theta", "nan", "threshold must be positive")],
 )
-def test_estimate_non_finite_number_exits_two(tmp_path, capsys, flag, value, message):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
-    s_path = tmp_path / "s.csv"
+def test_estimate_non_finite_number_exits_two(
+    tmp_path, capsys, code_path, s_path, flag, value, message
+):
     r_path = tmp_path / "r.csv"
-    run(capsys, "synth", "--code", str(code_path), "--out", str(s_path))
     run(
         capsys, "simulate", "--code", str(code_path), "--delay", "200", "--doppler", "0",
         "--snr-db", "inf", "--seed", "1", "--out", str(r_path),
@@ -360,9 +350,7 @@ def test_params_file_defaults_like_flags(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--delay", "--doppler"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
-def test_simulate_non_finite_delay_doppler_exits_two(tmp_path, capsys, flag, value):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
+def test_simulate_non_finite_delay_doppler_exits_two(tmp_path, capsys, code_path, flag, value):
     out = tmp_path / "r.csv"
     delay, doppler = (value, "0") if flag == "--delay" else ("300", value)
     code, stdout, err = run(
@@ -399,9 +387,7 @@ def test_sweep_out_of_range_setting_exits_two(tmp_path, capsys, lines, flags, ke
 
 @pytest.mark.parametrize("command", ["gen-code", "simulate"])
 @pytest.mark.parametrize("seed", ["-1", "x"])
-def test_bad_seed_flag_is_usage_error(tmp_path, capsys, command, seed):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
+def test_bad_seed_flag_is_usage_error(tmp_path, capsys, code_path, command, seed):
     out = tmp_path / "out.txt"
     extra = () if command == "gen-code" else ("--code", str(code_path), "--delay", "300",
                                                "--doppler", "0")
@@ -438,9 +424,7 @@ def test_sweep_on_window_without_interior_lag_exits_two(tmp_path, capsys):
     assert "ell_max - ell_min >= 2" in err and err.count("\n") == 1
 
 
-def test_sweep_naming_two_codes_exits_two(tmp_path, capsys):
-    code_path = tmp_path / "code.txt"
-    write_code(code_path, reference_good_code())
+def test_sweep_naming_two_codes_exits_two(tmp_path, capsys, code_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(f"code_file = '{code_path}'\ncode_seed = 3\ntrials = 2\n")
     out = tmp_path / "r.csv"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddradar import ParameterError, load_params, make_params, reference_good_code
+from ddradar import ParameterError, RadarParams, load_params, make_params, reference_good_code
 from ddradar.bench import load_sweep
 from ddradar.config import CONFIG_KEYS, read_config
 
@@ -44,11 +44,17 @@ def test_degenerate_geometry_rejected():
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=float("nan")), "T_c must be"),
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=float("inf")), "T_c must be"),
         (dict(N=8, M=4, N_t=5, N_f=2), r"detectability window \[20, 12\] .* is empty"),
+        (dict(N=64, M=16, N_t=True, N_f=8), "N_t must be a positive integer, got True"),
+        (dict(N=64, M=16, N_t=8, N_f=8, T_c=True), "T_c must be positive and finite, got True"),
     ],
 )
 def test_parameter_violations(kwargs, match):
     with pytest.raises(ParameterError, match=match):
         make_params(**kwargs)
+
+
+def test_make_params_is_the_constructor():
+    assert make_params is RadarParams
 
 
 def test_unit_round_trips():

@@ -22,9 +22,6 @@ from ddradar import (
     Detection,
     Estimate,
     Estimates,
-    apply_channel,
-    apply_receive_gating,
-    add_noise,
     coarse_detect,
     discrete_ambiguity,
     estimate,
@@ -54,15 +51,7 @@ from ddradar.estimator import (
     refine_window,
 )
 
-
-def echo(code, params, truths, snr_db=None, seed=0):
-    """Gated echo of one or more targets, with noise unless snr_db is None."""
-    s = synthesize_discrete(code, params)
-    samples = sum(apply_channel(code, params, truth).samples for truth in truths)
-    r = ComplexSignal(samples)
-    if snr_db is not None:
-        r = add_noise(r, snr_db, seed, params, ref_energy=s.energy)
-    return apply_receive_gating(r, params)
+from frames import echo
 
 
 def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):

@@ -112,7 +112,7 @@ def test_golden_energy_and_brute_force(p_default, good_code, s_paper):
 
 def test_energy_is_computed_once_and_pickles(s_paper):
     # cached on first read, like AmbiguitySurface.magnitude; a pickle round
-    # trip keeps the value
+    # trip rebuilds the signal, which computes the same value again
     assert s_paper.energy is s_paper.energy
     copy = pickle.loads(pickle.dumps(s_paper))
     assert copy.energy == s_paper.energy
