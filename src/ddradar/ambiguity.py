@@ -144,20 +144,19 @@ def _check_window(
 
 
 def _echo_band(
-    r: np.ndarray, s: np.ndarray, ell_min: int, ell_max: int, widen: bool = False
+    r: ComplexSignal, s: ComplexSignal, ell_min: int, ell_max: int, widen: bool = False
 ) -> tuple[int, int, np.ndarray]:
     """The replica's support band [first, last] and the echo span its lags read.
 
-    ``s`` is nonzero on [first, last] only; an all-zero replica takes the
-    band [0, 0], whose products are all zero.  With ``widen`` a one-sample
-    band takes one zero sample of ``s`` beside it, the next one or, at the
-    frame's last sample, the previous one.  span[i] = r[ell_min + first + i]
-    over ell_max - ell_min + last - first + 1 samples, zero outside the
-    frame, so lag ell reads r[ell + first .. ell + last] as
-    span[ell - ell_min : ell - ell_min + last - first + 1].
+    ``s`` is nonzero on [first, last] only, its cached ``support``; an
+    all-zero replica takes the band [0, 0], whose products are all zero.
+    With ``widen`` a one-sample band takes one zero sample of ``s`` beside
+    it, the next one or, at the frame's last sample, the previous one.
+    span[i] = r[ell_min + first + i] over ell_max - ell_min + last - first + 1
+    samples, zero outside the frame, so lag ell reads r[ell + first ..
+    ell + last] as span[ell - ell_min : ell - ell_min + last - first + 1].
     """
-    nonzero = np.flatnonzero(s)
-    first, last = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
+    first, last = s.support
     if widen and first == last:
         if last < len(s) - 1:
             last += 1
@@ -167,12 +166,12 @@ def _echo_band(
     span = np.zeros(hi - lo, dtype=np.complex128)
     a, b = max(lo, 0), min(hi, len(r))
     if a < b:
-        span[a - lo : b - lo] = r[a:b]
+        span[a - lo : b - lo] = r.samples[a:b]
     return first, last, span
 
 
 def _lagged_products(
-    r: np.ndarray, s: np.ndarray, ell_min: int, ell_max: int
+    r: ComplexSignal, s: ComplexSignal, ell_min: int, ell_max: int
 ) -> np.ndarray:
     """Rows p_ell[j] = r[j] s*[j - ell], out-of-range shifts treated as zero.
 
@@ -189,7 +188,7 @@ def _lagged_products(
     run numpy's strided complex-multiply loop, which can round differently
     from the contiguous loop of a full row.
     """
-    n = r.shape[0]
+    n = len(r)
     n_lags = ell_max - ell_min + 1
     first, last, span = _echo_band(r, s, ell_min, ell_max, widen=True)
     width = last - first + 1
@@ -202,7 +201,7 @@ def _lagged_products(
         strides=((n + 1) * flat.itemsize, flat.itemsize),
     )
     windows = as_strided(span, shape=(n_lags, width), strides=span.strides * 2)
-    np.multiply(windows, np.conj(s[first : last + 1]), out=band)
+    np.multiply(windows, np.conj(s.samples[first : last + 1]), out=band)
     return flat[front : front + n_lags * n].reshape(n_lags, n)
 
 
@@ -228,7 +227,7 @@ def discrete_ambiguity(
     if norm is not None:
         check_norm(norm)
     ell_min, ell_max = lag_window
-    products = _lagged_products(r.samples, s.samples, ell_min, ell_max)
+    products = _lagged_products(r, s, ell_min, ell_max)
     values = np.fft.fft(products, axis=1, out=products)
     if norm is not None:
         # Equal to values / norm: numpy's complex-by-real division scales
@@ -247,13 +246,13 @@ def lag_peak_bounds(
 
     No cell of lag ell of the unnormalized surface exceeds B[ell], and a
     single-impulse echo attains it.  The sum runs over the replica's nonzero
-    support, found from ``s`` itself, so the paper's replica costs its 160
+    support, ``s.support``, so the paper's replica costs its 160
     samples a lag and a dense one the whole frame; |r| is read only over
     the span the window's lags reach, as zero outside the frame.  Takes the
     signal and window checks of :func:`discrete_ambiguity`.
     """
     _check_window(r, s, lag_window, params)
-    first, last, span = _echo_band(r.samples, s.samples, *lag_window)
+    first, last, span = _echo_band(r, s, *lag_window)
     return np.correlate(np.abs(span), np.abs(s.samples[first : last + 1]), "valid")
 
 
@@ -298,7 +297,7 @@ def grid_peak_bounds(
     """
     _check_window(r, s, lag_window, params)
     ell_min, ell_max = lag_window
-    first, last, span = _echo_band(r.samples, s.samples, ell_min, ell_max)
+    first, last, span = _echo_band(r, s, ell_min, ell_max)
     width = last - first + 1
     grid = 1 << (2 * width - 1).bit_length()  # smallest power of two >= 2 W
     scale = 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))

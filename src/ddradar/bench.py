@@ -67,6 +67,10 @@ class BenchConfig:
     workers: int = 1
     methods: ClassVar[tuple[str, ...]] = tuple(REFINERS)  # every trial runs every refiner
 
+    def __post_init__(self):
+        # the check load_sweep makes, so a config built in Python gets it too
+        _check_settings(self.params, vars(self))
+
     @functools.cached_property
     def replica(self) -> ComplexSignal:
         """The transmitted replica s, synthesized once per config."""
@@ -74,7 +78,24 @@ class BenchConfig:
 
 
 # The least value each integer sweep setting may take.
-_SWEEP_MINIMUM = {"workers": 1, "seed": 0, "code_seed": 0}
+_SWEEP_MINIMUM = {"trials": 1, "workers": 1, "seed": 0, "code_seed": 0}
+
+
+def _check_settings(params: RadarParams, settings: dict) -> None:
+    """ParameterError naming the key for a ``_SWEEP_MINIMUM`` setting of
+    ``settings`` below its least value, or for a detectability window with
+    no interior lag for ``draw_truth`` to place a target on."""
+    for key, least in _SWEEP_MINIMUM.items():
+        if key in settings and settings[key] < least:
+            raise ParameterError(
+                f"sweep setting {key!r} must be at least {least}, got {settings[key]}"
+            )
+    ell_min, ell_max = params.lag_window
+    if ell_max - ell_min < 2:
+        raise ParameterError(
+            f"detectability window [{ell_min}, {ell_max}] has no interior lag for a sweep "
+            "target: a sweep needs ell_max - ell_min >= 2"
+        )
 
 
 def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None) -> BenchConfig:
@@ -83,23 +104,15 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
     config file's own directory), ``code_seed`` draws one, neither means
     the reference good code, and both raise ParameterError.
     Other keys default to BenchConfig's; non-None ``workers`` and ``seed``
-    override the file.  A ``workers`` below 1 or a negative ``seed`` /
-    ``code_seed``, from the file or an override, raises ParameterError
-    naming the key, and so does a detectability window with no interior
-    lag for ``draw_truth`` to place a target on.
+    override the file.  A ``trials`` or ``workers`` below 1, a negative
+    ``seed`` / ``code_seed``, from the file or an override, or a window with
+    no interior lag raises ParameterError by ``_check_settings``, the check
+    ``BenchConfig`` makes, before the code is read or drawn.
     """
     raw = read_config(path)
     raw.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
-    for key, least in _SWEEP_MINIMUM.items():
-        if key in raw and raw[key] < least:
-            raise ParameterError(f"sweep setting {key!r} must be at least {least}, got {raw[key]}")
     params = load_params(overrides={k: raw.get(k) for k in DEFAULT_GEOMETRY})
-    ell_min, ell_max = params.lag_window
-    if ell_max - ell_min < 2:
-        raise ParameterError(
-            f"detectability window [{ell_min}, {ell_max}] has no interior lag for a sweep "
-            "target: a sweep needs ell_max - ell_min >= 2"
-        )
+    _check_settings(params, raw)
     if "code_file" in raw and "code_seed" in raw:
         raise ParameterError("sweep config names two codes: give code_file or code_seed, not both")
     if "code_file" in raw:
@@ -199,16 +212,16 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
     outcomes = {}
     for method, refine in refiners:
         t0 = time.perf_counter_ns()
-        est = refine(surface, det, p)
+        eps_t, eps_f, *_ = refine(surface, det, p)
         refine_ms = (time.perf_counter_ns() - t0) / 1e6
         outcomes[method] = MethodOutcome(
             method=method,
             l_hat=det.l_hat,
             k_hat=det.k_hat,
-            eps_t=est.eps_t,
-            eps_f=est.eps_f,
-            err_delay=est.delay_cells - truth.delay,
-            err_doppler=est.doppler_cells - truth.doppler,
+            eps_t=eps_t,
+            eps_f=eps_f,
+            err_delay=(det.l_hat + eps_t) - truth.delay,
+            err_doppler=(det.k_hat + eps_f) - truth.doppler,
             miss=miss,
             refine_ms=refine_ms,
         )
@@ -260,8 +273,6 @@ def sweep(cfg: BenchConfig) -> list[RmseReport]:
     """One report per (snr_db, method), ordered by (snr_db, method)."""
     if not cfg.snr_db_list:
         raise ValueError("snr_db_list must be nonempty")
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     reports = []
     for snr_db in cfg.snr_db_list:
         records = run_trials(cfg, snr_db)
@@ -276,6 +287,23 @@ def write_reports_csv(path: str | Path, reports: list[RmseReport]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(f.name for f in fields(RmseReport))
         writer.writerows(astuple(rep) for rep in reports)
+
+
+def simd_target() -> str:
+    """The family of numpy's SIMD kernels this process runs: "X86_V4" where
+    numpy dispatches to AVX-512, "X86_V3" for the AVX2-level kernels (numpy
+    before 2.4 names them AVX2 and FMA3), else "baseline".  Bit pins and
+    output digests hold within one family, since numpy's vectorized exp /
+    sin / cos round their last bits differently by family.  Read from
+    numpy's private ``__cpu_features__``, which ``NPY_DISABLE_CPU_FEATURES``
+    edits at import."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    if features.get("X86_V4") or features.get("AVX512_SKX"):
+        return "X86_V4"
+    if features.get("X86_V3", features.get("AVX2") and features.get("FMA3")):
+        return "X86_V3"
+    return "baseline"
 
 
 def code_digest(code: CodeMatrix) -> str:

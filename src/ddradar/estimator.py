@@ -21,11 +21,14 @@ recovers the sub-cell offsets by one of the rows of ``REFINERS``:
 least-squares fitting the separable sinc lobe model to the magnitude patch
 around the peak (``sinc2d``), closed-form parabolic interpolation of the
 two 3-point stencils through the peak (``quadratic``), or leaving the
-offsets at zero (``baseline``).  Each row returns an ``Estimate`` in cells
-of T_s and delta_f; ``estimate`` packs a frame's into ``Estimates``, one
-NumPy row each.  At the surface's edge every row reads the lags it
-holds: a stencil reaching past them leaves its axis degenerate (offset 0),
-as a flat one does; only a detection off the surface raises ValueError.
+offsets at zero (``baseline``).  Each row returns the bare ``_outcome``
+(eps_t, eps_f, alpha, converged, degenerate), offsets in cells of T_s and
+delta_f, clamped by the rule ``Estimate`` applies too; ``estimate`` writes
+each detection and its outcome into one NumPy row of ``Estimates``, and
+``refine_quadratic`` and ``refine_sinc2d`` build an ``Estimate``.  At the
+surface's edge every row reads the lags it holds: a stencil reaching past
+them leaves its axis degenerate (offset 0), as a flat one does; only a
+detection off the surface raises ValueError.
 
 The sinc fit eliminates the amplitude in closed form: for fixed offsets the
 optimal gain is alpha = max(0, sum(y m) / sum(m^2)), leaving a 2-variable
@@ -45,7 +48,7 @@ offsets unchanged up to solver round-off.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +131,10 @@ class Estimate:
     degenerate: bool = False
 
     def __post_init__(self):
-        # The value goes first: max and min keep their first argument when
-        # no comparison holds, so a NaN passes through both unclamped.
-        lo, hi = _CELL_BOX
-        object.__setattr__(self, "eps_t", min(max(float(self.eps_t), lo), hi))
-        object.__setattr__(self, "eps_f", min(max(float(self.eps_f), lo), hi))
-        object.__setattr__(self, "alpha", max(float(self.alpha), 0.0))
+        eps_t, eps_f, alpha, _, _ = _outcome(self.eps_t, self.eps_f, self.alpha)
+        object.__setattr__(self, "eps_t", eps_t)
+        object.__setattr__(self, "eps_f", eps_f)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def delay_cells(self) -> float:
@@ -144,8 +145,21 @@ class Estimate:
         return self.detection.k_hat + self.eps_f
 
 
-# One packed row per estimate: the detection, then the ``Estimate`` fields
-# but the method, which ``Estimates`` holds once.
+def _outcome(eps_t: float, eps_f: float, alpha: float, converged=True, degenerate=False) -> tuple:
+    """A refinement's outcome: offsets clamped to [-1/2, 1/2], gain to >= 0."""
+    # The value goes first: max and min keep their first argument when no
+    # comparison holds, so a NaN passes through both unclamped.
+    lo, hi = _CELL_BOX
+    eps_t, eps_f = min(max(float(eps_t), lo), hi), min(max(float(eps_f), lo), hi)
+    return eps_t, eps_f, max(float(alpha), 0.0), converged, degenerate
+
+
+def _as_estimate(det: Detection, method: str, outcome: tuple) -> Estimate:
+    eps_t, eps_f, alpha, converged, degenerate = outcome
+    return Estimate(det, eps_t, eps_f, alpha, method, converged, degenerate)
+
+
+# One packed row per estimate: the detection, then its outcome.
 ESTIMATE_ROW = np.dtype(
     [
         ("l_hat", np.int64),
@@ -176,21 +190,8 @@ class Estimates(Sequence):
     def __init__(self, method: str, rows: np.ndarray):
         self.method, self.rows = method, rows
 
-    @classmethod
-    def pack(cls, method: str, estimates: Iterable[Estimate]) -> "Estimates":
-        rows = [
-            (e.detection.l_hat, e.detection.k_hat, e.detection.peak_mag,
-             e.eps_t, e.eps_f, e.alpha, e.converged, e.degenerate)
-            for e in estimates
-        ]
-        return cls(method, np.array(rows, dtype=ESTIMATE_ROW))
-
     def _unpack(self, row: tuple) -> Estimate:
-        l_hat, k_hat, peak_mag, eps_t, eps_f, alpha, converged, degenerate = row
-        return Estimate(
-            Detection(l_hat, k_hat, peak_mag), eps_t, eps_f, alpha, self.method,
-            converged, degenerate,
-        )
+        return _as_estimate(Detection(*row[:3]), self.method, row[3:])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -371,6 +372,11 @@ def _stencil_offset(minus: float, center: float, plus: float) -> tuple[float, bo
 def refine_quadratic(surface: AmbiguitySurface, det: Detection) -> Estimate:
     """Closed-form fractional offsets from the five-point stencil at the peak;
     a stencil flat or clipped by the surface leaves its axis degenerate."""
+    return _as_estimate(det, "quadratic", _quadratic(surface, det))
+
+
+def _quadratic(surface: AmbiguitySurface, det: Detection) -> tuple:
+    """The outcome of ``refine_quadratic``."""
     if not surface.contains_lag(det.l_hat):
         raise ValueError(f"detection lag {det.l_hat} outside [{surface.ell_min}, {surface.ell_max}]")
     mag = surface.magnitude
@@ -385,7 +391,7 @@ def refine_quadratic(surface: AmbiguitySurface, det: Detection) -> Estimate:
     eps_f, degen_f = _stencil_offset(
         mag.item(row, (col - 1) % n_bins), center, mag.item(row, (col + 1) % n_bins)
     )
-    return Estimate(det, eps_t, eps_f, center, "quadratic", degenerate=degen_t or degen_f)
+    return _outcome(eps_t, eps_f, center, degenerate=degen_t or degen_f)
 
 
 def _fit_patch(
@@ -429,8 +435,12 @@ def refine_sinc2d(
 ) -> Estimate:
     """Least-squares fit of the sinc lobe model over the main-lobe patch,
     seeded with ``refine_quadratic``."""
-    quad = refine_quadratic(surface, det)
-    x0 = np.array([quad.eps_t, quad.eps_f])
+    return _as_estimate(det, "sinc2d", _sinc2d(surface, det, params))
+
+
+def _sinc2d(surface: AmbiguitySurface, det: Detection, params: RadarParams) -> tuple:
+    """The outcome of ``refine_sinc2d``."""
+    x0 = np.array(_quadratic(surface, det)[:2])
     patch, ell_off, k_off = _fit_patch(surface, det, params)
     peak = float(patch.max())
     y = patch / peak
@@ -455,7 +465,7 @@ def refine_sinc2d(
     # never worse than the seed or than leaving the offsets at zero
     candidates = [(np.zeros(2), fit(np.zeros(2))), (x0, seed_fit), (best, fit(best))]
     eps, (_, grad, gain) = min(candidates, key=lambda c: c[1][0])
-    return Estimate(det, eps[0], eps[1], gain * peak, "sinc2d", converged=_stationary(eps, grad))
+    return _outcome(eps[0], eps[1], gain * peak, converged=_stationary(eps, grad))
 
 
 def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
@@ -470,12 +480,12 @@ def _stationary(x: np.ndarray, grad: np.ndarray) -> bool:
     )
 
 
-# Every refinement method by name, each called as (surface, det, params);
-# baseline keeps the coarse cell, with the peak magnitude as amplitude.
+# Every refinement method by name, each called as (surface, det, params) for
+# an ``_outcome``; baseline keeps the coarse cell, the peak as amplitude.
 REFINERS = {
-    "sinc2d": refine_sinc2d,
-    "quadratic": lambda surface, det, params: refine_quadratic(surface, det),
-    "baseline": lambda surface, det, params: Estimate(det, 0.0, 0.0, det.peak_mag, "baseline"),
+    "sinc2d": _sinc2d,
+    "quadratic": lambda surface, det, params: _quadratic(surface, det),
+    "baseline": lambda surface, det, params: _outcome(0.0, 0.0, det.peak_mag),
 }
 
 
@@ -499,7 +509,7 @@ def estimate(
     lag_window: tuple[int, int] | None = None,
 ) -> Estimates:
     """Full pipeline: screened ambiguity surface, threshold detection,
-    refinement, packed into ``Estimates`` in detection order.
+    refinement, one ``Estimates`` row per detection in detection order.
 
     The surface is normalized by the replica energy so ``theta`` is read
     against a unit-peak auto-ambiguity.  The lag window defaults to the
@@ -510,4 +520,5 @@ def estimate(
     refine = refiner(method)
     window = params.lag_window if lag_window is None else lag_window
     surface, detections = coarse_stage(r, s, theta, params, window)
-    return Estimates.pack(method, (refine(surface, det, params) for det in detections))
+    rows = [(d.l_hat, d.k_hat, d.peak_mag, *refine(surface, d, params)) for d in detections]
+    return Estimates(method, np.array(rows, dtype=ESTIMATE_ROW))

@@ -67,6 +67,13 @@ class ComplexSignal:
         """sum |s|^2, computed on first read."""
         return float(np.sum(np.abs(self.samples) ** 2))
 
+    @functools.cached_property
+    def support(self) -> tuple[int, int]:
+        """The first and last nonzero sample, (0, 0) when there is none;
+        computed on first read."""
+        nonzero = np.flatnonzero(self.samples)
+        return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
+
 
 def gaussian_pulse(t):
     """Unit-energy Gaussian prototype 2**(1/4) * exp(-pi t**2)."""

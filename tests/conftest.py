@@ -17,6 +17,7 @@ from ddradar import (  # noqa: E402
     reference_good_code,
     synthesize_discrete,
 )
+from ddradar import bench  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -46,15 +47,6 @@ def s_paper(p_default, good_code):
 
 @pytest.fixture(scope="session")
 def simd_target():
-    """The family of numpy's SIMD kernels this process runs: "X86_V4" where
-    numpy dispatches to AVX-512 (the check CI's AVX2-level step makes),
-    "X86_V3" for the AVX2-level kernels (numpy before 2.4 names them AVX2
-    and FMA3), else "baseline".  The bit pins are keyed by it, since numpy's
-    vectorized exp / sin / cos round their last bits differently by family."""
-    from numpy._core._multiarray_umath import __cpu_features__ as features
-
-    if features.get("X86_V4") or features.get("AVX512_SKX"):
-        return "X86_V4"
-    if features.get("X86_V3", features.get("AVX2") and features.get("FMA3")):
-        return "X86_V3"
-    return "baseline"
+    """The family of numpy's SIMD kernels this process runs, by
+    ``ddradar.bench.simd_target``; the bit pins are keyed by it."""
+    return bench.simd_target()

@@ -133,7 +133,7 @@ def full_row_products(r, s, ell_min, ell_max):
 
 def assert_band_matches_full_rows(r, s, window, p, norm):
     full = full_row_products(r, s, *window)
-    assert np.array_equal(_lagged_products(r, s, *window), full)
+    assert np.array_equal(_lagged_products(ComplexSignal(r), ComplexSignal(s), *window), full)
     surf = discrete_ambiguity(ComplexSignal(r), ComplexSignal(s), window, p, norm=norm)
     expected = np.fft.fft(full, axis=1) / norm
     assert np.array_equal(surf.values, expected)

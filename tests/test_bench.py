@@ -4,7 +4,11 @@ import json
 import math
 import os
 import pickle
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from ddradar import (
     BenchConfig,
     ChannelTruth,
     Detection,
+    ParameterError,
     add_noise,
     apply_channel,
     apply_receive_gating,
@@ -233,14 +238,32 @@ def test_sweep_report_grid():
     "kw, message",
     [
         (dict(snr_db_list=()), "nonempty"),
-        (dict(trials=0), "trials must be at least 1, got 0"),
-        (dict(trials=-5), "trials must be at least 1, got -5"),
+        (dict(trials=0), "'trials' must be at least 1, got 0"),
+        (dict(trials=-5), "'trials' must be at least 1, got -5"),
     ],
     ids=["empty-snr", "zero-trials", "negative-trials"],
 )
 def test_sweep_rejects_empty_snr_list(kw, message):
     with pytest.raises(ValueError, match=message):
         sweep(small_cfg(**kw))
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(workers=0), "sweep setting 'workers' must be at least 1, got 0"),
+        (dict(trials=0), "sweep setting 'trials' must be at least 1, got 0"),
+        (dict(seed=-1), "sweep setting 'seed' must be at least 0, got -1"),
+        (dict(params=make_params(4, 4, 2, 2, 1.0)), "window [8, 8] has no interior lag"),
+    ],
+    ids=["zero-workers", "zero-trials", "negative-seed", "no-interior-lag"],
+)
+def test_bench_config_checks_its_settings(kw, message):
+    # the one check load_sweep runs, made when the config is built, so no
+    # trial runs serially for workers=0, returns no records for trials=0,
+    # or fails inside numpy on a negative seed or an empty draw range
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        small_cfg(**kw)
 
 
 def test_baseline_rmse_near_uniform_std(p_default, good_code):
@@ -414,10 +437,10 @@ def reference_run_trial(cfg, snr_db, trial_seed):
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
     outcomes = {}
     for method, refine in refiners:
-        est = refine(surface, det, p)
+        eps_t, eps_f, *_ = refine(surface, det, p)
         outcomes[method] = MethodOutcome(
-            method, det.l_hat, det.k_hat, est.eps_t, est.eps_f,
-            est.delay_cells - truth.delay, est.doppler_cells - truth.doppler, miss, 0.0,
+            method, det.l_hat, det.k_hat, eps_t, eps_f,
+            (det.l_hat + eps_t) - truth.delay, (det.k_hat + eps_f) - truth.doppler, miss, 0.0,
         )
     return TrialRecord(
         trial_seed, snr_db, truth.l_d, truth.eps_t, truth.k_D, truth.eps_f, 0.0, outcomes
@@ -539,3 +562,29 @@ def test_noiseless_sweep_golden(simd_target):
         assert rep.rmse_delay == pytest.approx(rmse_delay, rel=1e-9, abs=0)
         assert rep.rmse_doppler == pytest.approx(rmse_doppler, rel=1e-9, abs=0)
         assert rep.miss_rate == pytest.approx(0.035, rel=1e-9, abs=0)
+
+
+def _simd_target_in_fresh_process(disabled: str | None) -> str:
+    """``simd_target()`` in a fresh interpreter, with ``NPY_DISABLE_CPU_FEATURES``
+    set to ``disabled`` or unset."""
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if disabled is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    code = "from ddradar.bench import simd_target; print(simd_target())"
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env=env,
+    ).stdout.strip()
+
+
+def test_simd_target_reads_the_avx2_level_kernels_when_avx512_is_disabled():
+    # the variable CI's AVX2-level step sets; its feature names are numpy 2.3+'s
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    if "X86_V4" not in features:
+        pytest.skip("this numpy names no X86_V4 feature to disable (numpy before 2.3)")
+    if _simd_target_in_fresh_process(None) != "X86_V4":
+        pytest.skip("numpy dispatches to no AVX-512 kernels on this host")
+    assert _simd_target_in_fresh_process("AVX512_SPR AVX512_ICL X86_V4") == "X86_V3"

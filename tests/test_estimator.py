@@ -54,6 +54,14 @@ from ddradar.estimator import (
 from frames import echo
 
 
+# Each method's public refiner: the Estimate its REFINERS row's outcome gives.
+PUBLIC_REFINERS = {
+    "sinc2d": refine_sinc2d,
+    "quadratic": lambda surface, det, params: refine_quadratic(surface, det),
+    "baseline": lambda surface, det, params: Estimate(det, 0.0, 0.0, det.peak_mag, "baseline"),
+}
+
+
 def make_channel_surface(code, params, truth, snr_db=None, seed=0, window=None):
     """The surface of one target's echo, built as the receiver builds it."""
     s = synthesize_discrete(code, params)
@@ -304,7 +312,9 @@ def test_quadratic_stencil_clipped_by_the_surface_is_degenerate(p_default):
         assert est.eps_f == pytest.approx(inner.eps_f, rel=1e-12)
         assert np.isfinite(refine_sinc2d(surf, Detection(ell, 0, 1.0), p_default).eps_t)
     for ell in (surf.ell_min - 1, surf.ell_max + 1):
-        for refine in REFINERS["quadratic"], REFINERS["sinc2d"]:
+        for refine in (
+            REFINERS["quadratic"], REFINERS["sinc2d"], PUBLIC_REFINERS["quadratic"], refine_sinc2d
+        ):
             with pytest.raises(ValueError, match=rf"^detection lag {ell} outside \[298, 302\]$"):
                 refine(surf, Detection(ell, 0, 1.0), p_default)
 
@@ -506,7 +516,13 @@ def test_estimates_rebuild_the_refiners_estimates(p_default, good_code, s_paper,
     assert len(estimates) == len(detections) > 3
     refine = estimator.refiner(method)
     for i, det in enumerate(detections):
-        want, got = refine(surface, det, p_default), estimates[i]
+        # the row holds the detection and the REFINERS row's outcome as it
+        # came, and rebuilds the public refiner's Estimate bit for bit
+        row, outcome = estimates.rows[i].item(), refine(surface, det, p_default)
+        assert row[:3] == (det.l_hat, det.k_hat, det.peak_mag)
+        assert [_bits(v) for v in row[3:6]] == [_bits(v) for v in outcome[:3]]
+        assert row[6:] == outcome[3:]
+        want, got = PUBLIC_REFINERS[method](surface, det, p_default), estimates[i]
         assert got == want
         fields = ("eps_t", "eps_f", "alpha")
         assert [_bits(getattr(got, f)) for f in fields] == [_bits(getattr(want, f)) for f in fields]
@@ -518,13 +534,59 @@ def test_estimates_rebuild_the_refiners_estimates(p_default, good_code, s_paper,
 
 def test_estimates_keep_a_nan_offset(p_default, good_code, s_paper, monkeypatch):
     def failed(surface, det, params):
-        return Estimate(det, math.nan, 0.25, math.nan, "baseline", converged=False)
+        return estimator._outcome(math.nan, 0.25, math.nan, converged=False)
 
     monkeypatch.setitem(estimator.REFINERS, "baseline", failed)
     r = echo(good_code, p_default, [ChannelTruth(300.25, 2.25)])
     (est,) = estimate(r, s_paper, 0.5, "baseline", p_default)
     assert math.isnan(est.eps_t) and math.isnan(est.alpha) and est.eps_f == 0.25
     assert est.converged is False and est.degenerate is False
+
+
+def test_refiner_outcomes_pack_to_the_fields_of_estimate(p_default, good_code, s_paper, monkeypatch):
+    # one clamp rule: a REFINERS row's outcome packs to exactly the fields
+    # Estimate(...) gives for the same raw values, NaN and signed zero included
+    raw = [
+        (0.7, -0.9, 1.25, True, False),
+        (math.nan, 0.25, 0.5, False, False),
+        (0.125, math.nan, -2.0, True, True),
+        (-0.0, 0.5, -0.0, False, True),
+        (np.float64(-3.0), 3, -math.inf, True, False),
+    ]
+    fed = itertools.cycle(raw)
+
+    def refine(surface, det, params):
+        return estimator._outcome(*next(fed))
+
+    monkeypatch.setitem(estimator.REFINERS, "baseline", refine)
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=5)
+    got = estimate(r, s_paper, 0.4, "baseline", p_default)
+    assert len(got) > len(raw)
+    for est, (eps_t, eps_f, alpha, converged, degenerate) in zip(got, itertools.cycle(raw)):
+        want = Estimate(est.detection, eps_t, eps_f, alpha, "baseline", converged, degenerate)
+        fields = ("eps_t", "eps_f", "alpha")
+        assert [_bits(getattr(est, f)) for f in fields] == [_bits(getattr(want, f)) for f in fields]
+        assert (est.converged, est.degenerate) == (converged, degenerate)
+    assert (got[0].eps_t, got[0].eps_f) == (0.5, -0.5)
+    assert math.isnan(got[1].eps_t) and got[2].alpha == 0.0
+
+
+@pytest.mark.parametrize("method", list(REFINERS))
+def test_estimate_builds_no_estimate_per_detection(p_default, good_code, s_paper, method, monkeypatch):
+    # estimate writes each outcome straight into its row; only reading the
+    # rows back builds an Estimate
+    built = []
+    post_init = Estimate.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Estimate, "__post_init__", counted)
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=17)
+    estimates = estimate(r, s_paper, 0.28, method, p_default)
+    assert len(estimates) > 10 and built == []
+    assert len(list(estimates)) == len(built)
 
 
 def test_estimates_empty_frame_and_slices(p_default, good_code, s_paper):
@@ -568,8 +630,9 @@ def test_estimates_retain_few_bytes_per_estimate(p_default, good_code, s_paper):
 def reference_estimate(r, s, theta, method, params, lag_window=None):
     """``estimate`` with no lag screen (oracle): detection on one surface
     over the whole window, refinement on one surface over that window
-    widened by the lobe half-extent of lags, clipped to +-(NM-1)."""
-    refine = estimator.refiner(method)
+    widened by the lobe half-extent of lags, clipped to +-(NM-1), by each
+    method's public refiner."""
+    refine = PUBLIC_REFINERS[method]
     lo, hi = params.lag_window if lag_window is None else lag_window
     detected = discrete_ambiguity(r, s, (lo, hi), params, norm=s.energy)
     detections = coarse_detect(detected, theta, params)

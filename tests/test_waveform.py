@@ -119,6 +119,22 @@ def test_energy_is_computed_once_and_pickles(s_paper):
     assert np.array_equal(copy.samples, s_paper.samples)
 
 
+def test_support_is_computed_once_and_pickles(s_paper):
+    # the first and last nonzero sample, cached on first read like energy; a
+    # pickle round trip rebuilds the signal, which finds the same band
+    nonzero = np.flatnonzero(s_paper.samples)
+    assert s_paper.support == (nonzero[0], nonzero[-1])
+    assert s_paper.support is s_paper.support
+    assert pickle.loads(pickle.dumps(s_paper)).support == s_paper.support
+    for samples, support in [
+        (np.zeros(8), (0, 0)),  # all-zero: the band [0, 0], whose products are zero
+        (np.eye(8)[0], (0, 0)),
+        (np.eye(8)[7], (7, 7)),
+        ([0, 1j, 0, 2, 0], (1, 3)),
+    ]:
+        assert ComplexSignal(samples).support == support
+
+
 def test_replica_bits_are_pinned(s_paper, good_code, simd_target):
     assert s_paper.samples.dtype == np.complex128
     assert simd_target in GOLDEN_REPLICA_SHA256, f"no replica SHA-256 measured under {simd_target}"
