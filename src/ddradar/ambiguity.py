@@ -366,8 +366,8 @@ def lobe_factors(ell, k, params: RadarParams) -> tuple[np.ndarray, ...]:
     Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
     b = |sinc(N_t k / N)|, db = db/dk, for a delay offset ``ell`` in lags
     (units of T_s) and a Doppler offset ``k`` in bins (units of delta_f);
-    the model is ``a * b``.  The sinc fit reads the factors and derivatives
-    from here.
+    the model is ``a * b``.  The sinc fit evaluates the same ``_abs_sinc``
+    on both axes in one call, element for element these factors.
     """
     a, da = _abs_sinc(ell, params.N_f, params.M)
     b, db = _abs_sinc(k, params.N_t, params.N)

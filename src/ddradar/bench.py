@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -312,7 +313,14 @@ def code_digest(code: CodeMatrix) -> str:
 
 
 def sidecar_metadata(cfg: BenchConfig) -> dict:
-    """Reproducibility block next to every sweep CSV, with the code's conformance score."""
+    """Reproducibility block next to every sweep CSV, with the code's
+    conformance score, ending in the ``environment`` that made its numbers:
+    the package, python, numpy and scipy versions and numpy's kernel family
+    (``simd_target``), within which its bits hold."""
+    import scipy
+
+    from . import __version__
+
     return {
         "seed": cfg.seed,
         "code_sha256": code_digest(cfg.code),
@@ -324,6 +332,13 @@ def sidecar_metadata(cfg: BenchConfig) -> dict:
         "workers": cfg.workers,
         "optimizer": dict(SOLVER),
         "conformance_score": sinc_conformance(cfg.code, cfg.params)[0],
+        "environment": {
+            "ddradar": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "simd_target": simd_target(),
+        },
     }
 
 

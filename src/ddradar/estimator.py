@@ -36,14 +36,20 @@ bounded quasi-Newton descent over [-1/2, 1/2]^2 seeded with the quadratic
 estimate.  It runs on the exact gradient via the envelope theorem: the gain
 is optimal at every offset, so only the model's own derivative enters, and
 the separable model gives that from per-axis sinc factors and their
-derivatives.  When the seed is already first-order stationary in the fit box
-(the rule of ``Estimate.converged``) the descent is skipped: on a target
-sitting exactly on the grid the magnitude patch is centro-symmetric, the
-origin is a stationary point of the fit, and walking downhill from it would
-only chase the small code-dependent mismatch between the real surface and
-the lobe model.  The patch is normalized by its peak before fitting, so
-rescaling the surface scales the fitted amplitude and leaves the recovered
-offsets unchanged up to solver round-off.
+derivatives.  Each objective call evaluates both axes' factors in one
+``_abs_sinc`` call over the patch's concatenated offsets (``_lobe_axes``),
+bit for bit the per-axis ``lobe_factors``, and a fit runs the objective
+once per distinct offset: its memo serves the solver's call at the seed,
+any point the line search asks for again, and the final candidates.  The
+solver is scipy's public L-BFGS-B entry, ``fmin_l_bfgs_b``, with the
+``SOLVER`` settings.  When the seed is already first-order stationary in
+the fit box (the rule of ``Estimate.converged``) the descent is skipped: on
+a target sitting exactly on the grid the magnitude patch is
+centro-symmetric, the origin is a stationary point of the fit, and walking
+downhill from it would only chase the small code-dependent mismatch between
+the real surface and the lobe model.  The patch is normalized by its peak
+before fitting, so rescaling the surface scales the fitted amplitude and
+leaves the recovered offsets unchanged up to solver round-off.
 """
 
 from __future__ import annotations
@@ -55,11 +61,11 @@ import numpy as np
 
 from .ambiguity import (
     AmbiguitySurface,
+    _abs_sinc,
     check_norm,
     discrete_ambiguity,
     grid_peak_bounds,
     lag_peak_bounds,
-    lobe_factors,
 )
 from .config import RadarParams
 from .waveform import ComplexSignal
@@ -93,7 +99,8 @@ FLAT_STENCIL_TOL = 1e-9
 _CELL_BOX = (-0.5, 0.5)  # every offset is clamped to it; the sinc fit searches it
 _FIT_BOUNDS = (_CELL_BOX, _CELL_BOX)
 # The sinc2d solver's settings; sweep sidecars and the --version config hash
-# read them from here.  ``stationary_tol`` decides both the seed skip and
+# read them from here, and ``_sinc2d`` hands them to scipy's
+# ``fmin_l_bfgs_b``.  ``stationary_tol`` decides both the seed skip and
 # ``Estimate.converged``, by the one rule ``_stationary``.
 SOLVER = {
     "kind": "l-bfgs-b",
@@ -409,20 +416,32 @@ def _fit_patch(
     return patch, ell_off, k_off
 
 
-def _sinc_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    ell_off: np.ndarray,
-    k_off: np.ndarray,
-    params: RadarParams,
-) -> tuple[float, np.ndarray, float]:
+def _lobe_axes(ell_off: np.ndarray, k_off: np.ndarray, params: RadarParams) -> tuple:
+    """The patch's two axes as one: the lag then the bin offsets as floats,
+    each element's sinc numerator (N_f or N_t) and denominator (M or N), and
+    the two axis sizes, so ``_sinc_fit`` evaluates the two factors of
+    ``lobe_factors`` in one ``_abs_sinc`` call."""
+    sizes = (ell_off.size, k_off.size)
+    offsets = np.concatenate([ell_off, k_off]).astype(float)
+    num = np.repeat([float(params.N_f), float(params.N_t)], sizes)
+    den = np.repeat([float(params.M), float(params.N)], sizes)
+    return offsets, num, den, sizes
+
+
+def _sinc_fit(x: np.ndarray, y: np.ndarray, axes: tuple) -> tuple[float, np.ndarray, float]:
     """Residual of the lobe fit at offsets x, its exact gradient, and the gain.
 
+    ``axes`` is the patch's ``_lobe_axes``.  Every element of the one
+    ``_abs_sinc`` call goes through the IEEE operations the per-axis
+    ``lobe_factors`` call gives it, so the factors are theirs bit for bit.
     The gain g = max(0, <y, m> / <m, m>) is optimal for every x, so by the
     envelope theorem the gradient is -2 g <y - g m, dm/dx>, with
     dm/dx_0 = -da b^T and dm/dx_1 = -a db^T from the separable factors.
     """
-    a, da, b, db = lobe_factors(ell_off - x[0], k_off - x[1], params)
+    offsets, num, den, sizes = axes
+    f, df = _abs_sinc(offsets - np.repeat(x, sizes), num, den)
+    n = sizes[0]
+    a, b, da, db = f[:n], f[n:], df[:n], df[n:]
     m = a[:, None] * b[None, :]
     gain = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
     res = y - gain * m
@@ -444,24 +463,33 @@ def _sinc2d(surface: AmbiguitySurface, det: Detection, params: RadarParams) -> t
     patch, ell_off, k_off = _fit_patch(surface, det, params)
     peak = float(patch.max())
     y = patch / peak
+    axes = _lobe_axes(ell_off, k_off, params)
+    memo: dict[bytes, tuple] = {}
 
     def fit(x):
-        return _sinc_fit(x, y, ell_off, k_off, params)
+        # once per distinct x: the solver's first call is at the seed, its
+        # line search may ask for a point again, and the candidates below
+        # revisit the point it returns
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = _sinc_fit(x, y, axes)
+        return memo[key]
 
     seed_fit = fit(x0)
     if _stationary(x0, seed_fit[1]):
         best = x0  # seed already stationary
     else:
-        from scipy.optimize import minimize  # loaded by refiner("sinc2d")
-        result = minimize(
+        from scipy.optimize import fmin_l_bfgs_b  # loaded by refiner("sinc2d")
+        # fmin_l_bfgs_b hands ftol = factr * eps on to the solver; eps is a
+        # power of two, so both scalings are exact and SOLVER["ftol"] arrives
+        best = fmin_l_bfgs_b(
             lambda x: fit(x)[:2],
             x0,
-            method=SOLVER["kind"],
-            jac=True,
             bounds=_FIT_BOUNDS,
-            options={k: SOLVER[k] for k in ("ftol", "gtol", "maxiter")},
-        )
-        best = np.asarray(result.x)
+            factr=SOLVER["ftol"] / np.finfo(float).eps,
+            pgtol=SOLVER["gtol"],
+            maxiter=SOLVER["maxiter"],
+        )[0]
     # never worse than the seed or than leaving the offsets at zero
     candidates = [(np.zeros(2), fit(np.zeros(2))), (x0, seed_fit), (best, fit(best))]
     eps, (_, grad, gain) = min(candidates, key=lambda c: c[1][0])
@@ -492,7 +520,9 @@ REFINERS = {
 def refiner(method: str):
     """The ``REFINERS`` row for ``method``; ValueError for an unknown name.
     Looking up ``sinc2d`` imports scipy's solver, before any timed refinement;
-    a run that fits no sinc never loads scipy."""
+    a run that fits no sinc never loads scipy.  A ``sinc2d`` fit hands its
+    objective straight to ``fmin_l_bfgs_b``; each call evaluates the lobe
+    once for both axes, and a memo runs it once per distinct offset."""
     if method not in REFINERS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(REFINERS)}")
     if method == "sinc2d":

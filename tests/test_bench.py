@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import platform
 import re
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import ddradar
 from ddradar import (
     BenchConfig,
     ChannelTruth,
@@ -319,6 +322,26 @@ def test_sidecar_metadata(tmp_path):
     assert meta["optimizer"] == SOLVER
     assert meta["optimizer"]["maxiter"] == 200
     assert sidecar_metadata(cfg)["trials"] == cfg.trials
+
+
+def test_sidecar_ends_in_an_environment_block(tmp_path, simd_target):
+    # the keys written before the block keep their order; the block names
+    # what made the numbers, within which their bits hold
+    cfg = small_cfg()
+    path = tmp_path / "out.csv.meta.json"
+    write_sidecar(path, cfg)
+    meta = json.loads(path.read_text())
+    assert list(meta) == [
+        "seed", "code_sha256", "params", "theta", "trials", "snr_db_list",
+        "methods", "workers", "optimizer", "conformance_score", "environment",
+    ]
+    assert meta["environment"] == {
+        "ddradar": ddradar.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "simd_target": simd_target,
+    }
 
 
 def test_sidecar_is_strict_json_with_infinite_settings(tmp_path):

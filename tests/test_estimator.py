@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.optimize import minimize
+from scipy.optimize import fmin_l_bfgs_b, minimize
 
 from ddradar import (
     ChannelTruth,
@@ -35,6 +35,7 @@ from ddradar.ambiguity import (
     AmbiguitySurface,
     grid_peak_bounds,
     lag_peak_bounds,
+    lobe_factors,
     sinc_model,
     write_surface,
 )
@@ -46,6 +47,7 @@ from ddradar.estimator import (
     SCREEN_MARGIN,
     SOLVER,
     _fit_patch,
+    _lobe_axes,
     _sinc_fit,
     _trim_ends,
     refine_window,
@@ -850,9 +852,73 @@ def test_estimate_checks_inputs_before_the_screen(p_default, s_paper, case):
         estimate(*args, lag_window=call["lag_window"])
 
 
-def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
-    f, grad, gain = _sinc_fit(x, y, ell_off, k_off, params)
-    oracle = central_difference(lambda z: _sinc_fit(z, y, ell_off, k_off, params)[0], x)
+def reference_sinc_fit(x, y, ell_off, k_off, params):
+    """The sinc fit's objective per axis, one ``lobe_factors`` evaluation per
+    call: the bit-for-bit oracle of ``_sinc_fit``'s one lobe evaluation."""
+    a, da, b, db = lobe_factors(ell_off - x[0], k_off - x[1], params)
+    m = a[:, None] * b[None, :]
+    gain = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
+    res = y - gain * m
+    grad = 2.0 * gain * np.array([da @ res @ b, a @ res @ db])
+    return float(np.sum(res**2)), grad, gain
+
+
+def _channel_patch(p_default, good_code, window):
+    """The peak-normalized patch of a 15 dB echo at (300.31, 1.73) on a
+    surface over ``window``, and its offsets."""
+    truth = ChannelTruth(300.31, 1.73)
+    surf = make_channel_surface(
+        good_code, p_default, truth, snr_db=15.0, seed=2, window=window
+    )
+    y, ell_off, k_off = _fit_patch(surf, Detection(300, 2, 1.0), p_default)
+    return y / y.max(), ell_off, k_off
+
+
+def _full_axes(params):
+    r_ell, r_k = params.lobe_half_extents
+    return np.arange(-r_ell, r_ell + 1), np.arange(-r_k, r_k + 1)
+
+
+# (surface window, patch lags) of each channel patch the oracle test reads
+ORACLE_PATCHES = {
+    "random": ((296, 304), 5),
+    "clipped_4": ((299, 304), 4),
+    "clipped_3": ((296, 300), 3),
+}
+
+
+def _oracle_case(case, p_default, good_code):
+    """(patch, lag offsets, bin offsets, the offsets x to evaluate at)."""
+    rng = np.random.default_rng(11)
+    if case == "origin_nulls":  # the patch edges ell = +-2, k = +-8 are lobe nulls
+        ell_off, k_off = _full_axes(p_default)
+        return rng.random((ell_off.size, k_off.size)), ell_off, k_off, [np.zeros(2)]
+    if case == "gain_clipped":  # <y, m> < 0
+        ell_off, k_off = _full_axes(p_default)
+        y = -sinc_model(ell_off[:, None] - 0.1, k_off[None, :] + 0.2, p_default)
+        return y, ell_off, k_off, [np.array([0.2, -0.3])]
+    # a full patch, and patches the surface's edge clips to 4 and to 3 lags;
+    # 50 random offsets on each
+    window, lags = ORACLE_PATCHES[case]
+    y, ell_off, k_off = _channel_patch(p_default, good_code, window)
+    assert ell_off.size == lags
+    return y, ell_off, k_off, rng.uniform(-0.5, 0.5, size=(50, 2))
+
+
+@pytest.mark.parametrize("case", ["origin_nulls", "gain_clipped", *ORACLE_PATCHES])
+def test_sinc_fit_equals_per_axis_oracle_bit_for_bit(p_default, good_code, case):
+    y, ell_off, k_off, xs = _oracle_case(case, p_default, good_code)
+    axes = _lobe_axes(ell_off, k_off, p_default)
+    for x in xs:
+        f, grad, gain = _sinc_fit(x, y, axes)
+        f0, grad0, gain0 = reference_sinc_fit(x, y, ell_off, k_off, p_default)
+        assert f == f0 and gain == gain0
+        assert grad.tolist() == grad0.tolist()
+
+
+def _check_gradient(y, axes, x, tol=1e-7):
+    f, grad, gain = _sinc_fit(x, y, axes)
+    oracle = central_difference(lambda z: _sinc_fit(z, y, axes)[0], x)
     assert grad == pytest.approx(oracle, abs=tol)
     return f, grad, gain
 
@@ -863,15 +929,11 @@ def _check_gradient(y, ell_off, k_off, params, x, tol=1e-7):
 )
 def test_sinc_fit_gradient_matches_central_difference(p_default, good_code, window, ell_off):
     rng = np.random.default_rng(5)
-    truth = ChannelTruth(300.31, 1.73)
-    surf = make_channel_surface(
-        good_code, p_default, truth, snr_db=15.0, seed=2, window=window
-    )
-    y, offsets, k_off = _fit_patch(surf, Detection(300, 2, 1.0), p_default)
+    y, offsets, k_off = _channel_patch(p_default, good_code, window)
     assert list(offsets) == ell_off
-    y = y / y.max()
+    axes = _lobe_axes(offsets, k_off, p_default)
     for x in rng.uniform(-0.5, 0.5, size=(50, 2)):
-        _, _, gain = _check_gradient(y, offsets, k_off, p_default, x)
+        _, _, gain = _check_gradient(y, axes, x)
         assert gain > 0.0
 
 
@@ -880,18 +942,19 @@ def test_sinc_fit_gradient_at_origin_with_nulls_on_patch_edge(p_default):
     # at x = 0 the gradient takes sign(0) = 0 there, as a central difference
     # does; the lobe's asymmetry about the kink costs the quotient O(h)
     rng = np.random.default_rng(9)
-    r_ell, r_k = p_default.lobe_half_extents
-    ell_off, k_off = np.arange(-r_ell, r_ell + 1), np.arange(-r_k, r_k + 1)
+    ell_off, k_off = _full_axes(p_default)
+    axes = _lobe_axes(ell_off, k_off, p_default)
     for _ in range(20):
         y = rng.random((ell_off.size, k_off.size))
-        _, grad, _ = _check_gradient(y, ell_off, k_off, p_default, np.zeros(2), tol=1e-5)
+        _, grad, _ = _check_gradient(y, axes, np.zeros(2), tol=1e-5)
         assert np.any(np.abs(grad) > 1e-3)
 
 
 def test_sinc_fit_gradient_zero_when_gain_clips(p_default):
     ell_off, k_off = np.arange(-2, 3), np.arange(-8, 9)
     y = -sinc_model(ell_off[:, None] - 0.1, k_off[None, :] + 0.2, p_default)  # <y, m> < 0
-    f, grad, gain = _check_gradient(y, ell_off, k_off, p_default, np.array([0.2, -0.3]))
+    axes = _lobe_axes(ell_off, k_off, p_default)
+    f, grad, gain = _check_gradient(y, axes, np.array([0.2, -0.3]))
     assert gain == 0.0
     assert np.array_equal(grad, np.zeros(2))
     assert f == pytest.approx(float(np.sum(y**2)), rel=1e-15)
@@ -924,16 +987,69 @@ def test_sinc_fit_matches_finite_difference_solver(p_default, good_code, seed):
     assert est.eps_f == pytest.approx(oracle.x[1], abs=1e-7)
 
 
-def _spy_minimize(monkeypatch):
-    """Record every solver result refine_sinc2d gets back."""
-    results = []
+def _spy_solver(monkeypatch):
+    """Record, for every solver call refine_sinc2d makes, its keyword
+    arguments, the offsets it asks the objective for, and its (x, f, info)."""
+    calls = []
 
-    def spy(*args, **kwargs):
-        results.append(minimize(*args, **kwargs))
-        return results[-1]
+    def spy(func, x0, **kwargs):
+        asked = []
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
-    return results
+        def recorded(x):
+            asked.append(x.tobytes())
+            return func(x)
+
+        calls.append((kwargs, asked, fmin_l_bfgs_b(recorded, x0, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(scipy.optimize, "fmin_l_bfgs_b", spy)
+    return calls
+
+
+def test_sinc_fit_hands_the_solver_settings_to_fmin_l_bfgs_b(p_default, good_code, monkeypatch):
+    # fmin_l_bfgs_b runs the solver on ftol = factr * eps, so factr carries
+    # SOLVER["ftol"] exactly; every other setting is its default
+    surf = make_channel_surface(
+        good_code, p_default, ChannelTruth(300.31, 1.73), snr_db=15.0, seed=2, window=(296, 304)
+    )
+    calls = _spy_solver(monkeypatch)
+    refine_sinc2d(surf, Detection(300, 2, 1.0), p_default)
+    ((kwargs, _, _),) = calls
+    assert set(kwargs) == {"bounds", "factr", "pgtol", "maxiter"}
+    assert kwargs["factr"] * np.finfo(float).eps == SOLVER["ftol"]
+    assert kwargs["pgtol"] == SOLVER["gtol"]
+    assert kwargs["maxiter"] == SOLVER["maxiter"]
+    assert kwargs["bounds"] == _FIT_BOUNDS
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sinc_fit_evaluates_each_distinct_offset_once(p_default, good_code, seed, monkeypatch):
+    # the solver's first call is at the seed, which the fit has evaluated,
+    # its line search may ask for one offset again, and the candidates
+    # revisit the point it returns: the objective runs once for each
+    # distinct offset the solver asks for, plus the zero-offset candidate.
+    # At seed 3 the line search stalls (ABNORMAL) and asks 39 times for 27
+    # offsets.
+    rng = np.random.default_rng(300 + seed)
+    l_d, k_d = 300, int(rng.integers(-20, 21))
+    truth = ChannelTruth(l_d + rng.uniform(-0.45, 0.45), k_d + rng.uniform(-0.45, 0.45))
+    surf = make_channel_surface(
+        good_code, p_default, truth, snr_db=20.0, seed=seed, window=(l_d - 4, l_d + 4)
+    )
+    evaluated = []
+
+    def counting(x, y, axes):
+        evaluated.append(x.tobytes())
+        return _sinc_fit(x, y, axes)
+
+    monkeypatch.setattr(estimator, "_sinc_fit", counting)
+    calls = _spy_solver(monkeypatch)
+    refine_sinc2d(surf, Detection(l_d, k_d, 1.0), p_default)
+    ((_, asked, (_, _, info)),) = calls
+    assert len(asked) == info["funcalls"] and asked[0] == evaluated[0]
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == set(asked) | {np.zeros(2).tobytes()}
+    assert len(evaluated) == len(set(asked)) + 1
 
 
 def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
@@ -947,11 +1063,11 @@ def test_sinc_fit_abnormal_exit_at_stationary_point_is_converged(
     surf = make_channel_surface(
         good_code, p_default, truth, snr_db=20.0, seed=196, window=(299, 307)
     )
-    results = _spy_minimize(monkeypatch)
+    calls = _spy_solver(monkeypatch)
     est = refine_sinc2d(surf, Detection(303, -8, 1.0), p_default)
-    (result,) = results
-    assert not result.success and "ABNORMAL" in result.message
-    assert np.max(np.abs(result.jac)) < 1e-6
+    ((_, _, (_, _, info)),) = calls
+    assert info["warnflag"] != 0 and "ABNORMAL" in info["task"]
+    assert np.max(np.abs(info["grad"])) < 1e-6
     assert est.converged
 
 
@@ -963,10 +1079,10 @@ def test_sinc_fit_stopped_by_maxiter_is_not_converged(p_default, good_code, monk
     det = Detection(300, 2, 1.0)
     assert refine_sinc2d(surf, det, p_default).converged
     monkeypatch.setitem(SOLVER, "maxiter", 1)
-    results = _spy_minimize(monkeypatch)
+    calls = _spy_solver(monkeypatch)
     est = refine_sinc2d(surf, det, p_default)
-    (result,) = results
-    assert "ITERATIONS REACHED LIMIT" in result.message
+    ((_, _, (_, _, info)),) = calls
+    assert "ITERATIONS REACHED LIMIT" in info["task"]
     assert not est.converged
 
 
@@ -978,9 +1094,9 @@ def test_sinc_fit_seed_pinned_at_bound_skips_solver(p_default, monkeypatch):
     surf = synthetic_model_surface(p_default, 300, 3, 0.7, 0.0, 1.0)
     det = Detection(300, 3, 1.0)
     assert refine_quadratic(surf, det).eps_t == 0.5
-    results = _spy_minimize(monkeypatch)
+    calls = _spy_solver(monkeypatch)
     est = refine_sinc2d(surf, det, p_default)
-    assert results == []
+    assert calls == []
     assert (est.eps_t, est.eps_f) == (0.5, 0.0)
     assert est.converged
 
