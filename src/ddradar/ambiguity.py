@@ -31,10 +31,10 @@ B[ell] = sum_j |r[j]| |s[j - ell]|, the l1 norm of that lag's product row
 real correlation over the replica's nonzero support.  B ignores the
 Doppler phase, so it passes every lag where |r| and |s| overlap.  The
 Doppler-grid bound D[ell] of ``grid_peak_bounds`` does not: it is the
-maximum of a G-point DFT of the lag's band of W products (G = 512 for the
+maximum of a G-point DFT of the lag's band of W products (G = 384 for the
 paper's W = 160) over cos(pi (W - 1) / (2 G)), which by the van der
-Corput-Schaake inequality no cell exceeds, and it costs about half a
-surface row.
+Corput-Schaake inequality no cell exceeds, and it costs one G-point FFT a
+lag where the surface pays an N M-point one.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .codes import CodeMatrix
 from .config import RadarParams
@@ -170,6 +169,21 @@ def _echo_band(
     return first, last, span
 
 
+def _windows(span: np.ndarray, n_lags: int, width: int) -> np.ndarray:
+    """The (n_lags, width) view whose row i is span[i : i + width]; numpy
+    raises ValueError if it would reach past the span."""
+    return np.ndarray((n_lags, width), span.dtype, span, 0, span.strides * 2)
+
+
+def _doppler_grid(width: int) -> int:
+    """G of the Doppler-grid bound for a band of W samples: the smallest
+    3-smooth 2^a 3^b >= 2.4 (W - 1), whose factor 1 / cos(pi (W-1) / (2 G))
+    is at most 1 / cos(pi / 4.8), about 1.26."""
+    need = max(-(-12 * (width - 1) // 5), 1)  # ceil(2.4 (W - 1)), at least 1
+    # each 3^b, b <= log2(need) (3^b >= need by then), times the least 2^a reaching need
+    return min(3**b << (-(-need // 3**b) - 1).bit_length() for b in range(need.bit_length()))
+
+
 def _lagged_products(
     r: ComplexSignal, s: ComplexSignal, ell_min: int, ell_max: int
 ) -> np.ndarray:
@@ -195,13 +209,13 @@ def _lagged_products(
     front = max(0, -(ell_min + first))
     back = max(0, ell_max + last - (n - 1))
     flat = np.zeros(front + n_lags * n + back, dtype=np.complex128)
-    # lag ell's band starts at row ell - ell_min, column ell + first
-    band = as_strided(
-        flat[front + ell_min + first :], shape=(n_lags, width),
-        strides=((n + 1) * flat.itemsize, flat.itemsize),
+    # lag ell's band starts at row ell - ell_min, column ell + first; numpy
+    # raises ValueError if the view would reach past the buffer
+    size = flat.itemsize
+    band = np.ndarray(
+        (n_lags, width), flat.dtype, flat, (front + ell_min + first) * size, ((n + 1) * size, size)
     )
-    windows = as_strided(span, shape=(n_lags, width), strides=span.strides * 2)
-    np.multiply(windows, np.conj(s.samples[first : last + 1]), out=band)
+    np.multiply(_windows(span, n_lags, width), np.conj(s.samples[first : last + 1]), out=band)
     return flat[front : front + n_lags * n].reshape(n_lags, n)
 
 
@@ -280,14 +294,19 @@ def grid_peak_bounds(
     m cos(pi (W-1) / (2 G)), and since max |Q| = max |P|,
     max_x |P| <= max_j |P(2 pi j / G)| / cos(pi (W-1) / (2 G)).  The
     P(2 pi j / G) are the G-point DFT of p zero-padded to G.  G is the
-    smallest power of two >= 2 W, so the factor is below sqrt(2): 512 and
-    1 / cos(159 pi / 1024) = 1.13 for the paper's W = 160, and 2 NM for a
-    dense replica.
+    smallest 3-smooth 2^a 3^b >= 2.4 (W - 1) (``_doppler_grid``), so the
+    factor is at most 1 / cos(pi / 4.8) = 1.26: 384 and
+    1 / cos(159 pi / 768) = 1.26 for the paper's W = 160, and 2592 for a
+    dense replica at NM = 1024.  The paper's code peaks at 0.335 of the
+    origin off its main lobe, far enough under the default threshold 0.5
+    that the looser factor still proves its sidelobe lags dead; a
+    320-point grid (factor 1.41) does not.
 
     A computed cell exceeds D[ell] by at most the rounding of the products
-    and of the two FFTs, of order log2(G) eps times the row's l1 norm, the
-    ``lag_peak_bounds`` bound B[ell]; the coarse stage's
-    ``SCREEN_MARGIN * B[ell]`` lies far above it (see SCREEN_MARGIN).
+    and of the two FFTs (the grid's mixed-radix one included), of order
+    log2(G) eps times the row's l1 norm, the ``lag_peak_bounds`` bound
+    B[ell]; the coarse stage's ``SCREEN_MARGIN * B[ell]`` lies far above
+    it (see SCREEN_MARGIN).
 
     Returns ``bounds(*ranges)``: D of every lag of the given inclusive
     ranges inside ``lag_window``, concatenated in order, from one batched
@@ -299,10 +318,10 @@ def grid_peak_bounds(
     ell_min, ell_max = lag_window
     first, last, span = _echo_band(r, s, ell_min, ell_max)
     width = last - first + 1
-    grid = 1 << (2 * width - 1).bit_length()  # smallest power of two >= 2 W
+    grid = _doppler_grid(width)
     scale = 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))
     s_conj = np.conj(s.samples[first : last + 1])
-    windows = as_strided(span, shape=(ell_max - ell_min + 1, width), strides=span.strides * 2)
+    windows = _windows(span, ell_max - ell_min + 1, width)
 
     def bounds(*ranges: tuple[int, int]) -> np.ndarray:
         sizes = [hi - lo + 1 for lo, hi in ranges]

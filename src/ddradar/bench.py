@@ -312,9 +312,24 @@ def code_digest(code: CodeMatrix) -> str:
     return hashlib.sha256(code_text(code).encode()).hexdigest()
 
 
+def expected_noise_hits(params: RadarParams, theta: float, snr_db: float) -> float:
+    """Cells of a noise-only frame's lag window expected above ``theta``:
+    n_cells exp(-theta^2 NM 10^{snr_db/10}), n_cells the window's lags times
+    NM.  A noise-only cell of the normalized surface has mean power
+    1 / (NM 10^{snr_db/10}) under ``add_noise``'s SNR convention, and this
+    is its Rayleigh tail above theta.  Neighbouring cells are correlated, so
+    a frame's hits scatter about it (about 277 measured against 257 at
+    -10 dB and theta 0.28)."""
+    lo, hi = params.lag_window
+    n = params.frame_len
+    with np.errstate(over="ignore"):
+        return float((hi - lo + 1) * n * np.exp(-(theta**2) * n * np.power(10.0, snr_db / 10)))
+
+
 def sidecar_metadata(cfg: BenchConfig) -> dict:
     """Reproducibility block next to every sweep CSV, with the code's
-    conformance score, ending in the ``environment`` that made its numbers:
+    conformance score and the ``expected_noise_hits`` of each SNR, in
+    ``snr_db_list`` order, ending in the ``environment`` that made its numbers:
     the package, python, numpy and scipy versions and numpy's kernel family
     (``simd_target``), within which its bits hold."""
     import scipy
@@ -332,6 +347,9 @@ def sidecar_metadata(cfg: BenchConfig) -> dict:
         "workers": cfg.workers,
         "optimizer": dict(SOLVER),
         "conformance_score": sinc_conformance(cfg.code, cfg.params)[0],
+        "expected_noise_hits": [
+            expected_noise_hits(cfg.params, cfg.theta, snr) for snr in cfg.snr_db_list
+        ],
         "environment": {
             "ddradar": __version__,
             "python": platform.python_version(),

@@ -76,15 +76,17 @@ DEFAULT_THRESHOLD = 0.5
 # computed cell can exceed the exact |A| by the FFT's worst-case rounding,
 # of order log2(NM) eps times the row's l1 norm, which is B itself: about
 # 1e-14 relative at the paper's NM = 1024.  The Doppler-grid bound's
-# products and FFT round by the same order of B.  The margin lies far above
+# products and its 384-point mixed-radix FFT round at order log2(G) eps
+# times B, below that.  The margin lies far above
 # that and the few eps of the bounds' own sums and of the 1/norm scaling,
 # so a dropped lag has no computed cell above theta.
 SCREEN_MARGIN = 1e-9
 # The lags the coarse stage's grid screen first tries at each end of the
 # span that passes the l1 screen (``_trim_ends``).  A span of up to twice
-# this, such as a 17-lag tracking gate, is screened in one call: each call
-# costs a fixed part of about five screened lags, and at 4 or 8 a 17-lag
-# span takes two calls and costs more than its trimmed rows save.
+# this, such as a 17-lag tracking gate, is screened in one call: at the
+# paper geometry each call costs a fixed part of about 15 us, about five
+# screened lags at about 2.7 us each, and at 4 or 8 a 17-lag span takes two
+# calls and costs more than its trimmed rows save.
 FIRST_CHUNK = 9
 # A quadratic stencil is flat, and its axis degenerate, when its curvature
 # 4c - 2(m + p) is at most this fraction of its center magnitude c.  Each

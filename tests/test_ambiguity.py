@@ -397,28 +397,50 @@ def test_lag_bounds_zero_replica_and_checks(p_default, s_paper):
 
 
 def grid_of(s):
-    """The grid bound's G, the smallest power of two >= 2 W for the support
-    width W of replica samples ``s``, and its factor 1 / cos(pi (W-1) / (2 G))."""
+    """The grid bound's G, the smallest 2^a 3^b >= 2.4 (W - 1) for the
+    support width W of replica samples ``s``, and its factor
+    1 / cos(pi (W-1) / (2 G))."""
     nonzero = np.flatnonzero(s)
     width = int(nonzero[-1] - nonzero[0] + 1)
-    grid = 2 ** int(np.ceil(np.log2(2 * width)))
+    grid = min(
+        2**a * 3**b for a in range(16) for b in range(10) if 5 * 2**a * 3**b >= 12 * (width - 1)
+    )
     return grid, 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))
+
+
+def direct_grid_bounds(r, s, ells):
+    """factor * max_j |sum_u p_ell[u] e^{-2 pi i j u / G}| for each lag, G and
+    factor from ``grid_of``, with p_ell[u] = r[ell + first + u] s*[first + u]
+    over the support band [first, first + W) of ``s``, r zero outside the
+    frame; a direct sum, no FFT."""
+    n = len(r)
+    nonzero = np.flatnonzero(s)
+    first, width = nonzero[0], nonzero[-1] - nonzero[0] + 1
+    grid, factor = grid_of(s)
+    u = np.arange(width)
+    dft = np.exp(-2j * np.pi * np.outer(u, np.arange(grid)) / grid)  # (W, G)
+    out = []
+    for ell in ells:
+        j = ell + first + u
+        inside = (0 <= j) & (j < n)
+        p = np.zeros(width, dtype=complex)
+        p[inside] = r[j[inside]] * np.conj(s[first + u[inside]])
+        out.append(factor * np.max(np.abs(p @ dft)))
+    return np.array(out)
 
 
 def assert_grid_bounds_hold(r, s, window, p):
     """Every row's peak |A| under its grid bound plus the coarse stage's
-    slack SCREEN_MARGIN * B.  When the grid's G frequencies are bins of the
-    surface, the bound is also no looser than the theorem: at most the
-    row's peak times the 1/cos factor, plus the same slack."""
+    slack SCREEN_MARGIN * B, and the bound equal to its direct sum
+    ``direct_grid_bounds`` to 1e-12 relative, at every geometry."""
     r, s = ComplexSignal(r), ComplexSignal(s)
     slack = SCREEN_MARGIN * lag_peak_bounds(r, s, window, p)
     bounds = grid_peak_bounds(r, s, window, p)(window)
     peaks = np.max(np.abs(discrete_ambiguity(r, s, window, p).values), axis=1)
     assert bounds.shape == peaks.shape == (window[1] - window[0] + 1,)
     assert np.all(peaks <= bounds + slack)
-    grid, factor = grid_of(s.samples)
-    if p.frame_len % grid == 0:
-        assert np.all(bounds <= peaks * factor + slack)
+    oracle = direct_grid_bounds(r.samples, s.samples, range(window[0], window[1] + 1))
+    assert np.allclose(bounds, oracle, rtol=1e-12, atol=0)
     return bounds, peaks
 
 
@@ -433,24 +455,27 @@ def test_grid_bounds_on_paper_frames(p_default, good_code, s_paper, snr_db):
 @pytest.mark.parametrize("offset", [0.5, 1.0, 0.25])
 def test_grid_bounds_on_a_tone_between_grid_frequencies(p_default, s_paper, offset):
     # A flat 160-sample replica against a tone: every lag's product is the
-    # tone, so |A| peaks at its frequency.  Half a bin of the 512-point grid
-    # off it is the grid's worst case for a tone (the grid reads 1/1.04 of
-    # the peak); one bin off is half a bin of a 256-point grid.
+    # tone, so |A| peaks at its frequency with 160.  Half a bin of the
+    # 384-point grid off a grid frequency is the grid's worst case for a
+    # tone (the grid reads 1/1.075 of the peak), here on bin 100 of the
+    # surface; a tone on a grid frequency is read exactly; a quarter bin
+    # off lies on neither grid.
     n = p_default.frame_len
     nonzero = np.flatnonzero(s_paper.samples)
     s = np.zeros(n, dtype=complex)
     s[nonzero[0] : nonzero[-1] + 1] = 1.0
     grid, factor = grid_of(s)
-    assert (grid, factor) == (512, 1.0 / np.cos(159 * np.pi / 1024))
+    assert (grid, factor) == (384, 1.0 / np.cos(159 * np.pi / 768))
     j = np.arange(n)
-    r = np.exp(2j * np.pi * (37 + offset) * j / 512)
+    r = np.exp(2j * np.pi * (37 + offset) * j / 384)
     bounds, peaks = assert_grid_bounds_hold(r, s, (-(n - 1), n - 1), p_default)
     inside = slice(n - 1 - nonzero[0], 2 * n - 1 - nonzero[-1] - 1)  # bands inside the frame
-    if offset != 0.25:  # on a bin of the surface
+    if offset == 0.5:  # on a bin of the surface
         assert np.allclose(peaks[inside], 160.0, rtol=1e-12)
-    if offset == 0.5:
         # the grid alone misses the peak: the 1/cos factor is needed
-        assert np.all(bounds[inside] / factor < peaks[inside] / 1.04)
+        assert np.all(bounds[inside] / factor < peaks[inside] / 1.07)
+    if offset == 1.0:  # on a grid frequency: the grid reads the peak itself
+        assert np.allclose(bounds[inside] / factor, 160.0, rtol=1e-12)
 
 
 def test_grid_bounds_attain_a_single_impulse(p_default, s_paper):
@@ -465,8 +490,9 @@ def test_grid_bounds_attain_a_single_impulse(p_default, s_paper):
 
 @pytest.mark.parametrize("kind", ["one-sample", "two-sample", "two-spread", "dense", "code"])
 def test_grid_bounds_on_small_replicas_over_every_lag(kind):
-    # W = 1 (G = 2, factor 1), W = 2, two samples with zeros between, a
-    # dense replica (W = NM, G = 2 NM) and a code's replica, all lags
+    # W = 1 (G = 1, factor 1), W = 2 (G = 3), two samples with zeros
+    # between, a dense replica (W = NM = 32, G = 81, an odd grid) and a
+    # code's replica, all lags
     p = make_params(8, 4, 2, 2, 1.0)
     n = p.frame_len
     rng = np.random.default_rng(31)

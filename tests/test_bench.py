@@ -40,6 +40,7 @@ from ddradar.bench import (
     TrialRecord,
     code_digest,
     draw_truth,
+    expected_noise_hits,
     run_trial,
     run_trials,
     sidecar_metadata,
@@ -333,7 +334,8 @@ def test_sidecar_ends_in_an_environment_block(tmp_path, simd_target):
     meta = json.loads(path.read_text())
     assert list(meta) == [
         "seed", "code_sha256", "params", "theta", "trials", "snr_db_list",
-        "methods", "workers", "optimizer", "conformance_score", "environment",
+        "methods", "workers", "optimizer", "conformance_score", "expected_noise_hits",
+        "environment",
     ]
     assert meta["environment"] == {
         "ddradar": ddradar.__version__,
@@ -342,6 +344,22 @@ def test_sidecar_ends_in_an_environment_block(tmp_path, simd_target):
         "scipy": scipy.__version__,
         "simd_target": simd_target,
     }
+
+
+def test_sidecar_records_expected_noise_hits(tmp_path):
+    # one value per SNR in snr_db_list order: n_cells exp(-theta^2 NM 10^{snr/10})
+    cfg = small_cfg(snr_db_list=(-10.0, 0.0, 30.0), theta=0.28)
+    path = tmp_path / "out.csv.meta.json"
+    write_sidecar(path, cfg)
+    hits = json.loads(path.read_text())["expected_noise_hits"]
+    (lo, hi), n = cfg.params.lag_window, cfg.params.frame_len
+    want = [(hi - lo + 1) * n * math.exp(-0.28**2 * n * 10 ** (snr / 10)) for snr in cfg.snr_db_list]
+    assert hits == pytest.approx(want, rel=1e-12, abs=0)
+    # the paper geometry's 769-lag window at -10 dB and clutter's theta
+    assert expected_noise_hits(PAPER, 0.28, -10.0) == pytest.approx(
+        256.83, abs=0.005
+    )
+    assert expected_noise_hits(cfg.params, 0.28, math.inf) == 0.0
 
 
 def test_sidecar_is_strict_json_with_infinite_settings(tmp_path):
