@@ -195,19 +195,18 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
 
     t0 = time.perf_counter_ns()
     surface, detections = coarse_stage(r, s, cfg.theta, p, p.lag_window)
-    undetected = not detections
+    undetected = not len(detections)
     if undetected:
         surface = discrete_ambiguity(r, s, refine_window(p.lag_window, p), p, norm=s.energy)
         mag = surface.rows(*p.lag_window).magnitude  # the window's rows only
         row, col = np.unravel_index(np.argmax(mag), mag.shape)
-        detections = [
-            Detection(
-                p.lag_window[0] + int(row), surface.signed_bin(int(col)), float(mag[row, col])
-            )
-        ]
+        det = Detection(
+            p.lag_window[0] + int(row), surface.signed_bin(int(col)), float(mag[row, col])
+        )
+    else:
+        det = Detection(*detections[0].item())
     coarse_ms = (time.perf_counter_ns() - t0) / 1e6
 
-    det = detections[0]
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
 
     outcomes = {}

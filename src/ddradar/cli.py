@@ -28,7 +28,7 @@ from .bench import load_sweep, sweep, write_reports_csv, write_sidecar
 from .channel import ChannelTruth, add_noise, apply_channel, apply_receive_gating
 from .codes import random_code, read_code, write_code
 from .config import DEFAULT_GEOMETRY, ParameterError, load_params
-from .estimator import DEFAULT_THRESHOLD, REFINERS, SOLVER, estimate
+from .estimator import DEFAULT_THRESHOLD, FLAT_STENCIL_TOL, REFINERS, SOLVER, estimate
 from .waveform import read_signal, synthesize_discrete, write_signal
 
 
@@ -46,6 +46,7 @@ def _config_hash() -> str:
         "delta": CONFORMANCE_DELTA,
         "oversample": OVERSAMPLE,
         "optimizer": SOLVER,
+        "flat_stencil_tol": FLAT_STENCIL_TOL,
     }
     return hashlib.sha256(json.dumps(frozen, sort_keys=True).encode()).hexdigest()[:12]
 

@@ -25,7 +25,15 @@ offsets at zero (``baseline``).  Each row returns the bare ``_outcome``
 (eps_t, eps_f, alpha, converged, degenerate), offsets in cells of T_s and
 delta_f, clamped by the rule ``Estimate`` applies too; ``estimate`` writes
 each detection and its outcome into one NumPy row of ``Estimates``, and
-``refine_quadratic`` and ``refine_sinc2d`` build an ``Estimate``.  At the
+``refine_quadratic`` and ``refine_sinc2d`` build an ``Estimate``.  The
+coarse stage hands ``estimate`` its detections as one ``DETECTION_ROW``
+array, and a ``quadratic`` frame is refined in one pass over it
+(``_quadratic_rows``): each stencil point is gathered for every detection
+at once and the rows are written as columns, by the operations of the
+per-detection ``_quadratic``, so no ``Detection`` is built and every row
+is bit for bit that of ``_quadratic``.  The per-detection form serves a
+single detection (``run_trial``, ``refine_quadratic``, the ``sinc2d``
+seed), where it is the cheaper, and is the tests' reference.  At the
 surface's edge every row reads the lags it holds: a stencil reaching past
 them leaves its axis degenerate (offset 0), as a flat one does; only a
 detection off the surface raises ValueError.
@@ -96,7 +104,8 @@ FIRST_CHUNK = 9
 # NM = 1024 with |r| <= 10 |s| and theta >= 0.25 that rounding, and the
 # curvature of a stencil flat up to it, stays below about 1e-13 of c.  The
 # tolerance lies far above that and far below the curvature of any lobe a
-# benchmark frame fits (at least 1.6e-3 of c).
+# benchmark frame fits (at least 1.6e-3 of c).  It moves quadratic outputs,
+# so the --version config hash covers it.
 FLAT_STENCIL_TOL = 1e-9
 _CELL_BOX = (-0.5, 0.5)  # every offset is clamped to it; the sinc fit searches it
 _FIT_BOUNDS = (_CELL_BOX, _CELL_BOX)
@@ -168,12 +177,12 @@ def _as_estimate(det: Detection, method: str, outcome: tuple) -> Estimate:
     return Estimate(det, eps_t, eps_f, alpha, method, converged, degenerate)
 
 
+# One packed row per detection: the fields of a ``Detection``.
+DETECTION_ROW = np.dtype([("l_hat", np.int64), ("k_hat", np.int64), ("peak_mag", np.float64)])
 # One packed row per estimate: the detection, then its outcome.
 ESTIMATE_ROW = np.dtype(
-    [
-        ("l_hat", np.int64),
-        ("k_hat", np.int64),
-        ("peak_mag", np.float64),
+    DETECTION_ROW.descr
+    + [
         ("eps_t", np.float64),
         ("eps_f", np.float64),
         ("alpha", np.float64),
@@ -237,6 +246,13 @@ def coarse_detect(
     lies in no earlier survivor's neighborhood.  Returns detections in that
     order; an empty list means nothing crossed theta.
     """
+    return [Detection(*row) for row in _suppress(surface, theta, params).tolist()]
+
+
+def _suppress(surface: AmbiguitySurface, theta: float, params: RadarParams) -> np.ndarray:
+    """The ``coarse_detect`` detections as one ``DETECTION_ROW`` array, in
+    their order: the suppression loop keeps flat cell indices, and the
+    lags, signed bins and peaks are written from them as columns."""
     _check_threshold(theta)
     mag = surface.magnitude.ravel()
     nbins = surface.n_bins
@@ -244,18 +260,17 @@ def coarse_detect(
     # without its per-axis index pass over the whole mask.
     flat = np.flatnonzero(mag > theta)
     if flat.size == 0:
-        return []
-    peaks = mag[flat]
-    order = np.argsort(peaks)[::-1]
+        return np.empty(0, DETECTION_ROW)
+    order = np.argsort(mag[flat])[::-1]
     r_ell, r_k = params.lobe_half_extents
     blocked = np.zeros(surface.values.shape, dtype=bool)
     blocked_flat = blocked.ravel()  # a view: a flat hit index reads the painted lobes
-    kept: list[tuple[int, int, float]] = []
-    for idx, peak in zip(flat[order].tolist(), peaks[order].tolist()):
+    kept: list[int] = []
+    for idx in flat[order].tolist():
         if blocked_flat[idx]:
             continue
+        kept.append(idx)
         row, col = divmod(idx, nbins)
-        kept.append((row, col, peak))
         # Bins col - r_k .. col + r_k modulo nbins: the in-range part, then
         # the part wrapped round either end.  When 2 r_k + 1 >= nbins the
         # two parts meet and cover the whole row.
@@ -265,12 +280,14 @@ def coarse_detect(
             lobe[:, col - r_k :] = True
         elif col + r_k >= nbins:
             lobe[:, : col + r_k + 1 - nbins] = True
-    # the lag ell_min + row and surface.signed_bin(col), computed inline per kept hit
-    ell_min, half = int(surface.ell_min), nbins // 2
-    return [
-        Detection(ell_min + row, col - nbins if col > half else col, peak)
-        for row, col, peak in kept
-    ]
+    kept_idx = np.array(kept)
+    rows, cols = np.divmod(kept_idx, nbins)
+    detections = np.empty(len(kept), DETECTION_ROW)
+    detections["l_hat"] = surface.ell_min + rows
+    # surface.signed_bin of each column
+    detections["k_hat"] = np.where(cols > nbins // 2, cols - nbins, cols)
+    detections["peak_mag"] = mag[kept_idx]
+    return detections
 
 
 def _check_threshold(theta: float) -> None:
@@ -292,9 +309,10 @@ def coarse_stage(
     theta: float,
     params: RadarParams,
     lag_window: tuple[int, int],
-) -> tuple[AmbiguitySurface | None, list[Detection]]:
+) -> tuple[AmbiguitySurface | None, np.ndarray]:
     """The surface normalized by ``s.energy`` around the live lags of the
-    window, and the ``coarse_detect`` detections on the live lags.
+    window, and the ``coarse_detect`` detections on the live lags as one
+    ``DETECTION_ROW`` array.
 
     A lag passes the l1 screen unless its ``lag_peak_bounds`` bound B
     satisfies B (1 + SCREEN_MARGIN) <= theta * norm, and the grid screen
@@ -308,7 +326,7 @@ def coarse_stage(
     surface.  The surface spans those lags widened by ``refine_window``, so
     it holds every lag a refinement of a detection reads.  Every input
     check of ``discrete_ambiguity`` and ``coarse_detect`` runs before the
-    screen.  Returns (None, []) when no lag is live.
+    screen.  Returns None and no detections when no lag is live.
     """
     bounds = lag_peak_bounds(r, s, lag_window, params)
     norm = s.energy
@@ -317,7 +335,7 @@ def coarse_stage(
     level = theta * norm
     passed = np.flatnonzero(~(bounds * (1.0 + SCREEN_MARGIN) <= level))
     if passed.size == 0:
-        return None, []
+        return None, np.empty(0, DETECTION_ROW)
     ell0 = lag_window[0]
     span = ell0 + int(passed[0]), ell0 + int(passed[-1])
     grid = grid_peak_bounds(r, s, span, params)
@@ -329,9 +347,9 @@ def coarse_stage(
 
     trimmed = _trim_ends(*span, live)
     if trimmed is None:
-        return None, []
+        return None, np.empty(0, DETECTION_ROW)
     surface = discrete_ambiguity(r, s, refine_window(trimmed, params), params, norm=norm)
-    return surface, coarse_detect(surface.rows(*trimmed), theta, params)
+    return surface, _suppress(surface.rows(*trimmed), theta, params)
 
 
 def _trim_ends(lo: int, hi: int, live) -> tuple[int, int] | None:
@@ -401,6 +419,56 @@ def _quadratic(surface: AmbiguitySurface, det: Detection) -> tuple:
         mag.item(row, (col - 1) % n_bins), center, mag.item(row, (col + 1) % n_bins)
     )
     return _outcome(eps_t, eps_f, center, degenerate=degen_t or degen_f)
+
+
+def _quadratic_rows(surface: AmbiguitySurface | None, detections: np.ndarray) -> np.ndarray:
+    """The ``ESTIMATE_ROW`` of each of ``detections``, a ``DETECTION_ROW``
+    array on the surface's lags, refined by ``quadratic`` in one pass.
+
+    Each stencil point is gathered for the whole frame by one flat index,
+    and each column goes through the IEEE operations ``_quadratic`` gives
+    its detection, so every row is that of ``_quadratic`` bit for bit.  A
+    lag neighbour past the surface's first or last row reads a clipped
+    index; that axis is degenerate, as in ``_quadratic``, whatever it reads.
+    """
+    rows = np.zeros(detections.size, ESTIMATE_ROW)
+    for name in DETECTION_ROW.names:
+        rows[name] = detections[name]
+    if detections.size == 0:
+        return rows
+    mag = surface.magnitude
+    n_rows, n_bins = mag.shape
+    mag = mag.ravel()
+    row, col = detections["l_hat"] - surface.ell_min, detections["k_hat"] % n_bins
+    at = row * n_bins
+    cell = at + col
+    center = mag[cell]
+    eps_t, degen_t = _stencil_offsets(
+        mag.take(cell - n_bins, mode="clip"),
+        center,
+        mag.take(cell + n_bins, mode="clip"),
+        clipped=(row == 0) | (row == n_rows - 1),
+    )
+    eps_f, degen_f = _stencil_offsets(
+        mag[at + (col - 1) % n_bins], center, mag[at + (col + 1) % n_bins]
+    )
+    # _outcome's clamp: maximum and minimum pass a NaN through, as max and min do
+    lo, hi = _CELL_BOX
+    rows["eps_t"] = np.minimum(np.maximum(eps_t, lo), hi)
+    rows["eps_f"] = np.minimum(np.maximum(eps_f, lo), hi)
+    rows["alpha"] = np.maximum(center, 0.0)
+    rows["converged"] = True
+    rows["degenerate"] = degen_t | degen_f
+    return rows
+
+
+def _stencil_offsets(minus, center, plus, clipped=False) -> tuple[np.ndarray, np.ndarray]:
+    """``_stencil_offset`` of each stencil: the offsets, 0 where a stencil is
+    flat or ``clipped``, and which stencils are degenerate."""
+    denom = 4.0 * center - 2.0 * plus - 2.0 * minus
+    degenerate = (denom <= FLAT_STENCIL_TOL * center) | clipped
+    eps = np.divide(plus - minus, denom, out=np.zeros_like(center), where=~degenerate)
+    return eps, degenerate
 
 
 def _fit_patch(
@@ -547,10 +615,14 @@ def estimate(
     against a unit-peak auto-ambiguity.  The lag window defaults to the
     detectability window; ``coarse_stage`` computes the one surface, on
     the live lags widened by the lobe half-extent, so no refinement reads
-    past its edge.
+    past its edge.  ``quadratic`` refines the whole frame in one pass
+    (``_quadratic_rows``); every other method runs its ``REFINERS`` row
+    once per detection.
     """
     refine = refiner(method)
     window = params.lag_window if lag_window is None else lag_window
     surface, detections = coarse_stage(r, s, theta, params, window)
-    rows = [(d.l_hat, d.k_hat, d.peak_mag, *refine(surface, d, params)) for d in detections]
+    if method == "quadratic":
+        return Estimates(method, _quadratic_rows(surface, detections))
+    rows = [(*d, *refine(surface, Detection(*d), params)) for d in detections.tolist()]
     return Estimates(method, np.array(rows, dtype=ESTIMATE_ROW))

@@ -420,7 +420,7 @@ def test_miss_counting(monkeypatch):
     rec = run_trial(cfg, -40.0, 9)
     [detections] = found
     assert len(detections) > 0
-    det = detections[0]
+    det = Detection(*detections[0].item())
     assert (det.l_hat, det.k_hat) != (rec.l_d, rec.k_D)
     for out in rec.outcomes.values():
         assert out.miss and (out.l_hat, out.k_hat) == (det.l_hat, det.k_hat)

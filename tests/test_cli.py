@@ -70,8 +70,9 @@ def test_version_reports_config_hash(capsys):
         main(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    # the hash covers the geometry defaults, theta, the screen's constants and SOLVER
-    assert out.strip() == "ddradar 0.1.0 (config 12d7d93ef917)"
+    # the hash covers the geometry defaults, theta, the screen's constants,
+    # SOLVER and the quadratic stencil's FLAT_STENCIL_TOL
+    assert out.strip() == "ddradar 0.1.0 (config 0c4de491f504)"
 
 
 def test_gen_show_code_round_trip(tmp_path, capsys):

@@ -42,6 +42,9 @@ from ddradar.ambiguity import (
 from ddradar.bench import BenchConfig
 from ddradar.estimator import (
     _FIT_BOUNDS,
+    DETECTION_ROW,
+    ESTIMATE_ROW,
+    FLAT_STENCIL_TOL,
     FIRST_CHUNK,
     REFINERS,
     SCREEN_MARGIN,
@@ -513,7 +516,9 @@ def test_estimates_rebuild_the_refiners_estimates(p_default, good_code, s_paper,
     r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=5)
     theta = 0.4
     estimates = estimate(r, s_paper, theta, method, p_default)
-    surface, detections = estimator.coarse_stage(r, s_paper, theta, p_default, p_default.lag_window)
+    surface, found = estimator.coarse_stage(r, s_paper, theta, p_default, p_default.lag_window)
+    assert found.dtype == DETECTION_ROW
+    detections = [Detection(*d) for d in found.tolist()]
     assert isinstance(estimates, Estimates) and estimates.method == method
     assert len(estimates) == len(detections) > 3
     refine = estimator.refiner(method)
@@ -589,6 +594,123 @@ def test_estimate_builds_no_estimate_per_detection(p_default, good_code, s_paper
     estimates = estimate(r, s_paper, 0.28, method, p_default)
     assert len(estimates) > 10 and built == []
     assert len(list(estimates)) == len(built)
+
+
+def per_detection_rows(surface, detections):
+    """The packed rows of the per-detection ``_quadratic`` (oracle of the
+    frame form, ``_quadratic_rows``)."""
+    rows = [(*d, *estimator._quadratic(surface, Detection(*d))) for d in detections.tolist()]
+    return np.array(rows, dtype=ESTIMATE_ROW)
+
+
+def flat_at_tolerance():
+    """A center c and neighbour p with 4c - 2p - 2c == FLAT_STENCIL_TOL * c
+    exactly: c in [1, 2) whose tolerance is a multiple of ulp(2c) = 2**-51,
+    so every step of the denominator is exact."""
+    t = round(FLAT_STENCIL_TOL * 2**51) * 2.0**-51
+    for k in range(-64, 65):
+        c = t / FLAT_STENCIL_TOL + k * 2.0**-52
+        if FLAT_STENCIL_TOL * c == t:
+            return c, c - t / 2
+    raise AssertionError("no center in reach has an exact tolerance")
+
+
+# Geometries of the frame-form oracle: the paper's and an odd N*M (45 bins).
+QUADRATIC_GEOMETRIES = {"paper": (64, 16, 8, 8), "odd": (9, 5, 3, 2)}
+
+
+@pytest.mark.parametrize("geometry", list(QUADRATIC_GEOMETRIES))
+def test_quadratic_rows_match_the_per_detection_form(geometry):
+    # on a surface of random magnitudes, stencils planted in every branch of
+    # _quadratic: the surface's first and last lag (a clipped lag axis),
+    # Doppler columns 0 and NM - 1 (a wrapped stencil), flat exactly at the
+    # tolerance, curving one ulp of 2c more than it (a fit), curving up, and
+    # a neighbour above the center (an offset clamped to +-1/2)
+    p = make_params(*QUADRATIC_GEOMETRIES[geometry], 1.0)
+    n_rows, n = 12, p.frame_len
+    values = np.random.default_rng(3).uniform(0.05, 0.5, (n_rows, n)).astype(complex)
+    c, flat_p = flat_at_tolerance()
+    # (row, col, lag stencil, Doppler stencil), each stencil (minus, center, plus)
+    planted = [
+        (0, 3, None, (0.3, 1.0, 0.6)),
+        (n_rows - 1, 7, None, (0.6, 1.0, 0.3)),
+        (2, 0, (0.2, 1.0, 0.6), (0.7, 1.0, 0.4)),
+        (4, n - 1, (0.5, 1.0, 0.1), (0.4, 1.0, 0.9)),
+        (6, 10, (c, c, flat_p), (c, c, flat_p - 2.0**-52)),
+        (8, 14, (1.2, 1.0, 1.1), (0.2, 1.0, 0.3)),
+        (10, 18, (0.1, 1.0, 1.2), (1.3, 1.0, 0.2)),
+    ]
+    for row, col, lag, doppler in planted:
+        if lag is not None:
+            values[row - 1 : row + 2, col] = lag
+        values[row, [(col - 1) % n, col, (col + 1) % n]] = doppler
+    surf = AmbiguitySurface(values, 100, p)
+    detections = np.array(
+        [(100 + row, surf.signed_bin(col), abs(values[row, col])) for row, col, *_ in planted],
+        dtype=DETECTION_ROW,
+    )
+    got, want = estimator._quadratic_rows(surf, detections), per_detection_rows(surf, detections)
+    assert got.dtype == ESTIMATE_ROW and got.tobytes() == want.tobytes()
+    # the planted branches are taken: clipped, flat at the tolerance, curved
+    # up and clamped; a stencil one ulp past the tolerance fits
+    assert 4.0 * c - 2.0 * flat_p - 2.0 * c == FLAT_STENCIL_TOL * c
+    assert got["degenerate"].tolist() == [True, True, False, False, True, True, False]
+    assert (got["eps_t"][[0, 1, 4, 5]] == 0.0).all()
+    assert got["eps_f"][4] == -0.5  # fitted, about -1/2 on a near-flat stencil
+    assert (got["eps_t"][6], got["eps_f"][6]) == (0.5, -0.5)
+    assert not np.isin(got["eps_f"][[0, 1, 2, 3]], (0.0, 0.5, -0.5)).any()
+    empty = estimator._quadratic_rows(None, np.empty(0, DETECTION_ROW))
+    assert empty.dtype == ESTIMATE_ROW and empty.size == 0
+
+
+# Frames of the clutter benchmark by seed: its first three, and the first
+# that holds a degenerate stencil (about 1 detection in 17,000 is).
+CLUTTER_FRAMES = {42: (0, 1, 2, 59), 7919: (0, 1, 2, 43)}
+
+
+@pytest.mark.parametrize("seed", list(CLUTTER_FRAMES))
+def test_quadratic_rows_match_the_per_detection_form_on_clutter(p_default, good_code, s_paper, seed):
+    # -10 dB frames at theta 0.28 as the clutter benchmark draws them:
+    # hundreds of detections a frame, which reach the clamp and, rarely, a
+    # flat or up-curving stencil
+    cfg = BenchConfig(params=p_default, code=good_code)
+    clamped = degenerate = 0
+    for i in CLUTTER_FRAMES[seed]:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1, i])))
+        truth = bench.draw_truth(cfg, rng)
+        r = echo(good_code, p_default, [truth], -10.0, seed=int(rng.integers(2**32)))
+        rows = estimate(r, s_paper, 0.28, "quadratic", p_default).rows
+        surface, detections = estimator.coarse_stage(r, s_paper, 0.28, p_default, p_default.lag_window)
+        assert len(rows) > 150
+        assert rows.tobytes() == per_detection_rows(surface, detections).tobytes()
+        clamped += int(np.sum(np.abs(rows["eps_t"]) == 0.5) + np.sum(np.abs(rows["eps_f"]) == 0.5))
+        degenerate += int(rows["degenerate"].sum())
+    assert clamped > 0 and degenerate > 0
+
+
+def test_estimate_refines_quadratic_with_no_detection_per_kept_hit(
+    p_default, good_code, s_paper, monkeypatch
+):
+    # a quadratic frame is refined in one pass: no Detection is built and no
+    # per-detection refiner runs, while the REFINERS row still serves a
+    # single detection
+    built, refined = [], []
+    init = Detection.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted(*args):
+        refined.append(args)
+        raise AssertionError("per-detection quadratic called")
+
+    monkeypatch.setattr(Detection, "__init__", counted_init)
+    monkeypatch.setattr(estimator, "_quadratic", counted)
+    monkeypatch.setitem(estimator.REFINERS, "quadratic", counted)
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], -10.0, seed=17)
+    estimates = estimate(r, s_paper, 0.28, "quadratic", p_default)
+    assert len(estimates) > 10 and built == [] and refined == []
 
 
 def test_estimates_empty_frame_and_slices(p_default, good_code, s_paper):
@@ -673,9 +795,9 @@ def test_screened_estimate_matches_full_window(p_default, good_code, s_paper, fr
     )
     # the one surface holds every lag a refinement of a detection reads
     ext, max_lag = p_default.M // p_default.N_f, p_default.frame_len - 1
-    for d in detections:
-        assert surface.contains_lag(max(d.l_hat - ext, -max_lag))
-        assert surface.contains_lag(min(d.l_hat + ext, max_lag))
+    for l_hat in detections["l_hat"].tolist():
+        assert surface.contains_lag(max(l_hat - ext, -max_lag))
+        assert surface.contains_lag(min(l_hat + ext, max_lag))
     if frame in ("30dB", "noiseless", "window-edge"):
         assert surface.values.shape[0] < 200  # of 769 lags: the screen does trim
     if frame == "30dB":
@@ -703,7 +825,7 @@ def assert_span_matches_one_shot_screen(r, s, theta, params, window):
     surface, detections = estimator.coarse_stage(r, s, theta, params, window)
     want = screened_span(r, s, theta, params, window)
     if want is None:
-        assert (surface, detections) == (None, [])
+        assert surface is None and detections.dtype == DETECTION_ROW and detections.size == 0
     else:
         assert (surface.ell_min, surface.ell_max) == refine_window(want, params)
     return want
@@ -842,7 +964,8 @@ def test_estimate_checks_inputs_before_the_screen(p_default, s_paper, case):
     n = p_default.frame_len
     zero = ComplexSignal(np.zeros(n))
     assert estimate(zero, s_paper, 0.5, "quadratic", p_default) == []
-    assert estimator.coarse_stage(zero, s_paper, 0.5, p_default, p_default.lag_window) == (None, [])
+    surface, detections = estimator.coarse_stage(zero, s_paper, 0.5, p_default, p_default.lag_window)
+    assert surface is None and detections.dtype == DETECTION_ROW and detections.size == 0
     call = {"r": zero, "s": s_paper, "theta": 0.5, "lag_window": None}
     call.update(BAD_COARSE_INPUTS[case](zero, n))
     args = (call["r"], call["s"], call["theta"], "quadratic", p_default)
