@@ -60,6 +60,7 @@ from .waveform import ComplexSignal, evaluate_transmitted, radiated_span
 
 CONFORMANCE_DELTA = 0.05
 OVERSAMPLE = 8
+_EPS = np.finfo(float).eps  # np.sinc's stand-in for a zero argument
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,11 +372,11 @@ def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
     """
     z = np.asarray(z, dtype=float)
     w = num * z / den
-    s = np.sinc(w)
+    px = np.pi * w  # shared by the sine and the cosine
+    y = np.where(px, px, _EPS)  # np.sinc's body, as numpy 2.x writes it
+    s = np.sin(y) / y
     on_grid = w == np.rint(w)
-    slope = np.where(
-        on_grid, 0.0, np.sign(s) * (np.cos(np.pi * w) - s) / np.where(on_grid, 1.0, z)
-    )
+    slope = np.where(on_grid, 0.0, np.sign(s) * (np.cos(px) - s) / np.where(on_grid, 1.0, z))
     return np.abs(s), slope
 
 
@@ -385,8 +386,11 @@ def lobe_factors(ell, k, params: RadarParams) -> tuple[np.ndarray, ...]:
     Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
     b = |sinc(N_t k / N)|, db = db/dk, for a delay offset ``ell`` in lags
     (units of T_s) and a Doppler offset ``k`` in bins (units of delta_f);
-    the model is ``a * b``.  The sinc fit evaluates the same ``_abs_sinc``
-    on both axes in one call, element for element these factors.
+    the model is ``a * b``.  ``_abs_sinc`` computes pi w once for the sine
+    and the cosine and writes out ``np.sinc``'s operations, so each factor
+    is ``np.sinc``'s bit for bit.  The sinc fit evaluates the same
+    ``_abs_sinc`` on both axes in one call, element for element these
+    factors.
     """
     a, da = _abs_sinc(ell, params.N_f, params.M)
     b, db = _abs_sinc(k, params.N_t, params.N)

@@ -45,19 +45,23 @@ estimate.  It runs on the exact gradient via the envelope theorem: the gain
 is optimal at every offset, so only the model's own derivative enters, and
 the separable model gives that from per-axis sinc factors and their
 derivatives.  Each objective call evaluates both axes' factors in one
-``_abs_sinc`` call over the patch's concatenated offsets (``_lobe_axes``),
-bit for bit the per-axis ``lobe_factors``, and a fit runs the objective
-once per distinct offset: its memo serves the solver's call at the seed,
-any point the line search asks for again, and the final candidates.  The
-solver is scipy's public L-BFGS-B entry, ``fmin_l_bfgs_b``, with the
-``SOLVER`` settings.  When the seed is already first-order stationary in
-the fit box (the rule of ``Estimate.converged``) the descent is skipped: on
-a target sitting exactly on the grid the magnitude patch is
-centro-symmetric, the origin is a stationary point of the fit, and walking
-downhill from it would only chase the small code-dependent mismatch between
-the real surface and the lobe model.  The patch is normalized by its peak
-before fitting, so rescaling the surface scales the fitted amplitude and
-leaves the recovered offsets unchanged up to solver round-off.
+``_abs_sinc`` call over the patch's concatenated offsets, bit for bit the
+per-axis ``lobe_factors``: ``_lobe_axes`` builds those offsets and an axis
+index into x once per fit, ``_abs_sinc`` computes pi w once for the sine
+and the cosine and writes out ``np.sinc``'s operations, and the objective
+reduces with ``ndarray.sum``, the ``add.reduce`` of ``np.sum``.  A fit
+runs the objective once per distinct offset: its memo serves the solver's
+call at the seed, any point the line search asks for again, and the final
+candidates.  The solver is scipy's public L-BFGS-B entry,
+``fmin_l_bfgs_b``, with the ``SOLVER`` settings.  When the seed is already
+first-order stationary in the fit box (the rule of ``Estimate.converged``)
+the descent is skipped: on a target sitting exactly on the grid the
+magnitude patch is centro-symmetric, the origin is a stationary point of
+the fit, and walking downhill from it would only chase the small
+code-dependent mismatch between the real surface and the lobe model.  The
+patch is normalized by its peak before fitting, so rescaling the surface
+scales the fitted amplitude and leaves the recovered offsets unchanged up
+to solver round-off.
 """
 
 from __future__ import annotations
@@ -488,14 +492,16 @@ def _fit_patch(
 
 def _lobe_axes(ell_off: np.ndarray, k_off: np.ndarray, params: RadarParams) -> tuple:
     """The patch's two axes as one: the lag then the bin offsets as floats,
-    each element's sinc numerator (N_f or N_t) and denominator (M or N), and
-    the two axis sizes, so ``_sinc_fit`` evaluates the two factors of
-    ``lobe_factors`` in one ``_abs_sinc`` call."""
+    each element's sinc numerator (N_f or N_t) and denominator (M or N),
+    each element's axis (0 or 1, so ``x[axis]`` is ``np.repeat(x, sizes)``),
+    and the lag axis's size.  Built once per fit, so each ``_sinc_fit``
+    call evaluates the two factors of ``lobe_factors`` in one ``_abs_sinc``
+    call."""
     sizes = (ell_off.size, k_off.size)
     offsets = np.concatenate([ell_off, k_off]).astype(float)
     num = np.repeat([float(params.N_f), float(params.N_t)], sizes)
     den = np.repeat([float(params.M), float(params.N)], sizes)
-    return offsets, num, den, sizes
+    return offsets, num, den, np.repeat([0, 1], sizes), ell_off.size
 
 
 def _sinc_fit(x: np.ndarray, y: np.ndarray, axes: tuple) -> tuple[float, np.ndarray, float]:
@@ -508,15 +514,14 @@ def _sinc_fit(x: np.ndarray, y: np.ndarray, axes: tuple) -> tuple[float, np.ndar
     envelope theorem the gradient is -2 g <y - g m, dm/dx>, with
     dm/dx_0 = -da b^T and dm/dx_1 = -a db^T from the separable factors.
     """
-    offsets, num, den, sizes = axes
-    f, df = _abs_sinc(offsets - np.repeat(x, sizes), num, den)
-    n = sizes[0]
+    offsets, num, den, axis, n = axes
+    f, df = _abs_sinc(offsets - x[axis], num, den)
     a, b, da, db = f[:n], f[n:], df[:n], df[n:]
     m = a[:, None] * b[None, :]
-    gain = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
+    gain = max(0.0, float((y * m).sum() / (m * m).sum()))
     res = y - gain * m
     grad = 2.0 * gain * np.array([da @ res @ b, a @ res @ db])
-    return float(np.sum(res**2)), grad, gain
+    return float((res**2).sum()), grad, gain
 
 
 def refine_sinc2d(

@@ -167,7 +167,7 @@ def test_criterion_4_rmse_reproduction(rmse_run):
         4,
         f"K={BENCH_TRIALS} @30dB: sinc2d {sinc.rmse_delay:.4f}/{sinc.rmse_doppler:.4f}, "
         f"quadratic {quad.rmse_delay:.4f}/{quad.rmse_doppler:.4f} "
-        f"(reference 0.0061/0.0676, 0.0198/0.1342; {elapsed:.0f} s)",
+        f"(reference 0.0061/0.0676, 0.0198/0.1342; {elapsed:.1f} s)",
     )
 
 
@@ -298,4 +298,4 @@ def test_criterion_7_property_suites(monkeypatch):
 
     elapsed = time.perf_counter() - start
     report(7, f"peak bound, model symmetry, parabola exactness, clamping, "
-              f"scale invariance, worker determinism ({elapsed:.0f} s)")
+              f"scale invariance, worker determinism ({elapsed:.1f} s)")

@@ -26,6 +26,7 @@ from ddradar.ambiguity import (
     CONFORMANCE_DELTA,
     OVERSAMPLE,
     AmbiguitySurface,
+    _abs_sinc,
     _lagged_products,
     extend_surface,
     grid_peak_bounds,
@@ -322,6 +323,50 @@ def test_sinc_model_nulls(p_default):
     for mult in (1, 2, 3):
         assert sinc_model(mult * p_default.M / p_default.N_f, 0.3, p_default) == pytest.approx(0.0, abs=1e-12)
         assert sinc_model(0.7, mult * p_default.N / p_default.N_t, p_default) == pytest.approx(0.0, abs=1e-12)
+
+
+def reference_abs_sinc(z, num, den):
+    """``_abs_sinc`` written on ``np.sinc``: the bit-for-bit oracle of its
+    inlined sinc and shared pi w."""
+    z = np.asarray(z, dtype=float)
+    w = num * z / den
+    s = np.sinc(w)
+    on_grid = w == np.rint(w)
+    slope = np.where(
+        on_grid, 0.0, np.sign(s) * (np.cos(np.pi * w) - s) / np.where(on_grid, 1.0, z)
+    )
+    return np.abs(s), slope
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    # (N, M, N_t, N_f): the paper's, and three more; at (20, 6, 4, 4)
+    # N_f / M = 2/3, so num z / den rounds
+    [(64, 16, 8, 8), (16, 8, 4, 4), (30, 12, 5, 6), (20, 6, 4, 4)],
+    ids=lambda g: "x".join(map(str, g)),
+)
+def test_abs_sinc_equals_np_sinc_form_bit_for_bit(geometry):
+    n, m, n_t, n_f = geometry
+    rng = np.random.default_rng(17)
+    j = np.arange(-40.0, 41.0)
+    for num, den in ((n_f, m), (n_t, n)):
+        cell = den / num  # one lobe-null spacing in z
+        z = np.concatenate([
+            [0.0, -0.0],
+            j * cell,  # the grid: the origin and every null out to 40 lobes
+            (j + 0.5) * cell,  # half cells
+            rng.uniform(-3 * cell, 3 * cell, 2000),
+            rng.uniform(-1e6, 1e6, 500),
+            [1e6, -1e6],
+        ])
+        want = reference_abs_sinc(z, num, den)
+        # lobe_factors passes the integers, the sinc fit one float per element
+        for args in ((num, den), (np.full(z.size, float(num)), np.full(z.size, float(den)))):
+            got = _abs_sinc(z, *args)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        for zi in (0.0, -0.0, cell, 0.5 * cell, float(z[-3])):  # scalars, as sinc_model takes them
+            got, want_i = _abs_sinc(zi, num, den), reference_abs_sinc(zi, num, den)
+            assert [(type(g), g.tobytes()) for g in got] == [(type(w), w.tobytes()) for w in want_i]
 
 
 def direct_bounds(r, s, ells, n):

@@ -688,6 +688,23 @@ def test_quadratic_rows_match_the_per_detection_form_on_clutter(p_default, good_
     assert clamped > 0 and degenerate > 0
 
 
+def test_kept_detections_fit_the_lobe_packing_bound(p_default, good_code, s_paper):
+    # kept hits lie outside each other's lobes, so the (r_ell + 1) x (r_k + 1)
+    # boxes anchored at them are disjoint, within the (n_rows + r_ell) x NM
+    # cells they reach when 2 r_k + 1 < NM.  A -10 dB clutter frame at
+    # theta 0.05 keeps about two thirds of that bound
+    r_ell, r_k = p_default.lobe_half_extents
+    lo, hi = p_default.lag_window
+    nm = p_default.frame_len
+    assert 2 * r_k + 1 < nm
+    bound = (hi - lo + 1 + r_ell) * nm // ((r_ell + 1) * (r_k + 1))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, 1, 0])))
+    truth = bench.draw_truth(BenchConfig(params=p_default, code=good_code), rng)
+    r = echo(good_code, p_default, [truth], -10.0, seed=int(rng.integers(2**32)))
+    kept = len(estimate(r, s_paper, 0.05, "quadratic", p_default))
+    assert bound // 2 < kept <= bound, f"{kept} detections, bound {bound}"
+
+
 def test_estimate_refines_quadratic_with_no_detection_per_kept_hit(
     p_default, good_code, s_paper, monkeypatch
 ):
@@ -1011,32 +1028,88 @@ ORACLE_PATCHES = {
 
 
 def _oracle_case(case, p_default, good_code):
-    """(patch, lag offsets, bin offsets, the offsets x to evaluate at)."""
+    """(params, patch, lag offsets, bin offsets, the offsets x to evaluate at)."""
     rng = np.random.default_rng(11)
     if case == "origin_nulls":  # the patch edges ell = +-2, k = +-8 are lobe nulls
         ell_off, k_off = _full_axes(p_default)
-        return rng.random((ell_off.size, k_off.size)), ell_off, k_off, [np.zeros(2)]
+        return p_default, rng.random((ell_off.size, k_off.size)), ell_off, k_off, [np.zeros(2)]
     if case == "gain_clipped":  # <y, m> < 0
         ell_off, k_off = _full_axes(p_default)
         y = -sinc_model(ell_off[:, None] - 0.1, k_off[None, :] + 0.2, p_default)
-        return y, ell_off, k_off, [np.array([0.2, -0.3])]
+        return p_default, y, ell_off, k_off, [np.array([0.2, -0.3])]
+    if case == "off_geometry":  # (20, 6, 4, 4): N_f / M = 2/3 rounds; a 3 x 11 patch
+        params = make_params(20, 6, 4, 4)
+        ell_off, k_off = _full_axes(params)
+        y = rng.random((ell_off.size, k_off.size))
+        return params, y, ell_off, k_off, rng.uniform(-0.5, 0.5, size=(50, 2))
     # a full patch, and patches the surface's edge clips to 4 and to 3 lags;
     # 50 random offsets on each
     window, lags = ORACLE_PATCHES[case]
     y, ell_off, k_off = _channel_patch(p_default, good_code, window)
     assert ell_off.size == lags
-    return y, ell_off, k_off, rng.uniform(-0.5, 0.5, size=(50, 2))
+    return p_default, y, ell_off, k_off, rng.uniform(-0.5, 0.5, size=(50, 2))
 
 
-@pytest.mark.parametrize("case", ["origin_nulls", "gain_clipped", *ORACLE_PATCHES])
+@pytest.mark.parametrize("case", ["origin_nulls", "gain_clipped", *ORACLE_PATCHES, "off_geometry"])
 def test_sinc_fit_equals_per_axis_oracle_bit_for_bit(p_default, good_code, case):
-    y, ell_off, k_off, xs = _oracle_case(case, p_default, good_code)
-    axes = _lobe_axes(ell_off, k_off, p_default)
+    params, y, ell_off, k_off, xs = _oracle_case(case, p_default, good_code)
+    axes = _lobe_axes(ell_off, k_off, params)
     for x in xs:
         f, grad, gain = _sinc_fit(x, y, axes)
-        f0, grad0, gain0 = reference_sinc_fit(x, y, ell_off, k_off, p_default)
+        f0, grad0, gain0 = reference_sinc_fit(x, y, ell_off, k_off, params)
         assert f == f0 and gain == gain0
         assert grad.tolist() == grad0.tolist()
+
+
+def reference_sinc2d(surface, det, params):
+    """``_sinc2d`` with ``reference_sinc_fit`` as its objective, no memo, and
+    the same solver call (the whole-fit oracle); also whether the solver ran."""
+    x0 = np.array(estimator._quadratic(surface, det)[:2])
+    patch, ell_off, k_off = _fit_patch(surface, det, params)
+    peak = float(patch.max())
+    y = patch / peak
+
+    def fit(x):
+        return reference_sinc_fit(x, y, ell_off, k_off, params)
+
+    seed_fit = fit(x0)
+    solved = not estimator._stationary(x0, seed_fit[1])
+    best = x0
+    if solved:
+        best = fmin_l_bfgs_b(
+            lambda x: fit(x)[:2],
+            x0,
+            bounds=_FIT_BOUNDS,
+            factr=SOLVER["ftol"] / np.finfo(float).eps,
+            pgtol=SOLVER["gtol"],
+            maxiter=SOLVER["maxiter"],
+        )[0]
+    candidates = [(np.zeros(2), fit(np.zeros(2))), (x0, seed_fit), (best, fit(best))]
+    eps, (_, grad, gain) = min(candidates, key=lambda c: c[1][0])
+    outcome = estimator._outcome(
+        eps[0], eps[1], gain * peak, converged=estimator._stationary(eps, grad)
+    )
+    return outcome, solved
+
+
+def test_sinc2d_equals_the_reference_fit_on_track_frames(p_default, good_code, s_paper):
+    # 20 dB frames in a 17-lag gate shifted by up to 6 lags, drawn as the
+    # track benchmark draws them at seed 42
+    cfg = BenchConfig(params=p_default, code=good_code)
+    fits = solved = 0
+    for i in range(40):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, 2, i])))
+        truth = bench.draw_truth(cfg, rng)
+        r = echo(good_code, p_default, [truth], 20.0, seed=int(rng.integers(2**32)))
+        u = int(rng.integers(-6, 7))
+        window = (truth.l_d - 8 + u, truth.l_d + 8 + u)
+        surface, detections = estimator.coarse_stage(r, s_paper, 0.5, p_default, window)
+        for row in detections.tolist():
+            det = Detection(*row)
+            want, ran = reference_sinc2d(surface, det, p_default)
+            assert repr(REFINERS["sinc2d"](surface, det, p_default)) == repr(want)
+            fits, solved = fits + 1, solved + ran
+    assert fits == solved == 40  # one detection a frame, and every fit runs the solver
 
 
 def _check_gradient(y, axes, x, tol=1e-7):
