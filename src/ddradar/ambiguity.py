@@ -364,8 +364,12 @@ def extend_surface(
 
 
 def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
-    """|sinc(num z / den)| and its derivative in z.
+    """|sinc(num z / den)| and its derivative in z: the lobe model's factor
+    on one axis, (N_f, M) for a delay offset in lags and (N_t, N) for a
+    Doppler offset in bins.
 
+    Computes pi w once for the sine and the cosine and writes out
+    ``np.sinc``'s operations, so the factor is ``np.sinc``'s bit for bit.
     On the grid w = num z / den in Z the derivative is taken as 0: at w = 0
     the lobe is smooth and flat, and at a null sign(0) = 0 gives the
     subgradient a central difference sees at that symmetric kink.
@@ -380,23 +384,6 @@ def _abs_sinc(z, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(s), slope
 
 
-def lobe_factors(ell, k, params: RadarParams) -> tuple[np.ndarray, ...]:
-    """Per-axis factors of the sinc lobe model and their derivatives.
-
-    Returns ``(a, da, b, db)`` with a = |sinc(N_f ell / M)|, da = da/dell,
-    b = |sinc(N_t k / N)|, db = db/dk, for a delay offset ``ell`` in lags
-    (units of T_s) and a Doppler offset ``k`` in bins (units of delta_f);
-    the model is ``a * b``.  ``_abs_sinc`` computes pi w once for the sine
-    and the cosine and writes out ``np.sinc``'s operations, so each factor
-    is ``np.sinc``'s bit for bit.  The sinc fit evaluates the same
-    ``_abs_sinc`` on both axes in one call, element for element these
-    factors.
-    """
-    a, da = _abs_sinc(ell, params.N_f, params.M)
-    b, db = _abs_sinc(k, params.N_t, params.N)
-    return a, da, b, db
-
-
 def sinc_model(ell, k, params: RadarParams):
     """Separable main-lobe model |sinc(N_f ell / M)| |sinc(N_t k / N)|.
 
@@ -404,8 +391,7 @@ def sinc_model(ell, k, params: RadarParams):
     origin evaluates to 1; intended validity is |ell| <= M/N_f,
     |k| <= N/N_t.
     """
-    a, _, b, _ = lobe_factors(ell, k, params)
-    return a * b
+    return _abs_sinc(ell, params.N_f, params.M)[0] * _abs_sinc(k, params.N_t, params.N)[0]
 
 
 def sinc_conformance(code: CodeMatrix, params: RadarParams) -> tuple[float, bool]:

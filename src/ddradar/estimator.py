@@ -46,10 +46,9 @@ is optimal at every offset, so only the model's own derivative enters, and
 the separable model gives that from per-axis sinc factors and their
 derivatives.  Each objective call evaluates both axes' factors in one
 ``_abs_sinc`` call over the patch's concatenated offsets, bit for bit the
-per-axis ``lobe_factors``: ``_lobe_axes`` builds those offsets and an axis
-index into x once per fit, ``_abs_sinc`` computes pi w once for the sine
-and the cosine and writes out ``np.sinc``'s operations, and the objective
-reduces with ``ndarray.sum``, the ``add.reduce`` of ``np.sum``.  A fit
+two per-axis calls ``sinc_model`` makes: ``_lobe_axes`` builds those
+offsets and an axis index into x once per fit, and the objective reduces
+with ``ndarray.sum``, the ``add.reduce`` of ``np.sum``.  A fit
 runs the objective once per distinct offset: its memo serves the solver's
 call at the seed, any point the line search asks for again, and the final
 candidates.  The solver is scipy's public L-BFGS-B entry,
@@ -495,8 +494,7 @@ def _lobe_axes(ell_off: np.ndarray, k_off: np.ndarray, params: RadarParams) -> t
     each element's sinc numerator (N_f or N_t) and denominator (M or N),
     each element's axis (0 or 1, so ``x[axis]`` is ``np.repeat(x, sizes)``),
     and the lag axis's size.  Built once per fit, so each ``_sinc_fit``
-    call evaluates the two factors of ``lobe_factors`` in one ``_abs_sinc``
-    call."""
+    call evaluates both axes' factors in one ``_abs_sinc`` call."""
     sizes = (ell_off.size, k_off.size)
     offsets = np.concatenate([ell_off, k_off]).astype(float)
     num = np.repeat([float(params.N_f), float(params.N_t)], sizes)
@@ -508,8 +506,8 @@ def _sinc_fit(x: np.ndarray, y: np.ndarray, axes: tuple) -> tuple[float, np.ndar
     """Residual of the lobe fit at offsets x, its exact gradient, and the gain.
 
     ``axes`` is the patch's ``_lobe_axes``.  Every element of the one
-    ``_abs_sinc`` call goes through the IEEE operations the per-axis
-    ``lobe_factors`` call gives it, so the factors are theirs bit for bit.
+    ``_abs_sinc`` call goes through the IEEE operations a per-axis call
+    gives it, so the factors are those of one call per axis bit for bit.
     The gain g = max(0, <y, m> / <m, m>) is optimal for every x, so by the
     envelope theorem the gradient is -2 g <y - g m, dm/dx>, with
     dm/dx_0 = -da b^T and dm/dx_1 = -a db^T from the separable factors.

@@ -148,6 +148,8 @@ def _band_replica(kind, p, rng):
     s = np.zeros(n, dtype=complex)
     if kind == "one-sample":
         s[5] = 0.3 - 1.1j
+    elif kind == "one-sample-at-end":
+        s[n - 1] = 0.3 - 1.1j  # widened by the sample before it
     elif kind == "two-sample":
         s[9:11] = [1.0 + 0.5j, -0.7j]
     elif kind == "last-sample":
@@ -163,20 +165,22 @@ def _band_replica(kind, p, rng):
         ((16, 8, 2, 4), "code"),
         ((8, 4, 2, 2), "code"),
         ((8, 4, 2, 2), "one-sample"),
+        ((8, 4, 2, 2), "one-sample-at-end"),
         ((8, 4, 2, 2), "zero"),
         ((8, 4, 2, 2), "last-sample"),
         ((8, 4, 2, 2), "two-sample"),
         ((8, 4, 2, 2), "dense"),
     ],
-    ids=["16x8x2x4", "8x4x2x2", "one-sample", "zero-replica", "last-sample", "two-sample",
-         "dense"],
+    ids=["16x8x2x4", "8x4x2x2", "one-sample", "one-sample-at-end", "zero-replica", "last-sample",
+         "two-sample", "dense"],
 )
 def test_band_products_match_full_rows(geometry, kind):
     # bit for bit against the full-row product: the window at +-(NM-1), every
     # single-lag window, all-negative windows and windows with lags whose
     # band crosses a frame end; a one-sample replica is the band numpy's
     # strided multiply loop would round differently unless widened to two
-    # samples, and a dense one (W = NM) spills at every lag but 0
+    # samples (on the frame's last sample, by the one before it), and a
+    # dense one (W = NM) spills at every lag but 0
     p = make_params(*geometry, 1.0)
     n = p.frame_len
     rng = np.random.default_rng(29)
@@ -360,7 +364,7 @@ def test_abs_sinc_equals_np_sinc_form_bit_for_bit(geometry):
             [1e6, -1e6],
         ])
         want = reference_abs_sinc(z, num, den)
-        # lobe_factors passes the integers, the sinc fit one float per element
+        # sinc_model passes the integers, the sinc fit one float per element
         for args in ((num, den), (np.full(z.size, float(num)), np.full(z.size, float(den)))):
             got = _abs_sinc(z, *args)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -533,11 +537,13 @@ def test_grid_bounds_attain_a_single_impulse(p_default, s_paper):
         assert np.allclose(bounds, peaks * grid_of(s_paper.samples)[1], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("kind", ["one-sample", "two-sample", "two-spread", "dense", "code"])
+@pytest.mark.parametrize(
+    "kind", ["one-sample", "one-sample-at-end", "two-sample", "two-spread", "dense", "code"]
+)
 def test_grid_bounds_on_small_replicas_over_every_lag(kind):
-    # W = 1 (G = 1, factor 1), W = 2 (G = 3), two samples with zeros
-    # between, a dense replica (W = NM = 32, G = 81, an odd grid) and a
-    # code's replica, all lags
+    # W = 1 (G = 1, factor 1), at sample 5 and on the frame's last sample,
+    # W = 2 (G = 3), two samples with zeros between, a dense replica
+    # (W = NM = 32, G = 81, an odd grid) and a code's replica, all lags
     p = make_params(8, 4, 2, 2, 1.0)
     n = p.frame_len
     rng = np.random.default_rng(31)
@@ -545,6 +551,8 @@ def test_grid_bounds_on_small_replicas_over_every_lag(kind):
     s = np.zeros(n, dtype=complex)
     if kind == "one-sample":
         s[5] = 0.3 - 1.1j
+    elif kind == "one-sample-at-end":
+        s[n - 1] = 0.3 - 1.1j
     elif kind == "two-sample":
         s[9:11] = [1.0 + 0.5j, -0.7j]
     elif kind == "two-spread":

@@ -448,10 +448,10 @@ def test_run_trial_agrees_with_estimate(p_default, good_code, method, monkeypatc
 
 
 def reference_run_trial(cfg, snr_db, trial_seed):
-    """``run_trial`` with no lag screen (oracle): detection, or the argmax
-    fallback, on one surface over the whole window, refinement on one
-    surface over that window widened by the lobe half-extent of lags,
-    clipped to +-(NM-1)."""
+    """``run_trial`` with no lag screen (oracle): one surface over the whole
+    window widened by the lobe half-extent of lags, clipped to +-(NM-1),
+    detection, or the argmax fallback, on the window's rows of it, and
+    refinement on all of it."""
     p = cfg.params
     refiners = [(method, refiner(method)) for method in cfg.methods]
     truth_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([trial_seed, 0])))
@@ -461,20 +461,18 @@ def reference_run_trial(cfg, snr_db, trial_seed):
     r = apply_channel(cfg.code, p, truth)
     r = add_noise(r, snr_db, noise_seed, p, ref_energy=s.energy)
     r = apply_receive_gating(r, p)
-    detected = discrete_ambiguity(r, s, p.lag_window, p, norm=s.energy)
+    (lo, hi), ext, max_lag = p.lag_window, p.lobe_half_extents[0], p.frame_len - 1
+    wide = (max(lo - ext, -max_lag), min(hi + ext, max_lag))
+    surface = discrete_ambiguity(r, s, wide, p, norm=s.energy)
+    detected = surface.rows(lo, hi)
     detections = coarse_detect(detected, cfg.theta, p)
     if detections:
         det, undetected = detections[0], False
     else:
         mag = np.abs(detected.values)
         row, col = np.unravel_index(np.argmax(mag), mag.shape)
-        det = Detection(
-            detected.ell_min + int(row), detected.signed_bin(int(col)), float(mag[row, col])
-        )
+        det = Detection(lo + int(row), detected.signed_bin(int(col)), float(mag[row, col]))
         undetected = True
-    (lo, hi), ext, max_lag = p.lag_window, p.lobe_half_extents[0], p.frame_len - 1
-    wide = (max(lo - ext, -max_lag), min(hi + ext, max_lag))
-    surface = discrete_ambiguity(r, s, wide, p, norm=s.energy)
     miss = undetected or det.l_hat != truth.l_d or det.k_hat != truth.k_D
     outcomes = {}
     for method, refine in refiners:
@@ -621,7 +619,8 @@ def _simd_target_in_fresh_process(disabled: str | None) -> str:
 
 
 def test_simd_target_reads_the_avx2_level_kernels_when_avx512_is_disabled():
-    # the variable CI's AVX2-level step sets; its feature names are numpy 2.3+'s
+    # the variable CI's AVX2-level step sets; its feature names are numpy 2.3+'s.
+    # Disabling X86_V3 as well leaves numpy's baseline kernels.
     from numpy._core._multiarray_umath import __cpu_features__ as features
 
     if "X86_V4" not in features:
@@ -629,3 +628,4 @@ def test_simd_target_reads_the_avx2_level_kernels_when_avx512_is_disabled():
     if _simd_target_in_fresh_process(None) != "X86_V4":
         pytest.skip("numpy dispatches to no AVX-512 kernels on this host")
     assert _simd_target_in_fresh_process("AVX512_SPR AVX512_ICL X86_V4") == "X86_V3"
+    assert _simd_target_in_fresh_process("AVX512_SPR AVX512_ICL X86_V4 X86_V3") == "baseline"

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddradar
 from ddradar import (
     ChannelTruth,
     add_noise,
@@ -73,6 +78,14 @@ def test_version_reports_config_hash(capsys):
     # the hash covers the geometry defaults, theta, the screen's constants,
     # SOLVER and the quadratic stencil's FLAT_STENCIL_TOL
     assert out.strip() == "ddradar 0.1.0 (config 0c4de491f504)"
+    # the module runs as a script too: python -m ddradar.cli
+    src = str(Path(ddradar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = subprocess.run(
+        [sys.executable, "-m", "ddradar.cli", "--version"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (script.returncode, script.stdout) == (0, out)
 
 
 def test_gen_show_code_round_trip(tmp_path, capsys):

@@ -26,6 +26,7 @@ from ddradar import (
     discrete_ambiguity,
     estimate,
     make_params,
+    random_code,
     refine_quadratic,
     refine_sinc2d,
     synthesize_discrete,
@@ -33,9 +34,9 @@ from ddradar import (
 from ddradar import bench, estimator
 from ddradar.ambiguity import (
     AmbiguitySurface,
+    _abs_sinc,
     grid_peak_bounds,
     lag_peak_bounds,
-    lobe_factors,
     sinc_model,
     write_surface,
 )
@@ -743,6 +744,10 @@ def test_estimates_empty_frame_and_slices(p_default, good_code, s_paper):
         assert sliced == as_list[part] and list(sliced) == as_list[part]
     assert estimates[-1] == as_list[-1]
     assert estimates != as_list[:-1] and estimates != as_list[::-1]
+    # a non-sequence and a string are not compared: == falls back to identity
+    for other in (as_list[0], 3, "quadratic"):
+        assert estimates.__eq__(other) is NotImplemented and estimates != other
+    assert repr(estimates[:2]) == f"Estimates('quadratic', {as_list[:2]!r})"
     with pytest.raises(IndexError):
         estimates[len(estimates)]
 
@@ -961,6 +966,138 @@ def test_screened_estimate_at_theta_equal_to_a_cell_magnitude(p_default, good_co
     assert len(estimate(r, s_paper, float(np.nextafter(cells[0], 0.0)), "quadratic", p_default)) == 1
 
 
+# The screened receiver off the paper geometry: seeded cases of random
+# geometry, code, targets, SNR, threshold and lag window.  Each case in
+# four draws its geometry free, then with an odd N*M, with N_f = M and with
+# N_t = N / 2.
+RECEIVER_CASES = 150
+GEOMETRY_FEATURES = ("free", "odd NM", "N_f = M", "N_t = N/2")
+RECEIVER_SNRS_DB = (None, 30.0, 10.0, 0.0, -10.0)
+# Most windows aim at a target: round its lag (or both targets' lags), or one
+# lag at or beside it; the others reach -(NM-1), NM-1 or both, are the
+# detectability window, or lie anywhere in +-(NM-1).
+WINDOW_KINDS = {"target": 0.55, "one-lag": 0.15, "edge": 0.15, "detectability": 0.1, "anywhere": 0.05}
+
+
+def random_geometry(rng, feature):
+    """A geometry of N, M <= 16 with ``feature``.  A free N_t keeps
+    N >= 2 N_t + 2 where N allows it, so some delays of the window leave
+    the echo mostly clear of the receive gate."""
+    if feature == "odd NM":
+        n, m = (2 * int(v) + 1 for v in rng.integers(1, 8, 2))
+    else:
+        n, m = int(rng.integers(4, 17)), int(rng.integers(2, 17))
+    if feature == "N_t = N/2":
+        n += n % 2
+        n_t = n // 2
+    else:
+        n_t = int(rng.integers(1, max(1, (n - 2) // 2) + 1))
+    if feature == "N_f = M":
+        m += m % 2
+        n_f = m
+    else:
+        n_f = 2 * int(rng.integers(1, m // 2 + 1))
+    return make_params(n, m, n_t, n_f, 1.0)
+
+
+def random_receiver_case(rng, feature):
+    """Geometry, code seed, noise seed, one or two targets, SNR and lag window."""
+    p = random_geometry(rng, feature)
+    nm = p.frame_len
+    lo, hi = p.lag_window
+    # the delays whose echo, (N_t + 2) M samples, loses at most M samples to
+    # the receive gate or the frame end, where the window holds any
+    first, last = max(lo, p.L - p.M), min(hi, nm - p.L + p.M)
+    first, last = (first, last) if first <= last else (lo, hi)
+    truths = []
+    for _ in range(2 if rng.random() < 0.25 else 1):
+        delay = float(rng.integers(first, last + 1))
+        if rng.random() < 0.5:
+            delay = min(max(delay + rng.uniform(-0.5, 0.5), lo), hi)
+        amplitude = rng.uniform(0.5, 1.0) if truths else 1.0
+        gain = complex(amplitude * np.exp(2j * np.pi * rng.random()))
+        truths.append(ChannelTruth(delay, float(rng.uniform(-p.N, p.N)), gain))
+    snr_db = RECEIVER_SNRS_DB[int(rng.integers(len(RECEIVER_SNRS_DB)))]
+    kind = str(rng.choice(list(WINDOW_KINDS), p=list(WINDOW_KINDS.values())))
+    lags = [t.l_d for t in truths]
+    reach = p.lobe_half_extents[0] + 2
+    if kind == "target":
+        window = (min(lags) - int(rng.integers(reach + 1)), max(lags) + int(rng.integers(reach + 1)))
+    elif kind == "one-lag":
+        ell = int(rng.choice([lags[0] - 1, lags[0], lags[0] + 1, -(nm - 1), nm - 1]))
+        window = (ell, ell)
+    elif kind == "edge":
+        width = int(rng.integers(nm))
+        window = [(-(nm - 1), width - (nm - 1)), (nm - 1 - width, nm - 1), (-(nm - 1), nm - 1)][
+            int(rng.integers(3))
+        ]
+    elif kind == "detectability":
+        window = p.lag_window
+    else:
+        start = int(rng.integers(-(nm - 1), nm))
+        window = (start, start + int(rng.integers(2 * reach)))
+    window = (max(window[0], -(nm - 1)), min(window[1], nm - 1))
+    return p, int(rng.integers(2**32)), int(rng.integers(2**32)), truths, snr_db, window
+
+
+def random_threshold(rng, magnitude, p, snr_db):
+    """Half the time a cell's magnitude or the float just below it, the cell
+    one at or above the floor or the window's peak; else uniform from the
+    floor up to 0.9.  The floor is 0.2 or, in noise, three times the rms of
+    a noise-only cell (its mean power 1 / (NM 10^{snr/10}), as in
+    ``bench.expected_noise_hits``), so a noisy frame keeps few hits."""
+    floor = 0.2 if snr_db is None else max(0.2, 3.0 / math.sqrt(p.frame_len * 10 ** (snr_db / 10)))
+    if rng.random() < 0.5:
+        cells = magnitude[magnitude >= floor]
+        value = float(rng.choice(cells)) if cells.size and rng.random() < 0.5 else float(magnitude.max())
+        if value > 0:
+            return value if rng.random() < 0.5 else float(np.nextafter(value, 0.0))
+    return float(rng.uniform(floor, max(floor, 0.9)))
+
+
+def test_screened_receiver_matches_full_window_off_the_paper_geometry():
+    # coarse_stage's detections are _suppress's on the full-window surface,
+    # and estimate's quadratic and sinc2d rows the per-detection REFINERS
+    # rows on the refine_window surface, byte for byte, in every case
+    rng = np.random.default_rng(2026)
+    detected, covered = 0, set()
+    for i in range(RECEIVER_CASES):
+        p, code_seed, noise_seed, truths, snr_db, window = random_receiver_case(
+            rng, GEOMETRY_FEATURES[i % len(GEOMETRY_FEATURES)]
+        )
+        code = random_code(p, code_seed)
+        s = synthesize_discrete(code, p)
+        r = echo(code, p, truths, snr_db, seed=noise_seed)
+        full = discrete_ambiguity(r, s, window, p, norm=s.energy)
+        theta = random_threshold(rng, full.magnitude, p, snr_db)
+        case = (
+            f"case {i}: (N, M, N_t, N_f) = {(p.N, p.M, p.N_t, p.N_f)}, code seed {code_seed}, "
+            f"noise seed {noise_seed}, truths {truths}, SNR {snr_db} dB, theta {theta!r}, "
+            f"window {window}"
+        )
+        want = estimator._suppress(full, theta, p)
+        assert estimator.coarse_stage(r, s, theta, p, window)[1].tobytes() == want.tobytes(), case
+        wide = discrete_ambiguity(r, s, refine_window(window, p), p, norm=s.energy)
+        for method in ("quadratic", "sinc2d"):
+            rows = [(*d, *REFINERS[method](wide, Detection(*d), p)) for d in want.tolist()]
+            got = estimate(r, s, theta, method, p, lag_window=window).rows
+            assert got.tobytes() == np.array(rows, dtype=ESTIMATE_ROW).tobytes(), f"{method} {case}"
+        detected += want.size > 0
+        lo, hi = window
+        covered.update(
+            label
+            for label, hit in [
+                ("one lag", lo == hi),
+                ("-(NM-1)", lo == 1 - p.frame_len),
+                ("NM-1", hi == p.frame_len - 1),
+                ("two targets", len(truths) == 2 and all(lo <= t.l_d <= hi for t in truths)),
+            ]
+            if hit
+        )
+    assert detected > RECEIVER_CASES // 2
+    assert covered == {"one lag", "-(NM-1)", "NM-1", "two targets"}
+
+
 # Malformed inputs to the coarse stage, each a change to a call on an
 # all-zero echo of frame length n.
 BAD_COARSE_INPUTS = {
@@ -993,9 +1130,10 @@ def test_estimate_checks_inputs_before_the_screen(p_default, s_paper, case):
 
 
 def reference_sinc_fit(x, y, ell_off, k_off, params):
-    """The sinc fit's objective per axis, one ``lobe_factors`` evaluation per
-    call: the bit-for-bit oracle of ``_sinc_fit``'s one lobe evaluation."""
-    a, da, b, db = lobe_factors(ell_off - x[0], k_off - x[1], params)
+    """The sinc fit's objective per axis, one ``_abs_sinc`` call per axis:
+    the bit-for-bit oracle of ``_sinc_fit``'s one lobe evaluation."""
+    a, da = _abs_sinc(ell_off - x[0], params.N_f, params.M)
+    b, db = _abs_sinc(k_off - x[1], params.N_t, params.N)
     m = a[:, None] * b[None, :]
     gain = max(0.0, float(np.sum(y * m) / np.sum(m * m)))
     res = y - gain * m
