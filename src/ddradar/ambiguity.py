@@ -27,14 +27,14 @@ serve only the benchmark's traced mirror; ROADMAP item 1 deletes them.
 Two bounds let a caller skip every lag whose cells cannot reach its
 threshold before paying for the FFT.  No cell of lag ell can exceed
 B[ell] = sum_j |r[j]| |s[j - ell]|, the l1 norm of that lag's product row
-(triangle inequality); ``lag_peak_bounds`` computes B for a window as one
+(triangle inequality); ``peak_bounds`` computes B for a window as one
 real correlation over the replica's nonzero support.  B ignores the
 Doppler phase, so it passes every lag where |r| and |s| overlap.  The
-Doppler-grid bound D[ell] of ``grid_peak_bounds`` does not: it is the
-maximum of a G-point DFT of the lag's band of W products (G = 384 for the
-paper's W = 160) over cos(pi (W - 1) / (2 G)), which by the van der
-Corput-Schaake inequality no cell exceeds, and it costs one G-point FFT a
-lag where the surface pays an N M-point one.
+Doppler-grid bound D[ell], the second one ``peak_bounds`` returns, does
+not: it is the maximum of a G-point DFT of the lag's band of W products
+(G = 384 for the paper's W = 160) over cos(pi (W - 1) / (2 G)), which by
+the van der Corput-Schaake inequality no cell exceeds, and it costs one
+G-point FFT a lag where the surface pays an N M-point one.
 
 Near its peak the auto-ambiguity of a well-chosen code follows the
 separable model |sinc(N_f ell / M)| * |sinc(N_t k / N)|; the conformance
@@ -115,9 +115,9 @@ class AmbiguitySurface:
         check_norm(a0)
         return AmbiguitySurface(self.values / a0, self.ell_min, self.params, norm=a0)
 
-    def signed_bin(self, col: int) -> int:
-        """Map a column index to the signed Doppler bin."""
-        return col - self.n_bins if col > self.n_bins // 2 else col
+    def signed_bin(self, col: int | np.ndarray) -> int | np.ndarray:
+        """Map a column index, or an int array of them, to the signed Doppler bin."""
+        return col - self.n_bins * (col > self.n_bins // 2)
 
 
 def check_norm(a0: float) -> None:
@@ -251,33 +251,21 @@ def discrete_ambiguity(
     return AmbiguitySurface(values, ell_min, params, norm=norm)
 
 
-def lag_peak_bounds(
+def peak_bounds(
     r: ComplexSignal,
     s: ComplexSignal,
     lag_window: tuple[int, int],
     params: RadarParams,
-) -> np.ndarray:
-    """B[ell] = sum_j |r[j]| |s[j - ell]| for each lag of an inclusive window.
+) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
+    """The two bounds on max_k |A[ell, k]| for each lag of an inclusive
+    window: the l1 bound B and the Doppler-grid bound D.
 
-    No cell of lag ell of the unnormalized surface exceeds B[ell], and a
-    single-impulse echo attains it.  The sum runs over the replica's nonzero
-    support, ``s.support``, so the paper's replica costs its 160
-    samples a lag and a dense one the whole frame; |r| is read only over
-    the span the window's lags reach, as zero outside the frame.  Takes the
-    signal and window checks of :func:`discrete_ambiguity`.
-    """
-    _check_window(r, s, lag_window, params)
-    first, last, span = _echo_band(r, s, *lag_window)
-    return np.correlate(np.abs(span), np.abs(s.samples[first : last + 1]), "valid")
-
-
-def grid_peak_bounds(
-    r: ComplexSignal,
-    s: ComplexSignal,
-    lag_window: tuple[int, int],
-    params: RadarParams,
-) -> Callable[..., np.ndarray]:
-    """The Doppler-grid bound D[ell] on max_k |A[ell, k]|, as a function of lag ranges.
+    B[ell] = sum_j |r[j]| |s[j - ell]|.  No cell of lag ell of the
+    unnormalized surface exceeds B[ell], and a single-impulse echo attains
+    it.  The sum runs over the replica's nonzero support, ``s.support``, so
+    the paper's replica costs its 160 samples a lag and a dense one the
+    whole frame; |r| is read only over the span the window's lags reach, as
+    zero outside the frame.
 
     With the replica nonzero on [first, last] only, W = last - first + 1,
     row ell of the surface is p[u] = r[ell + first + u] s*[first + u],
@@ -293,7 +281,7 @@ def grid_peak_bounds(
     y_j = pi j / G lies within pi / (2 G) of y0, so for G > W - 1, where
     that cosine stays positive, |P(2 y_j)| = |Q(y_j)| >= T(y_j) >=
     m cos(pi (W-1) / (2 G)), and since max |Q| = max |P|,
-    max_x |P| <= max_j |P(2 pi j / G)| / cos(pi (W-1) / (2 G)).  The
+    max_x |P| <= max_j |P(2 pi j / G)| / cos(pi (W-1) / (2 G)) = D[ell].  The
     P(2 pi j / G) are the G-point DFT of p zero-padded to G.  G is the
     smallest 3-smooth 2^a 3^b >= 2.4 (W - 1) (``_doppler_grid``), so the
     factor is at most 1 / cos(pi / 4.8) = 1.26: 384 and
@@ -305,23 +293,25 @@ def grid_peak_bounds(
 
     A computed cell exceeds D[ell] by at most the rounding of the products
     and of the two FFTs (the grid's mixed-radix one included), of order
-    log2(G) eps times the row's l1 norm, the ``lag_peak_bounds`` bound
-    B[ell]; the coarse stage's ``SCREEN_MARGIN * B[ell]`` lies far above
-    it (see SCREEN_MARGIN).
+    log2(G) eps times the row's l1 norm B[ell]; the coarse stage's
+    ``SCREEN_MARGIN * B[ell]`` lies far above it (see SCREEN_MARGIN).
 
-    Returns ``bounds(*ranges)``: D of every lag of the given inclusive
-    ranges inside ``lag_window``, concatenated in order, from one batched
-    FFT of the ranges' band products written into a zeroed (lags, G)
-    array.  The zero-padded echo the bands read is built once, by this
-    call.  Takes the signal and window checks of :func:`discrete_ambiguity`.
+    Returns (B, ``bounds``): B of every lag of the window, and
+    ``bounds(*ranges)``, D of every lag of the given inclusive ranges
+    inside ``lag_window``, concatenated in order, from one batched FFT of
+    the ranges' band products written into a zeroed (lags, G) array.  Both
+    read the one zero-padded echo span this call builds.  Takes the signal
+    and window checks of :func:`discrete_ambiguity`.
     """
     _check_window(r, s, lag_window, params)
     ell_min, ell_max = lag_window
     first, last, span = _echo_band(r, s, ell_min, ell_max)
     width = last - first + 1
+    s_band = s.samples[first : last + 1]
+    l1 = np.correlate(np.abs(span), np.abs(s_band), "valid")
     grid = _doppler_grid(width)
     scale = 1.0 / np.cos(np.pi * (width - 1) / (2 * grid))
-    s_conj = np.conj(s.samples[first : last + 1])
+    s_conj = np.conj(s_band)
     windows = _windows(span, ell_max - ell_min + 1, width)
 
     def bounds(*ranges: tuple[int, int]) -> np.ndarray:
@@ -337,7 +327,7 @@ def grid_peak_bounds(
         np.fft.fft(spectra, axis=1, out=spectra)
         return np.abs(spectra).max(axis=1) * scale
 
-    return bounds
+    return l1, bounds
 
 
 def extend_surface(

@@ -55,9 +55,9 @@ class RadarParams:
             raise ParameterError(f"N_t={self.N_t} exceeds N={self.N}")
         if self.N_f > self.M:
             raise ParameterError(f"N_f={self.N_f} exceeds M={self.M}")
-        if self.L > self.frame_len:
+        if self.L >= self.frame_len:
             raise ParameterError(
-                f"receive gate L=(N_t+2)*M={self.L} exceeds frame_len={self.frame_len}; "
+                f"receive gate L=(N_t+2)*M={self.L} reaches or exceeds frame_len={self.frame_len}; "
                 f"geometry leaves no room to listen for echoes"
             )
         if 2 * self.N_t > self.N:

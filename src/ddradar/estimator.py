@@ -1,11 +1,11 @@
 """Coarse threshold detection and fractional refinement.
 
 The coarse stage, ``coarse_stage``, bounds every lag of the window with
-``lag_peak_bounds``, then trims each end of the span of lags that bound
-passes with the Doppler-grid bound of ``grid_peak_bounds``, walking inward
-until a lag passes both (``_trim_ends``); the live lags run from the first
-to the last lag that passes both bounds, and no other lag has a cell above
-the threshold.  At 30 dB the l1 bound passes about 97 of the 769 lags of
+the l1 bound of ``peak_bounds``, then trims each end of the span of lags
+that bound passes with its Doppler-grid bound, walking inward until a
+lag passes both (``_trim_ends``); the live lags run from the first to the
+last lag that passes both bounds, and no other lag has a cell above the
+threshold.  At 30 dB the l1 bound passes about 97 of the 769 lags of
 the detectability window and the grid bound 2 or 3 of those.
 Detection lists every cell of the live lags above the threshold, thinned by
 non-maximum suppression over one main-lobe extent so each target yields a
@@ -75,8 +75,7 @@ from .ambiguity import (
     _abs_sinc,
     check_norm,
     discrete_ambiguity,
-    grid_peak_bounds,
-    lag_peak_bounds,
+    peak_bounds,
 )
 from .config import RadarParams
 from .waveform import ComplexSignal
@@ -287,8 +286,7 @@ def _suppress(surface: AmbiguitySurface, theta: float, params: RadarParams) -> n
     rows, cols = np.divmod(kept_idx, nbins)
     detections = np.empty(len(kept), DETECTION_ROW)
     detections["l_hat"] = surface.ell_min + rows
-    # surface.signed_bin of each column
-    detections["k_hat"] = np.where(cols > nbins // 2, cols - nbins, cols)
+    detections["k_hat"] = surface.signed_bin(cols)
     detections["peak_mag"] = mag[kept_idx]
     return detections
 
@@ -317,9 +315,9 @@ def coarse_stage(
     window, and the ``coarse_detect`` detections on the live lags as one
     ``DETECTION_ROW`` array.
 
-    A lag passes the l1 screen unless its ``lag_peak_bounds`` bound B
+    A lag passes the l1 screen unless its ``peak_bounds`` bound B
     satisfies B (1 + SCREEN_MARGIN) <= theta * norm, and the grid screen
-    unless its ``grid_peak_bounds`` bound D satisfies
+    unless its ``peak_bounds`` bound D satisfies
     D + SCREEN_MARGIN * B <= theta * norm; a NaN bound passes.  A lag is
     live when it passes both, and no other lag has a cell above theta.
     The grid screen runs only from the two ends of the span of lags that
@@ -331,7 +329,7 @@ def coarse_stage(
     check of ``discrete_ambiguity`` and ``coarse_detect`` runs before the
     screen.  Returns None and no detections when no lag is live.
     """
-    bounds = lag_peak_bounds(r, s, lag_window, params)
+    bounds, grid = peak_bounds(r, s, lag_window, params)
     norm = s.energy
     check_norm(norm)
     _check_threshold(theta)
@@ -341,7 +339,6 @@ def coarse_stage(
         return None, np.empty(0, DETECTION_ROW)
     ell0 = lag_window[0]
     span = ell0 + int(passed[0]), ell0 + int(passed[-1])
-    grid = grid_peak_bounds(r, s, span, params)
 
     def live(*ranges: tuple[int, int]) -> np.ndarray:
         b = np.concatenate([bounds[lo - ell0 : hi - ell0 + 1] for lo, hi in ranges])

@@ -105,9 +105,8 @@ def evaluate_transmitted(code: CodeMatrix, params: RadarParams, t: np.ndarray) -
     """Evaluate the radiated pulse train at the times ``t`` (1-D, in samples).
 
     ``t`` counts sampling intervals T_s, fractions allowed, and T_c does not
-    enter (earlier versions took seconds: divide those by T_s).  Each slot's
-    Gaussian is windowed to its 3M-sample window and the sum is scaled by
-    1/M; sampled at t = j it is the stored replica.
+    enter.  Each slot's Gaussian is windowed to its 3M-sample window and the
+    sum is scaled by 1/M; sampled at t = j it is the stored replica.
     """
     code.require_match(params)
     t = np.asarray(t, dtype=float)

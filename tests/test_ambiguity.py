@@ -29,8 +29,7 @@ from ddradar.ambiguity import (
     _abs_sinc,
     _lagged_products,
     extend_surface,
-    grid_peak_bounds,
-    lag_peak_bounds,
+    peak_bounds,
     write_surface,
 )
 from ddradar.estimator import SCREEN_MARGIN
@@ -382,7 +381,7 @@ def direct_bounds(r, s, ells, n):
 
 def assert_bounds_hold(r, s, window, p):
     """Every row's peak |A| under its bound, with the coarse stage's margin."""
-    bounds = lag_peak_bounds(r, s, window, p)
+    bounds = peak_bounds(r, s, window, p)[0]
     peaks = np.max(np.abs(discrete_ambiguity(r, s, window, p).values), axis=1)
     assert bounds.shape == peaks.shape == (window[1] - window[0] + 1,)
     assert np.all(peaks <= bounds * (1 + SCREEN_MARGIN))
@@ -405,7 +404,7 @@ def test_lag_bounds_on_dense_signals_over_every_lag(trim):
     oracle = direct_bounds(r, s, range(window[0], window[1] + 1), n)
     assert np.allclose(bounds, oracle, rtol=1e-12, atol=0)
     for sub in [(-(n - 1), -(n - 1)), (n - 1, n - 1), (-4, 9)]:
-        part = lag_peak_bounds(ComplexSignal(r), ComplexSignal(s), sub, p)
+        part = peak_bounds(ComplexSignal(r), ComplexSignal(s), sub, p)[0]
         assert np.array_equal(part, bounds[sub[0] + n - 1 : sub[1] + n])
 
 
@@ -432,17 +431,6 @@ def test_lag_bounds_on_paper_replica_at_frame_edges(p_default, good_code, s_pape
     r = echo(good_code, p_default, [truth], 10.0, seed=3)
     bounds, _ = assert_bounds_hold(r, s_paper, window, p_default)
     assert np.all(np.isfinite(bounds)) and np.all(bounds >= 0)
-
-
-def test_lag_bounds_zero_replica_and_checks(p_default, s_paper):
-    zero = ComplexSignal(np.zeros(p_default.frame_len))
-    assert np.array_equal(lag_peak_bounds(s_paper, zero, (-3, 4), p_default), np.zeros(8))
-    with pytest.raises(ValueError, match="empty lag window"):
-        lag_peak_bounds(s_paper, s_paper, (5, 4), p_default)
-    with pytest.raises(ValueError, match="outside"):
-        lag_peak_bounds(s_paper, s_paper, (0, p_default.frame_len), p_default)
-    with pytest.raises(ValueError, match="frame length"):
-        lag_peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
 
 
 def grid_of(s):
@@ -483,8 +471,9 @@ def assert_grid_bounds_hold(r, s, window, p):
     slack SCREEN_MARGIN * B, and the bound equal to its direct sum
     ``direct_grid_bounds`` to 1e-12 relative, at every geometry."""
     r, s = ComplexSignal(r), ComplexSignal(s)
-    slack = SCREEN_MARGIN * lag_peak_bounds(r, s, window, p)
-    bounds = grid_peak_bounds(r, s, window, p)(window)
+    l1, grid = peak_bounds(r, s, window, p)
+    slack = SCREEN_MARGIN * l1
+    bounds = grid(window)
     peaks = np.max(np.abs(discrete_ambiguity(r, s, window, p).values), axis=1)
     assert bounds.shape == peaks.shape == (window[1] - window[0] + 1,)
     assert np.all(peaks <= bounds + slack)
@@ -566,27 +555,38 @@ def test_grid_bounds_on_small_replicas_over_every_lag(kind):
 
 def test_grid_bounds_of_several_ranges_match_one_window(p_default, good_code, s_paper):
     # one call for several ranges returns each lag's bound of the one-window
-    # call, bit for bit, in range order
+    # call, bit for bit, in range order; and bounds built over a sub-window
+    # (the span the l1 screen passes, one lag at either end of the window)
+    # give each of its lags the B and D of the whole-window call, bit for bit
     r = echo(good_code, p_default, [ChannelTruth(300.25, 1.75)], 10.0, seed=3)
     window = (-40, 1023)
-    bounds = grid_peak_bounds(r, s_paper, window, p_default)
+    l1, bounds = peak_bounds(r, s_paper, window, p_default)
     whole = bounds(window)
     for ranges in [((-40, -40),), ((1023, 1023), (-40, -38)), ((0, 7), (290, 310), (1000, 1023))]:
         want = np.concatenate([whole[lo + 40 : hi + 41] for lo, hi in ranges])
         assert np.array_equal(bounds(*ranges), want)
+    passed = np.flatnonzero(~(l1 * (1.0 + SCREEN_MARGIN) <= 0.5 * s_paper.energy))
+    span = (window[0] + int(passed[0]), window[0] + int(passed[-1]))
+    assert window[0] < span[0] < span[1] < window[1]
+    for lo, hi in [span, (-40, -40), (1023, 1023)]:
+        sub_l1, sub_bounds = peak_bounds(r, s_paper, (lo, hi), p_default)
+        assert np.array_equal(sub_l1, l1[lo + 40 : hi + 41])
+        assert np.array_equal(sub_bounds((lo, hi)), whole[lo + 40 : hi + 41])
 
 
-def test_grid_bounds_zero_replica_and_checks(p_default, s_paper):
+def test_peak_bounds_zero_replica_and_checks(p_default, s_paper):
     zero = ComplexSignal(np.zeros(p_default.frame_len))
-    bounds = grid_peak_bounds(s_paper, zero, (-3, 4), p_default)
+    l1, bounds = peak_bounds(s_paper, zero, (-3, 4), p_default)
+    assert np.array_equal(l1, np.zeros(8))
     assert np.array_equal(bounds((-3, 4)), np.zeros(8))
     assert np.array_equal(bounds((-3, -3), (0, 4)), np.zeros(6))
     with pytest.raises(ValueError, match="empty lag window"):
-        grid_peak_bounds(s_paper, s_paper, (5, 4), p_default)
-    with pytest.raises(ValueError, match="outside"):
-        grid_peak_bounds(s_paper, s_paper, (-p_default.frame_len, 0), p_default)
+        peak_bounds(s_paper, s_paper, (5, 4), p_default)
+    for window in [(0, p_default.frame_len), (-p_default.frame_len, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            peak_bounds(s_paper, s_paper, window, p_default)
     with pytest.raises(ValueError, match="frame length"):
-        grid_peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
+        peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
 
 
 def test_conformance_separates_reference_codes(p_default, good_code, bad_code):

@@ -258,7 +258,7 @@ def test_sweep_rejects_empty_snr_list(kw, message):
         (dict(workers=0), "sweep setting 'workers' must be at least 1, got 0"),
         (dict(trials=0), "sweep setting 'trials' must be at least 1, got 0"),
         (dict(seed=-1), "sweep setting 'seed' must be at least 0, got -1"),
-        (dict(params=make_params(4, 4, 2, 2, 1.0)), "window [8, 8] has no interior lag"),
+        (dict(params=make_params(6, 4, 3, 2, 1.0)), "window [12, 12] has no interior lag"),
     ],
     ids=["zero-workers", "zero-trials", "negative-seed", "no-interior-lag"],
 )

@@ -425,16 +425,16 @@ def test_empty_detectability_window_exits_two(tmp_path, capsys):
 
 
 def test_sweep_on_window_without_interior_lag_exits_two(tmp_path, capsys):
-    flags = ("--N", "4", "--M", "4", "--N_t", "2", "--N_f", "2")
+    flags = ("--N", "6", "--M", "4", "--N_t", "3", "--N_f", "2")
     code_path = tmp_path / "code.txt"
     assert run(capsys, "gen-code", *flags, "--seed", "1", "--out", str(code_path))[0] == 0
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text("N = 4\nM = 4\nN_t = 2\nN_f = 2\ncode_seed = 1\ntrials = 2\n")
+    cfg.write_text("N = 6\nM = 4\nN_t = 3\nN_f = 2\ncode_seed = 1\ntrials = 2\n")
     out = tmp_path / "r.csv"
     code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
     assert code == 2
     assert stdout == "" and not out.exists()
-    assert err.startswith("ddradar sweep: detectability window [8, 8]")
+    assert err.startswith("ddradar sweep: detectability window [12, 12]")
     assert "ell_max - ell_min >= 2" in err and err.count("\n") == 1
 
 

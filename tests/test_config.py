@@ -46,6 +46,8 @@ def test_degenerate_geometry_rejected():
         (dict(N=8, M=4, N_t=5, N_f=2), r"detectability window \[20, 12\] .* is empty"),
         (dict(N=64, M=16, N_t=True, N_f=8), "N_t must be a positive integer, got True"),
         (dict(N=64, M=16, N_t=8, N_f=8, T_c=True), "T_c must be positive and finite, got True"),
+        (dict(N=3, M=9, N_t=1, N_f=6), "L=.*=27 reaches or exceeds frame_len=27; geometry leaves no room"),
+        (dict(N=4, M=4, N_t=2, N_f=2), "L=.*=16 reaches or exceeds frame_len=16; geometry leaves no room"),
     ],
 )
 def test_parameter_violations(kwargs, match):
@@ -229,9 +231,9 @@ def test_load_sweep_rejects_two_codes(tmp_path):
 def test_load_sweep_rejects_window_without_interior_lag(tmp_path):
     # draw_truth places the target strictly inside the window
     cfg = tmp_path / "narrow.cfg"
-    cfg.write_text("N = 4\nM = 4\nN_t = 2\nN_f = 2\ncode_seed = 1\n")
-    with pytest.raises(ParameterError, match=r"window \[8, 8\].*ell_max - ell_min >= 2"):
+    cfg.write_text("N = 6\nM = 4\nN_t = 3\nN_f = 2\ncode_seed = 1\n")
+    with pytest.raises(ParameterError, match=r"window \[12, 12\].*ell_max - ell_min >= 2"):
         load_sweep(cfg)
-    assert load_params(cfg).lag_window == (8, 8)  # the geometry itself stays valid
+    assert load_params(cfg).lag_window == (12, 12)  # the geometry itself stays valid
     cfg.write_text("N = 5\nM = 2\nN_t = 2\nN_f = 2\ncode_seed = 1\n")
     assert load_sweep(cfg).params.lag_window == (4, 6)

@@ -31,12 +31,11 @@ from ddradar import (
     refine_sinc2d,
     synthesize_discrete,
 )
-from ddradar import bench, estimator
+from ddradar import ambiguity, bench, estimator
 from ddradar.ambiguity import (
     AmbiguitySurface,
     _abs_sinc,
-    grid_peak_bounds,
-    lag_peak_bounds,
+    peak_bounds,
     sinc_model,
     write_surface,
 )
@@ -833,8 +832,8 @@ def screened_span(r, s, theta, params, window):
     of the whole window (oracle of ``coarse_stage``'s walk); None when no
     lag passes."""
     level = theta * s.energy
-    l1 = lag_peak_bounds(r, s, window, params)
-    grid = grid_peak_bounds(r, s, window, params)(window)
+    l1, bounds = peak_bounds(r, s, window, params)
+    grid = bounds(window)
     live = np.flatnonzero(
         ~(l1 * (1.0 + SCREEN_MARGIN) <= level) & ~(grid + SCREEN_MARGIN * l1 <= level)
     )
@@ -875,6 +874,30 @@ def test_coarse_stage_span_matches_one_shot_screen(p_default, good_code, s_paper
     both = echo(good_code, p_default, [ChannelTruth(149.9, 1.4), ChannelTruth(850.2, -3.3)])
     span = assert_span_matches_one_shot_screen(both, s_paper, 0.5, p_default, p_default.lag_window)
     assert span[0] <= 150 and span[1] >= 850
+
+
+def test_coarse_stage_checks_and_pads_the_echo_once_for_both_screens(
+    p_default, good_code, s_paper, monkeypatch
+):
+    # the l1 and grid screens share one window check and one zero-padded
+    # echo span; the surface of the live lags takes one more of each
+    calls = {"_check_window": 0, "_echo_band": 0}
+
+    def spy(name):
+        real = getattr(ambiguity, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ambiguity, name, spy(name))
+    r = echo(good_code, p_default, [ChannelTruth(400.3, 1.8)], 30.0, seed=17)
+    surface, detections = estimator.coarse_stage(r, s_paper, 0.5, p_default, p_default.lag_window)
+    assert surface is not None and detections.size > 0
+    assert calls == {"_check_window": 2, "_echo_band": 2}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 18, 19, 40, 97, 769])
@@ -983,12 +1006,15 @@ def random_geometry(rng, feature):
     """A geometry of N, M <= 16 with ``feature``.  A free N_t keeps
     N >= 2 N_t + 2 where N allows it, so some delays of the window leave
     the echo mostly clear of the receive gate."""
+    # N >= N_t + 3, or the receive gate (N_t + 2) M covers the whole frame:
+    # odd N = 3 and N_t = N/2 at N = 4 are clamped up, with the same draws
     if feature == "odd NM":
         n, m = (2 * int(v) + 1 for v in rng.integers(1, 8, 2))
+        n = max(n, 5)
     else:
         n, m = int(rng.integers(4, 17)), int(rng.integers(2, 17))
     if feature == "N_t = N/2":
-        n += n % 2
+        n = max(n + n % 2, 6)
         n_t = n // 2
     else:
         n_t = int(rng.integers(1, max(1, (n - 2) // 2) + 1))
