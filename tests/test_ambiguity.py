@@ -574,19 +574,24 @@ def test_grid_bounds_of_several_ranges_match_one_window(p_default, good_code, s_
         assert np.array_equal(sub_bounds((lo, hi)), whole[lo + 40 : hi + 41])
 
 
-def test_peak_bounds_zero_replica_and_checks(p_default, s_paper):
+def test_lag_bounds_zero_replica_and_checks(p_default, s_paper):
     zero = ComplexSignal(np.zeros(p_default.frame_len))
-    l1, bounds = peak_bounds(s_paper, zero, (-3, 4), p_default)
-    assert np.array_equal(l1, np.zeros(8))
-    assert np.array_equal(bounds((-3, 4)), np.zeros(8))
-    assert np.array_equal(bounds((-3, -3), (0, 4)), np.zeros(6))
+    assert np.array_equal(peak_bounds(s_paper, zero, (-3, 4), p_default)[0], np.zeros(8))
     with pytest.raises(ValueError, match="empty lag window"):
         peak_bounds(s_paper, s_paper, (5, 4), p_default)
-    for window in [(0, p_default.frame_len), (-p_default.frame_len, 0)]:
-        with pytest.raises(ValueError, match="outside"):
-            peak_bounds(s_paper, s_paper, window, p_default)
+    with pytest.raises(ValueError, match="outside"):
+        peak_bounds(s_paper, s_paper, (0, p_default.frame_len), p_default)
     with pytest.raises(ValueError, match="frame length"):
         peak_bounds(ComplexSignal(np.ones(4)), s_paper, (0, 1), p_default)
+
+
+def test_grid_bounds_zero_replica_and_checks(p_default, s_paper):
+    zero = ComplexSignal(np.zeros(p_default.frame_len))
+    bounds = peak_bounds(s_paper, zero, (-3, 4), p_default)[1]
+    assert np.array_equal(bounds((-3, 4)), np.zeros(8))
+    assert np.array_equal(bounds((-3, -3), (0, 4)), np.zeros(6))
+    with pytest.raises(ValueError, match="outside"):
+        peak_bounds(s_paper, s_paper, (-p_default.frame_len, 0), p_default)
 
 
 def test_conformance_separates_reference_codes(p_default, good_code, bad_code):
