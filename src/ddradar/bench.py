@@ -3,8 +3,8 @@
 Each trial draws a random in-window target, synthesizes the noisy gated
 frame, and runs every refinement method on the same frame.  Trials are
 keyed by ``seed + trial_index`` and all randomness flows through Philox
-streams derived from that key, so a sweep is reproducible sample-for-sample
-regardless of the worker count.
+streams derived from that key, so a sweep is reproducible sample for
+sample and any trial can be re-run alone.
 
 Errors are accounted in grid cells: delay error (l_hat + eps_hat) - delay,
 both in samples, and the Doppler analogue in bins.  The coarse stage is the
@@ -29,10 +29,8 @@ import functools
 import hashlib
 import json
 import math
-import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -65,7 +63,6 @@ class BenchConfig:
     trials: int = 1000
     theta: float = DEFAULT_THRESHOLD
     seed: int = 0
-    workers: int = 1
     methods: ClassVar[tuple[str, ...]] = tuple(REFINERS)  # every trial runs every refiner
 
     def __post_init__(self):
@@ -79,7 +76,7 @@ class BenchConfig:
 
 
 # The least value each integer sweep setting may take.
-_SWEEP_MINIMUM = {"trials": 1, "workers": 1, "seed": 0, "code_seed": 0}
+_SWEEP_MINIMUM = {"trials": 1, "seed": 0, "code_seed": 0}
 
 
 def _check_settings(params: RadarParams, settings: dict) -> None:
@@ -99,19 +96,20 @@ def _check_settings(params: RadarParams, settings: dict) -> None:
         )
 
 
-def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = None) -> BenchConfig:
+def load_sweep(path: str | Path, seed: int | None = None) -> BenchConfig:
     """Read a sweep config file into a BenchConfig; geometry resolves by
     ``load_params``.  ``code_file`` reads a code (a relative path from the
     config file's own directory), ``code_seed`` draws one, neither means
     the reference good code, and both raise ParameterError.
-    Other keys default to BenchConfig's; non-None ``workers`` and ``seed``
-    override the file.  A ``trials`` or ``workers`` below 1, a negative
-    ``seed`` / ``code_seed``, from the file or an override, or a window with
-    no interior lag raises ParameterError by ``_check_settings``, the check
-    ``BenchConfig`` makes, before the code is read or drawn.
+    Other keys default to BenchConfig's; a non-None ``seed`` overrides the
+    file's.  A ``trials`` below 1, a negative ``seed`` / ``code_seed``, from
+    the file or the override, or a window with no interior lag raises
+    ParameterError by ``_check_settings``, the check ``BenchConfig`` makes,
+    before the code is read or drawn.
     """
     raw = read_config(path)
-    raw.update({k: v for k, v in (("workers", workers), ("seed", seed)) if v is not None})
+    if seed is not None:
+        raw["seed"] = seed
     params = load_params(overrides={k: raw.get(k) for k in DEFAULT_GEOMETRY})
     _check_settings(params, raw)
     if "code_file" in raw and "code_seed" in raw:
@@ -123,7 +121,7 @@ def load_sweep(path: str | Path, workers: int | None = None, seed: int | None = 
     else:
         code = reference_good_code()
         code.require_match(params)
-    kwargs = {k: raw[k] for k in ("trials", "theta", "seed", "workers") if k in raw}
+    kwargs = {k: raw[k] for k in ("trials", "theta", "seed") if k in raw}
     if "snr_db" in raw:
         kwargs["snr_db_list"] = tuple(raw["snr_db"])
     return BenchConfig(params=params, code=code, **kwargs)
@@ -240,15 +238,8 @@ def run_trial(cfg: BenchConfig, snr_db: float, trial_seed: int) -> TrialRecord:
 
 
 def run_trials(cfg: BenchConfig, snr_db: float) -> list[TrialRecord]:
-    """All trials at one SNR, in trial order, optionally on worker processes:
-    at most one per trial and per CPU, whatever ``cfg.workers`` asks for."""
-    trial = functools.partial(run_trial, cfg, snr_db)
-    seeds = range(cfg.seed, cfg.seed + cfg.trials)
-    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
-    if workers <= 1:
-        return list(map(trial, seeds))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial, seeds, chunksize=max(1, cfg.trials // (4 * workers))))
+    """All trials at one SNR, in trial order."""
+    return [run_trial(cfg, snr_db, seed) for seed in range(cfg.seed, cfg.seed + cfg.trials)]
 
 
 def summarize(records: list[TrialRecord], method: str) -> RmseReport:
@@ -343,7 +334,6 @@ def sidecar_metadata(cfg: BenchConfig) -> dict:
         "trials": cfg.trials,
         "snr_db_list": list(cfg.snr_db_list),
         "methods": list(cfg.methods),
-        "workers": cfg.workers,
         "optimizer": dict(SOLVER),
         "conformance_score": sinc_conformance(cfg.code, cfg.params)[0],
         "expected_noise_hits": [

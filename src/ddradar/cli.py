@@ -136,7 +136,6 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("sweep", help="Monte Carlo RMSE sweep over SNR")
     sub.add_argument("--config", required=True, help="key = value bench config file")
     sub.add_argument("--out", required=True)
-    sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
 
     return parser
@@ -227,7 +226,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_sweep(args.config, args.workers, args.seed)
+    cfg = load_sweep(args.config, args.seed)
     reports = sweep(cfg)
     write_reports_csv(args.out, reports)
     write_sidecar(args.out + ".meta.json", cfg)

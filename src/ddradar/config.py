@@ -110,7 +110,6 @@ CONFIG_KEYS = {
     "trials": int,
     "theta": float,
     "seed": int,
-    "workers": int,
     "snr_db": list,
     "code_seed": int,
     "code_file": str,

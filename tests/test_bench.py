@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import platform
 import re
 import subprocess
@@ -100,20 +99,6 @@ def test_noiseless_trial_accuracy(p_default, good_code):
     assert abs(out.err_doppler) <= 0.07
 
 
-def test_worker_counts_agree(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a real pool of 3 on any host
-    cfg1 = small_cfg(trials=12, workers=1)
-    cfg2 = small_cfg(trials=12, workers=3)
-    rec1 = run_trials(cfg1, 30.0)
-    rec2 = run_trials(cfg2, 30.0)
-    assert len(rec1) == len(rec2) == 12
-    for a, b in zip(rec1, rec2):
-        assert a.trial_seed == b.trial_seed
-        for method in cfg1.methods:
-            assert a.outcomes[method].err_delay == b.outcomes[method].err_delay
-            assert a.outcomes[method].err_doppler == b.outcomes[method].err_doppler
-
-
 def test_run_trial_synthesizes_the_replica_once(monkeypatch):
     calls, synthesize = [], bench.synthesize_discrete
 
@@ -157,20 +142,6 @@ def test_trial_records_do_not_depend_on_t_c():
         assert records(t_c) == reference, t_c
 
 
-def test_read_replica_travels_to_workers(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2 on any host
-    cfg = small_cfg(trials=8, workers=2)
-    cfg.replica  # cached before the config is pickled to the workers
-    sent = pickle.loads(pickle.dumps(cfg))
-    assert "replica" in sent.__dict__
-    # the code and the replica the workers read are rebuilt read-only
-    assert not sent.code.entries.flags.writeable
-    assert not sent.replica.samples.flags.writeable
-    serial = run_trials(dataclasses.replace(cfg, workers=1), 30.0)
-    pooled = run_trials(cfg, 30.0)
-    assert [untimed(rec) for rec in pooled] == [untimed(rec) for rec in serial]
-
-
 def test_records_compare_and_hash_by_identity():
     # arrays have no single truth value, so records holding them compare by
     # identity; a config compares its fields, its code by identity
@@ -186,45 +157,6 @@ def test_records_compare_and_hash_by_identity():
         assert len({a, b, a}) == 2, name
     cfg = small_cfg()
     assert dataclasses.replace(cfg) == cfg and hash(dataclasses.replace(cfg)) == hash(cfg)
-
-
-@pytest.mark.parametrize(
-    "workers,trials,cpus,made",
-    [
-        (10_000, 3, 8, [3, 1]),  # one process per trial at most
-        (10_000, 16, 4, [4, 1]),  # one per CPU at most
-        (3, 16, 8, [3, 1]),
-        (10_000, 16, None, []),  # an unknown CPU count runs serially
-        (2, 16, 1, []),
-    ],
-)
-def test_run_trials_caps_the_pool(monkeypatch, workers, trials, cpus, made):
-    # the pool's size and chunk size are recorded by a stand-in that runs
-    # the trials in this process, so the test starts no process
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            sizes.append(chunksize)
-            return map(fn, items)
-
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cfg = small_cfg(trials=trials, workers=workers)
-    records = run_trials(cfg, 30.0)
-    assert sizes == made
-    serial = run_trials(dataclasses.replace(cfg, workers=1), 30.0)
-    assert [untimed(rec) for rec in records] == [untimed(rec) for rec in serial]
-    assert sidecar_metadata(cfg)["workers"] == workers  # the sidecar keeps the request
 
 
 def test_sweep_report_grid():
@@ -255,17 +187,16 @@ def test_sweep_rejects_empty_snr_list(kw, message):
 @pytest.mark.parametrize(
     "kw, message",
     [
-        (dict(workers=0), "sweep setting 'workers' must be at least 1, got 0"),
         (dict(trials=0), "sweep setting 'trials' must be at least 1, got 0"),
         (dict(seed=-1), "sweep setting 'seed' must be at least 0, got -1"),
         (dict(params=make_params(6, 4, 3, 2, 1.0)), "window [12, 12] has no interior lag"),
     ],
-    ids=["zero-workers", "zero-trials", "negative-seed", "no-interior-lag"],
+    ids=["zero-trials", "negative-seed", "no-interior-lag"],
 )
 def test_bench_config_checks_its_settings(kw, message):
     # the one check load_sweep runs, made when the config is built, so no
-    # trial runs serially for workers=0, returns no records for trials=0,
-    # or fails inside numpy on a negative seed or an empty draw range
+    # sweep returns no records for trials=0, or fails inside numpy on a
+    # negative seed or an empty draw range
     with pytest.raises(ParameterError, match=re.escape(message)):
         small_cfg(**kw)
 
@@ -334,7 +265,7 @@ def test_sidecar_ends_in_an_environment_block(tmp_path, simd_target):
     meta = json.loads(path.read_text())
     assert list(meta) == [
         "seed", "code_sha256", "params", "theta", "trials", "snr_db_list",
-        "methods", "workers", "optimizer", "conformance_score", "expected_noise_hits",
+        "methods", "optimizer", "conformance_score", "expected_noise_hits",
         "environment",
     ]
     assert meta["environment"] == {

@@ -58,9 +58,12 @@ def test_no_arguments_is_usage_error(capsys):
 
 
 def test_unknown_flag_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-code", "--frobnicate"])
-    assert exc.value.code == 1
+    # a made-up flag, and `--workers`, which the sweep does not take
+    sweep = ["sweep", "--config", "c", "--out", "o"]
+    for argv in (["gen-code", "--frobnicate"], [*sweep, "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_estimate_unknown_method_exits_one(capsys):
@@ -86,6 +89,21 @@ def test_version_reports_config_hash(capsys):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert (script.returncode, script.stdout) == (0, out)
+
+
+def test_package_loads_no_process_machinery():
+    # a sweep runs its trials in this process, so neither the package nor
+    # its command line imports a process pool
+    src = str(Path(ddradar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, ddradar, ddradar.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    script = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (script.returncode, script.stdout, script.stderr) == (0, "[]\n", "")
 
 
 def test_gen_show_code_round_trip(tmp_path, capsys):
@@ -257,29 +275,6 @@ def test_ambiguity_surface_dump(tmp_path, capsys, s_path):
     assert len(lines) == 1 + 3 * 1024
 
 
-def test_sweep_deterministic_across_workers(tmp_path, capsys):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(
-        "N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_seed = 3\n"
-        "trials = 10\nsnr_db = [20, 30]\nseed = 77\n"
-    )
-    out1 = tmp_path / "r1.csv"
-    out2 = tmp_path / "r2.csv"
-    assert run(capsys, "sweep", "--config", str(cfg), "--out", str(out1))[0] == 0
-    assert (
-        run(capsys, "sweep", "--config", str(cfg), "--out", str(out2), "--workers", "2")[0]
-        == 0
-    )
-    # statistical columns identical; the trailing wall-time columns are not
-    stats1 = [",".join(line.split(",")[:6]) for line in out1.read_text().splitlines()]
-    stats2 = [",".join(line.split(",")[:6]) for line in out2.read_text().splitlines()]
-    assert stats1 == stats2
-    meta = json.loads((tmp_path / "r1.csv.meta.json").read_text())
-    assert meta["seed"] == 77 and meta["trials"] == 10
-    lines = out1.read_text().splitlines()
-    assert len(lines) == 1 + 2 * 3  # two SNRs x three methods
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -288,13 +283,15 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
     ],
 )
 def test_unknown_config_key_exits_two(tmp_path, capsys, argv):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_seed = 3\ntrails = 5\n")
-    out = tmp_path / "r.csv"
-    code, stdout, err = run(capsys, *(a.format(cfg=cfg, out=out) for a in argv))
-    assert code == 2
-    assert stdout == "" and not out.exists()
-    assert "line 6: unknown key 'trails'" in err
+    # a misspelled key, and `workers`, which no config takes
+    for line in ("trails = 5", "workers = 2"):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"N = 16\nM = 8\nN_t = 2\nN_f = 4\ncode_seed = 3\n{line}\n")
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, *(a.format(cfg=cfg, out=out) for a in argv))
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert f"line 6: unknown key '{line.split()[0]}'" in err
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])
@@ -380,13 +377,11 @@ def test_simulate_non_finite_delay_doppler_exits_two(tmp_path, capsys, code_path
 @pytest.mark.parametrize(
     "lines, flags, key",
     [
-        ("workers = -4", (), "workers"),
         ("code_seed = -3", (), "code_seed"),
         ("seed = -1", (), "seed"),
-        ("", ("--workers", "0"), "workers"),
         ("", ("--seed", "-1"), "seed"),
     ],
-    ids=["file-workers", "file-code_seed", "file-seed", "flag-workers", "flag-seed"],
+    ids=["file-code_seed", "file-seed", "flag-seed"],
 )
 def test_sweep_out_of_range_setting_exits_two(tmp_path, capsys, lines, flags, key):
     cfg = tmp_path / "bench.cfg"

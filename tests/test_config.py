@@ -134,7 +134,7 @@ def test_hash_inside_quotes_is_not_a_comment(tmp_path):
 
 SHARED_CONFIG = (
     "N = 16\nM = 8\nN_t = 2\nN_f = 4\n"
-    "code_seed = 3\ntrials = 10\nsnr_db = [20, 30]\ntheta = 0.4\nseed = 77\nworkers = 2\n"
+    "code_seed = 3\ntrials = 10\nsnr_db = [20, 30]\ntheta = 0.4\nseed = 77\n"
 )
 
 
@@ -146,9 +146,9 @@ def test_one_config_file_serves_both_readers(tmp_path):
     bench = load_sweep(cfg)
     assert bench.params == p
     assert bench.snr_db_list == (20.0, 30.0)
-    assert (bench.trials, bench.theta, bench.seed, bench.workers) == (10, 0.4, 77, 2)
-    over = load_sweep(cfg, workers=1, seed=5)
-    assert (over.workers, over.seed) == (1, 5)
+    assert (bench.trials, bench.theta, bench.seed) == (10, 0.4, 77)
+    over = load_sweep(cfg, seed=5)
+    assert (over.trials, over.theta, over.seed) == (10, 0.4, 5)
 
 
 def test_readme_bench_config_loads(tmp_path):
@@ -159,7 +159,7 @@ def test_readme_bench_config_loads(tmp_path):
     bench = load_sweep(cfg)
     assert bench.params == make_params(64, 16, 8, 8, 1.0)
     assert bench.snr_db_list == (0.0, 10.0, 20.0, 30.0)
-    assert (bench.trials, bench.theta, bench.seed, bench.workers) == (1000, 0.5, 42, 1)
+    assert (bench.trials, bench.theta, bench.seed) == (1000, 0.5, 42)
     assert np.array_equal(bench.code.entries, reference_good_code().entries)
 
 
@@ -170,14 +170,14 @@ def test_load_sweep_defaults(tmp_path):
     assert (bench.params.N, bench.params.M, bench.params.N_t, bench.params.N_f) == (64, 16, 8, 8)
     assert np.array_equal(bench.code.entries, reference_good_code().entries)
     assert bench.snr_db_list == (25.0,)
-    assert (bench.trials, bench.seed, bench.workers) == (1000, 0, 1)
+    assert (bench.trials, bench.seed) == (1000, 0)
 
 
 @pytest.mark.parametrize("reader", [load_params, load_sweep])
 def test_readers_reject_unknown_keys(tmp_path, reader):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(SHARED_CONFIG + "# trials misspelled\ntrails = 5\n")
-    with pytest.raises(ParameterError, match=r"line 12: unknown key 'trails'"):
+    with pytest.raises(ParameterError, match=r"line 11: unknown key 'trails'"):
         reader(cfg)
 
 
@@ -191,7 +191,7 @@ def test_load_params_rejects_non_integer_geometry(tmp_path, value):
 
 @pytest.mark.parametrize(
     "line",
-    ["M = 16.0", "trials = 2.9", "seed = true", 'workers = "2"', "code_seed = 1.5"],
+    ["M = 16.0", "trials = 2.9", "seed = true", "code_seed = 1.5"],
 )
 def test_load_sweep_rejects_non_integer_values(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
@@ -204,15 +204,11 @@ def test_load_sweep_rejects_non_integer_values(tmp_path, line):
 @pytest.mark.parametrize(
     "line, overrides, message",
     [
-        ("workers = 0", {}, "'workers' must be at least 1, got 0"),
-        ("workers = -4", {}, "'workers' must be at least 1, got -4"),
         ("seed = -1", {}, "'seed' must be at least 0, got -1"),
         ("code_seed = -3", {}, "'code_seed' must be at least 0, got -3"),
-        ("workers = 2", {"workers": 0}, "'workers' must be at least 1, got 0"),
         ("seed = 5", {"seed": -1}, "'seed' must be at least 0, got -1"),
     ],
-    ids=["zero-workers", "negative-workers", "negative-seed", "negative-code_seed",
-         "zero-workers-override", "negative-seed-override"],
+    ids=["negative-seed", "negative-code_seed", "negative-seed-override"],
 )
 def test_load_sweep_rejects_out_of_range_settings(tmp_path, line, overrides, message):
     cfg = tmp_path / "bad.cfg"
